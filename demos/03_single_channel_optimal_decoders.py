@@ -23,7 +23,7 @@ from indelkit.words import runs
 # Exact expected normalized distances over every codeword and output:
 for n in (10, 17, 18):
     lazy = exact_expected_distance("lazy", n, 1)
-    en = exact_expected_distance("en", n, 1)
+    en = exact_expected_distance("en:1", n, 1)
     rel = "beats" if en > lazy else "loses to"
     print(f"n={n:>2}: lazy = {lazy} = 1/n, run-prolonging = {en} "
           f"({float(en):.5f}) -> lazy {rel} it")

@@ -13,8 +13,7 @@ from .channels import (ChannelSpec, ProbTerm, transmit_del, transmit_ins,
                        transmit_kdel, cond_prob_del, cond_prob_ins,
                        cond_prob_kdel, ins_channel_law)
 from .decoders import (decode_lazy, decode_en, decode_ml_code,
-                       decode_mld_two_del, decode_mld_two_ins,
-                       decode_mld_two_del_coded, objective_f,
+                       decode_mld_two_del, decode_mld_two_ins, objective_f,
                        brute_force_ml_star, ml_star_1del, ml_star_2del,
                        two_del_condition_poly)
 from .codes import AllWordsCode, VtCode, SvtCode, DecodeFailure, make_code

@@ -13,9 +13,7 @@ import json
 import sys
 
 from .analysis import coded_success_bounds, two_del_formulas, two_ins_formulas
-from .decoders import (brute_force_ml_star, decode_en, decode_lazy,
-                       decode_mld_two_del, decode_mld_two_ins, ml_star_1del,
-                       ml_star_2del)
+from .decoders import DECODERS, get_decoder
 from .harness import (CSV_FIELDS, ExperimentConfig, exact_expected_distance,
                       reproduce_figure, run_experiment, sweep_brute_force_window,
                       sweep_two_del_condition, worker_count, write_figure_csv,
@@ -61,7 +59,7 @@ def _cmd_oracle_check(args) -> int:
         print(f"lazy expected normalized distance at n={n}: {lazy} "
               f"(1/n = {Fraction(1, n)})")
         ok &= lazy == Fraction(1, n)
-        en = exact_expected_distance("en", n, 1)
+        en = exact_expected_distance("en:1", n, 1)
         print(f"run-prolonging decoder at n={n}: {en} "
               f"({'>' if en > lazy else '<='} lazy)")
     elif args.which == "2del":
@@ -145,23 +143,14 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_decode(args) -> int:
     traces = [parse_word(t) for t in args.traces]
-    name = args.decoder
-    if name == "lazy":
-        out = decode_lazy(traces[0])
-    elif name.startswith("en:"):
-        out = decode_en(traces[0], int(name.split(":", 1)[1]))
-    elif name == "mld2del":
-        out = decode_mld_two_del(traces[0], traces[1])
-    elif name == "mld2ins":
-        out = decode_mld_two_ins(traces[0], traces[1])
-    elif name == "mlstar1":
-        out = ml_star_1del(traces[0])
-    elif name == "mlstar2":
-        out = ml_star_2del(traces[0])
-    elif name == "brute":
-        out = brute_force_ml_star(traces[0], args.k)
+    try:
+        dec = get_decoder(args.decoder, len(traces))
+    except ValueError as exc:
+        raise SystemExit(str(exc))
+    if dec.traces == 1:
+        out = dec.fn(traces[0], args.k)
     else:
-        raise SystemExit(f"unknown decoder {name!r}")
+        out = dec.fn(*traces)[0]
     print(format_word(out))
     return 0
 
@@ -203,7 +192,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("decode", help="decode explicit traces")
     p.add_argument("--decoder", required=True,
-                   help="lazy | en:M | mld2del | mld2ins | mlstar1 | mlstar2 | brute")
+                   help=" | ".join(DECODERS) + "; en:d grows the output to "
+                   "length |y|+d; the mld2* decoders read two traces")
     p.add_argument("--k", type=int, default=2, help="deletions for brute")
     p.add_argument("traces", nargs="+")
     p.set_defaults(fn=_cmd_decode)

@@ -37,36 +37,46 @@ def embedding_number(x: Word, y: Word) -> int:
     return row[n]
 
 
-def embedding_number_banded(x: Word, y: Word) -> int:
-    """embedding_number restricted to the nonzero band; exact for |x| >= |y|.
+def embedding_row_step(prev, plo, i, sym, y, d, m):
+    """Next banded row of Emb(x[:i]; y[:j]) after appending x_i = sym.
 
-    Cells with i - j outside [0, |x|-|y|] cannot contribute to the final
-    count, so only a width-(|x|-|y|+1) band per row is evaluated.  Used by
-    the hot decoder loops.
+    `prev` holds row i-1 from column `plo` on; the new row covers the window
+    j in [max(0, i-d), min(i, m)] with d = |x| - |y| and m = |y|, outside
+    which no cell reaches the final count.  Only the cell j = i lacks a
+    value above it, and j = 0 has no diagonal term.  Returns (row, lo).
     """
-    m, n = len(x), len(y)
-    d = m - n
+    lo = i - d
+    if lo < 0:
+        lo = 0
+    hi = i if i < m else m
+    row = []
+    ap = row.append
+    j = lo
+    if j == 0:
+        ap(prev[0])
+        j = 1
+    pl = len(prev)
+    while j <= hi:
+        pj = j - plo
+        v = prev[pj] if pj < pl else 0
+        if sym == y[j - 1]:
+            v += prev[pj - 1]
+        ap(v)
+        j += 1
+    return row, lo
+
+
+def embedding_number_banded(x: Word, y: Word) -> int:
+    """embedding_number evaluated on the nonzero band only, one
+    embedding_row_step per symbol of x; exact for any lengths.  Used by the
+    exact sweeps."""
+    d = len(x) - len(y)
     if d < 0:
         return 0
-    if n == 0:
-        return 1
-    prev = [1]  # row 0 holds only j = 0
-    prev_lo = 0
-    for i in range(1, m + 1):
-        xi = x[i - 1]
-        lo = max(0, i - d)
-        hi = min(i, n)
-        cur = []
-        plen = len(prev)
-        for j in range(lo, hi + 1):
-            pj = j - prev_lo
-            v = prev[pj] if 0 <= pj < plen else 0
-            if j > 0 and xi == y[j - 1] and 0 <= pj - 1 < plen:
-                v += prev[pj - 1]
-            cur.append(v)
-        prev, prev_lo = cur, lo
-    pj = n - prev_lo
-    return prev[pj] if 0 <= pj < len(prev) else 0
+    row, lo = [1], 0
+    for i, sym in enumerate(x, 1):
+        row, lo = embedding_row_step(row, lo, i, sym, y, d, len(y))
+    return row[len(y) - lo]
 
 
 def embedding_number_bruteforce(x: Word, y: Word) -> int:

@@ -6,7 +6,8 @@ code, the degraded two-trace decoder (argmax of the embedding-number product
 over all shortest common supersequences, resp. longest common subsequences),
 the exact optimal decoders for the 1- and 2-deletion channels, and a
 brute-force optimal-decoder oracle that minimizes the exact expected-distance
-objective over a window of output lengths.
+objective over a window of output lengths.  DECODERS names each of them
+for the experiment configs, the exact evaluators and the command line.
 
 All optimality comparisons are exact integer comparisons; ties are broken by
 minimal length first, then lexicographically smallest word.
@@ -15,11 +16,14 @@ minimal length first, then lexicographically smallest word.
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass
 from itertools import product
 from math import comb
+from typing import Callable
 
-from .combinatorics import embedding_number, embedding_number_banded, insertion_ball
-from .supersequences import DEFAULT_CAP, ScsResult, enumerate_lcs, enumerate_scs
+from .combinatorics import (embedding_number, embedding_number_banded,
+                            embedding_row_step, insertion_ball)
+from .supersequences import DEFAULT_CAP, enumerate_lcs, enumerate_scs
 from .words import Word, indel_distance, is_subsequence, runs
 
 
@@ -99,33 +103,6 @@ def decode_ml_code(y: Word, code) -> Word:
     return best
 
 
-def _ext_row_del(prev, plo, i, sym, y, d, m):
-    """Next banded row of Emb(x[:i]; y[:j]) after emitting x_i = sym.
-
-    Window j in [max(0, i-d), min(i, m)]; the only cell without a previous
-    value above it is j = i, and j = 0 has no diagonal term.
-    """
-    lo = i - d
-    if lo < 0:
-        lo = 0
-    hi = i if i < m else m
-    row = []
-    ap = row.append
-    j = lo
-    if j == 0:
-        ap(prev[0])
-        j = 1
-    pl = len(prev)
-    while j <= hi:
-        pj = j - plo
-        v = prev[pj] if pj < pl else 0
-        if sym == y[j - 1]:
-            v += prev[pj - 1]
-        ap(v)
-        j += 1
-    return row, lo
-
-
 def _mld_scores(candidates, traces, deletion: bool) -> list:
     """Embedding-number products for every candidate, in order.
 
@@ -162,7 +139,7 @@ def _mld_scores(candidates, traces, deletion: bool) -> list:
             for y, m, d, stack in per_trace:
                 prev, plo = stack[-1]
                 if deletion:
-                    stack.append(_ext_row_del(prev, plo, i, sym, y, d, m))
+                    stack.append(embedding_row_step(prev, plo, i, sym, y, d, m))
                 else:
                     # row i of F[i'] = Emb(y[:i']; x[:i]) over i' in [i, i+d]
                     run = 0
@@ -183,37 +160,56 @@ def _mld_scores(candidates, traces, deletion: bool) -> list:
     return scores
 
 
-def _argmax_scored(candidates, scores) -> Word:
-    best_i = 0
-    best = scores[0]
-    for i in range(1, len(scores)):
-        if scores[i] > best:
-            best, best_i = scores[i], i
-    return candidates[best_i]
+def _argmax_scored(candidates, traces, deletion: bool) -> Word:
+    """First candidate (in the given sorted order) with the largest
+    embedding-number product; a single candidate is returned unscored."""
+    if len(candidates) == 1:
+        return candidates[0]
+    scores = _mld_scores(candidates, traces, deletion)
+    return candidates[max(range(len(scores)), key=scores.__getitem__)]
 
 
 def mld_two_del_detailed(y1: Word, y2: Word, band: int | None = None,
-                         cap: int = DEFAULT_CAP) -> tuple:
+                         cap: int = DEFAULT_CAP, code=None) -> tuple:
     """Degraded two-trace decoder for deletions; returns (word, truncated).
 
     argmax of Emb(x; y1) * Emb(x; y2) over all shortest common
     supersequences of the traces (exact integer products, ties to the
     lexicographically smallest word).
+
+    With a `code`, the candidates are intersected with it first; if no
+    candidate is a codeword and the candidates are one symbol short of the
+    code length, a code that corrects one deletion at an unknown position
+    (VT) decodes the best unrestricted candidate.  Anything else falls back
+    to the unrestricted output, which cannot be the transmitted codeword and
+    is counted as a failure by the harness.
     """
     y1, y2 = tuple(y1), tuple(y2)
+    traces = (y1, y2)
     # If one trace contains the other, the unique SCS is the longer trace.
     if is_subsequence(y2, y1):
-        return y1, False
-    if is_subsequence(y1, y2):
-        return y2, False
-    res = enumerate_scs(y1, y2, band=band, cap=cap)
-    scores = _mld_scores(res.candidates, (y1, y2), deletion=True)
-    return _argmax_scored(res.candidates, scores), res.truncated
+        candidates, truncated = (y1,), False
+    elif is_subsequence(y1, y2):
+        candidates, truncated = (y2,), False
+    else:
+        res = enumerate_scs(y1, y2, band=band, cap=cap)
+        candidates, truncated = res.candidates, res.truncated
+    if code is None:
+        return _argmax_scored(candidates, traces, True), truncated
+    length = len(candidates[0])
+    if length == code.n:
+        members = [x for x in candidates if code.is_member(x)]
+        if members:
+            return _argmax_scored(members, traces, True), truncated
+    best = _argmax_scored(candidates, traces, True)
+    if length == code.n - 1 and getattr(code, "corrects_single_deletion", False):
+        return code.decode_1del(best), truncated
+    return best, truncated
 
 
 def decode_mld_two_del(y1: Word, y2: Word, band: int | None = None,
-                       cap: int = DEFAULT_CAP) -> Word:
-    return mld_two_del_detailed(y1, y2, band=band, cap=cap)[0]
+                       cap: int = DEFAULT_CAP, code=None) -> Word:
+    return mld_two_del_detailed(y1, y2, band=band, cap=cap, code=code)[0]
 
 
 def mld_two_ins_detailed(y1: Word, y2: Word, band: int | None = None,
@@ -229,53 +225,12 @@ def mld_two_ins_detailed(y1: Word, y2: Word, band: int | None = None,
     if is_subsequence(y2, y1):
         return y2, False
     res = enumerate_lcs(y1, y2, band=band, cap=cap)
-    scores = _mld_scores(res.candidates, (y1, y2), deletion=False)
-    return _argmax_scored(res.candidates, scores), res.truncated
+    return _argmax_scored(res.candidates, (y1, y2), False), res.truncated
 
 
 def decode_mld_two_ins(y1: Word, y2: Word, band: int | None = None,
                        cap: int = DEFAULT_CAP) -> Word:
     return mld_two_ins_detailed(y1, y2, band=band, cap=cap)[0]
-
-
-def mld_two_del_coded_detailed(y1: Word, y2: Word, code, band: int | None = None,
-                               cap: int = DEFAULT_CAP) -> tuple:
-    """Code-aware two-trace deletion decoder; returns (word, truncated).
-
-    The shortest-common-supersequence candidates are intersected with the
-    code first; if no candidate is a codeword and the candidates are one
-    symbol short of the code length, a code that corrects one deletion at an
-    unknown position (VT) decodes the best unrestricted candidate.  Anything
-    else falls back to the unrestricted output, which cannot be the
-    transmitted codeword and is counted as a failure by the harness.
-    """
-    y1, y2 = tuple(y1), tuple(y2)
-    if is_subsequence(y2, y1):
-        res = ScsResult(len(y1), (y1,), False)
-    elif is_subsequence(y1, y2):
-        res = ScsResult(len(y2), (y2,), False)
-    else:
-        res = enumerate_scs(y1, y2, band=band, cap=cap)
-    scores = _mld_scores(res.candidates, (y1, y2), deletion=True)
-    if res.length == code.n:
-        pairs = [(x, s) for x, s in zip(res.candidates, scores)
-                 if code.is_member(x)]
-        if pairs:
-            best_x, best_s = pairs[0]
-            for x, s in pairs[1:]:
-                if s > best_s:
-                    best_x, best_s = x, s
-            return best_x, res.truncated
-    best = _argmax_scored(res.candidates, scores)
-    if (res.length == code.n - 1
-            and getattr(code, "corrects_single_deletion", False)):
-        return code.decode_1del(best), res.truncated
-    return best, res.truncated
-
-
-def decode_mld_two_del_coded(y1: Word, y2: Word, code, band: int | None = None,
-                             cap: int = DEFAULT_CAP) -> Word:
-    return mld_two_del_coded_detailed(y1, y2, code, band=band, cap=cap)[0]
 
 
 def objective_f(y: Word, x: Word, k: int, code=None, q: int = 2) -> int:
@@ -290,7 +245,7 @@ def objective_f(y: Word, x: Word, k: int, code=None, q: int = 2) -> int:
     for c in insertion_ball(y, k, q):
         if code is not None and not _member(code, c):
             continue
-        total += indel_distance(x, c) * embedding_number(c, y)
+        total += indel_distance(x, c) * embedding_number_banded(c, y)
     return total
 
 
@@ -402,3 +357,65 @@ def two_del_lazy_en_gap_fast(y: Word) -> int:
     for c in insertion_ball(xh, 1, 2):
         s1 += embedding_number_banded(c, y)
     return 4 * comb(n, 2) - 2 * s1
+
+
+# ---------------------------------------------------------------------------
+# decoder table
+
+
+@dataclass(frozen=True)
+class Decoder:
+    """A named decoder: the number of traces it reads, the channel kinds it
+    decodes and its function, fn(y, k) -> word for one trace and
+    fn(y1, y2, band=None, cap=DEFAULT_CAP, code=None) -> (word, truncated)
+    for two.  fast_1del(n, r, r_max), if set, is the exact sum of
+    d_L(fn(y, 1), c) * Emb(c; y) over all y in Sigma_2^(n-1) and c in
+    I_1(y), from the numpy arrays of the run counts and longest runs of y.
+    """
+
+    traces: int
+    kinds: tuple
+    fn: Callable
+    fast_1del: Callable | None = None
+
+
+# I_1(y) holds n + 1 words whose embedding numbers sum to 2n.  The unchanged
+# output is at distance 1 from each; growing the first longest run gives a
+# word at distance 0 from itself (Emb = r_max + 1) and 2 from the rest.
+def _lazy_1del(n, r, r_max):
+    return 2 * n * len(r)
+
+
+def _en1_1del(n, r, r_max):
+    return int((2 * (2 * n - r_max - 1)).sum())
+
+
+_DEL_KINDS = ("del", "kdel")
+DECODERS = {
+    "lazy": Decoder(1, ("del", "ins", "kdel"), lambda y, k: decode_lazy(y),
+                    _lazy_1del),
+    "en:0": Decoder(1, _DEL_KINDS, lambda y, k: decode_en(y, len(y))),
+    "en:1": Decoder(1, _DEL_KINDS, lambda y, k: decode_en(y, len(y) + 1),
+                    _en1_1del),
+    "en:2": Decoder(1, _DEL_KINDS, lambda y, k: decode_en(y, len(y) + 2)),
+    "mlstar1": Decoder(1, _DEL_KINDS, lambda y, k: ml_star_1del(y), _lazy_1del),
+    "mlstar2": Decoder(1, _DEL_KINDS, lambda y, k: ml_star_2del(y)),
+    "brute": Decoder(1, ("kdel",), brute_force_ml_star),
+    "mld2del": Decoder(2, ("del",), mld_two_del_detailed),
+    # the insertion decoder ignores a code
+    "mld2ins": Decoder(2, ("ins",),
+                       lambda y1, y2, band=None, cap=DEFAULT_CAP, code=None:
+                       mld_two_ins_detailed(y1, y2, band=band, cap=cap)),
+}
+
+
+def get_decoder(name: str, traces: int, kind: str | None = None) -> Decoder:
+    """The table entry for `name`; ValueError when the name is unknown, or
+    names a decoder of another trace count or channel kind."""
+    dec = DECODERS.get(name)
+    if dec is None:
+        raise ValueError(f"unknown decoder {name!r}; known: {', '.join(DECODERS)}")
+    if dec.traces != traces or (kind is not None and kind not in dec.kinds):
+        raise ValueError(f"decoder {name!r} reads {dec.traces} trace(s) of "
+                         f"{'/'.join(dec.kinds)} channels")
+    return dec

@@ -24,15 +24,14 @@ import numpy as np
 from .channels import ChannelSpec, transmit_del, transmit_ins, transmit_kdel
 from .codes import make_code
 from .combinatorics import embedding_number_banded, insertion_ball
-from .decoders import (decode_en, decode_lazy, ml_star_1del, ml_star_2del,
-                       mld_two_del_coded_detailed, mld_two_del_detailed,
-                       mld_two_ins_detailed, two_del_condition_poly,
-                       two_del_lazy_en_gap_fast)
+from .decoders import (get_decoder, ml_star_2del, objective_f,
+                       two_del_condition_poly, two_del_lazy_en_gap_fast)
 from .words import Word, indel_distance, runs
 
 DEFAULT_TRIAL_CAP = 50_000  # SCS/LCS candidate cap per trial
+METRICS = ("levenshtein_rate", "failure_rate", "run_component", "alt_component")
 CSV_FIELDS = ["metric", "q", "n", "p", "t", "code", "decoder", "value",
-              "stderr", "trials", "seed"]
+              "stderr", "trials", "truncated_trials", "seed"]
 FIGURE_CSV_FIELDS = ["metric", "q", "n", "p", "code", "measured_rate",
                      "stderr", "formula_rate", "trials", "seed"]
 
@@ -63,18 +62,24 @@ class ExperimentConfig:
     p_grid: tuple = (0.01, 0.02, 0.03, 0.05)
     trials_per_point: int = 20_000
     master_seed: int = 2024
-    metrics: tuple = ("levenshtein_rate", "failure_rate", "run_component",
-                      "alt_component")
+    metrics: tuple = METRICS
     scs_cap: int = DEFAULT_TRIAL_CAP
 
     def __post_init__(self):
         if self.t not in (1, 2):
             raise ValueError("t must be 1 or 2")
+        get_decoder(self.decoder, self.t, self.channel.kind)
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be >= 1")
         for p in self.p_grid:
             if not 0.0 <= p < 1.0:
                 raise ValueError("grid probabilities must be in [0, 1)")
+        if self.scs_cap < 1:
+            raise ValueError("scs_cap must be >= 1")
+        unknown = [m for m in self.metrics if m not in METRICS]
+        if unknown:
+            raise ValueError(f"unknown metrics {unknown}; expected some of "
+                             f"{', '.join(METRICS)}")
 
     def to_json(self) -> str:
         d = asdict(self)
@@ -127,6 +132,7 @@ class AggregateResult:
                             "p": pt.p, "t": cfg.t, "code": code,
                             "decoder": cfg.decoder, "value": value,
                             "stderr": stderr, "trials": pt.trials,
+                            "truncated_trials": pt.truncated_trials,
                             "seed": cfg.master_seed})
         return out
 
@@ -140,42 +146,20 @@ def _stream_rng(master_seed: int, point: int, trial: int, stream: int):
         np.random.SeedSequence((master_seed, point, trial, stream)))
 
 
-def attribute_error(c: Word, y1: Word, y2: Word, output: Word) -> str | None:
-    """Classify a two-trace deletion trial: None when correct, "run" when
-    the output only lost symbols (same-run double deletions), "alternating"
-    when the output has the right length but swapped segments, "other" when
-    both effects mix."""
-    if output == tuple(c):
-        return None
-    n = len(c)
-    d = indel_distance(output, c)
-    lost = n - len(output)
-    if lost > 0 and d == lost:
-        return "run"
-    if lost == 0:
-        return "alternating"
-    return "other"
-
-
 def _trial_components(c: Word, output: Word, t: int, kind: str) -> tuple:
     """(distance, run_units, alt_units) for one trial; exact ints.
 
     Deletions surviving both traces shorten the output (one distance unit
     each); insertions surviving both lengthen it.  The remaining, even part
-    of the distance comes from alternating-segment swaps.
+    of the distance comes from alternating-segment swaps.  Single-trace
+    trials are not split.
     """
     d = indel_distance(output, c)
-    if t == 2:
-        if kind == "del":
-            run_units = max(0, len(c) - len(output))
-        elif kind == "ins":
-            run_units = max(0, len(output) - len(c))
-        else:
-            run_units = 0
-        alt_units = d - run_units
-    else:
-        run_units = alt_units = 0
-    return d, run_units, alt_units
+    if t == 1:
+        return d, 0, 0
+    lost = len(c) - len(output)
+    run_units = max(0, lost if kind == "del" else -lost)
+    return d, run_units, d - run_units
 
 
 def _run_chunk(config_json: str, point: int, p: float, lo: int, hi: int) -> tuple:
@@ -183,37 +167,31 @@ def _run_chunk(config_json: str, point: int, p: float, lo: int, hi: int) -> tupl
     (sum_d, sum_d2, failures, run_units, alt_units, truncated)."""
     cfg = ExperimentConfig.from_json(config_json)
     code = make_code(cfg.code, cfg.n, cfg.q)
-    coded = cfg.code.get("code", "all") != "all"
-    kind = cfg.channel.kind
+    decode_code = code if cfg.code.get("code", "all") != "all" else None
+    kind, k = cfg.channel.kind, cfg.channel.k
+    decode = get_decoder(cfg.decoder, cfg.t, kind).fn
     n, q, t, seed, cap = cfg.n, cfg.q, cfg.t, cfg.master_seed, cfg.scs_cap
     sum_d = sum_d2 = fails = run_units = alt_units = truncated = 0
     for trial in range(lo, hi):
         c = code.sample(_stream_rng(seed, point, trial, 0))
-        if t == 2:
+        ys = []
+        for stream in range(1, t + 1):
+            rng = _stream_rng(seed, point, trial, stream)
             if kind == "del":
-                y1 = transmit_del(c, p, _stream_rng(seed, point, trial, 1))
-                y2 = transmit_del(c, p, _stream_rng(seed, point, trial, 2))
-                band = (n - len(y1), n - len(y2))
-                if coded:
-                    out, trunc = mld_two_del_coded_detailed(
-                        y1, y2, code, band=band, cap=cap)
-                else:
-                    out, trunc = mld_two_del_detailed(y1, y2, band=band, cap=cap)
+                ys.append(transmit_del(c, p, rng))
             elif kind == "ins":
-                y1 = transmit_ins(c, p, q, _stream_rng(seed, point, trial, 1))
-                y2 = transmit_ins(c, p, q, _stream_rng(seed, point, trial, 2))
-                band = (len(y2) - n, len(y1) - n)
-                out, trunc = mld_two_ins_detailed(y1, y2, band=band, cap=cap)
+                ys.append(transmit_ins(c, p, q, rng))
             else:
-                raise ValueError("two-trace experiments use del or ins channels")
+                ys.append(transmit_kdel(c, k, rng))
+        if t == 1:
+            out, trunc = decode(ys[0], k), False
         else:
-            if kind == "kdel":
-                y = transmit_kdel(c, cfg.channel.k, _stream_rng(seed, point, trial, 1))
-            elif kind == "del":
-                y = transmit_del(c, p, _stream_rng(seed, point, trial, 1))
+            y1, y2 = ys
+            if kind == "del":
+                band = (n - len(y1), n - len(y2))
             else:
-                y = transmit_ins(c, p, q, _stream_rng(seed, point, trial, 1))
-            out, trunc = _decode_single(cfg.decoder, y), False
+                band = (len(y2) - n, len(y1) - n)
+            out, trunc = decode(y1, y2, band=band, cap=cap, code=decode_code)
         d, ru, au = _trial_components(c, out, t, kind)
         sum_d += d
         sum_d2 += d * d
@@ -222,18 +200,6 @@ def _run_chunk(config_json: str, point: int, p: float, lo: int, hi: int) -> tupl
         alt_units += au
         truncated += trunc
     return sum_d, sum_d2, fails, run_units, alt_units, truncated
-
-
-def _decode_single(decoder: str, y: Word) -> Word:
-    if decoder == "lazy":
-        return decode_lazy(y)
-    if decoder == "mlstar1":
-        return ml_star_1del(y)
-    if decoder == "mlstar2":
-        return ml_star_2del(y)
-    if decoder.startswith("en:"):
-        return decode_en(y, len(y) + int(decoder.split(":", 1)[1]))
-    raise ValueError(f"unknown single-trace decoder {decoder!r}")
 
 
 def run_experiment(config: ExperimentConfig, workers: int | None = None) -> AggregateResult:
@@ -310,74 +276,36 @@ def _all_words_run_stats(m: int) -> tuple:
 
 def exact_expected_distance(decoder: str, n: int, k: int = 1,
                             method: str = "auto") -> Fraction:
-    """Exact expected normalized indel distance of a decoder over the
-    k-deletion channel with the whole binary space as the code.
+    """Exact expected normalized indel distance of a one-trace decoder over
+    the k-deletion channel with the whole binary space as the code.
 
     Averages d_L(decoder(y), c) / n over all codewords c and channel
-    outputs y, weighted by Emb(c; y) / C(n, k).  For k = 1 with the lazy or
-    run-prolonging decoder a run-structure fast path covers the criterion
-    sizes (n <= 20); `method="enumerate"` forces the literal double loop
-    used to validate it.
+    outputs y, weighted by Emb(c; y) / C(n, k).  For k = 1 with a decoder
+    that has a run-structure fast path (lazy, mlstar1, en:1) it covers the
+    criterion sizes (n <= 20); `method="enumerate"` forces the literal
+    double loop used to validate it.
     """
-    if k == 1 and method != "enumerate" and decoder in ("lazy", "mlstar1", "en"):
-        return _exact_1del_fast(decoder, n)
-    return _exact_enumerate(decoder, n, k)
+    dec = get_decoder(decoder, 1, "kdel")
+    if k == 1 and method != "enumerate" and dec.fast_1del is not None:
+        if n < 2 or n > 26:
+            raise ValueError("fast path supports 2 <= n <= 26")
+        r, r_max = _all_words_run_stats(n - 1)
+        return Fraction(dec.fast_1del(n, r, r_max), (2 ** n) * n * comb(n, 1))
+    return _exact_enumerate(dec.fn, n, k)
 
 
-def _exact_1del_fast(decoder: str, n: int) -> Fraction:
-    """k = 1 evaluator over y in Sigma_2^(n-1) using run structure.
-
-    For each y, the distinct supersequences in I_1(y) are: one per run
-    (grow it; Emb = run length + 1) and one per new-run slot (Emb = 1),
-    n + 1 words in total with Emb summing to 2n.  The lazy output is at
-    distance 1 from every c in I_1(y); a length-n output that contains y is
-    at distance 2 from every c except itself.
-    """
-    if n < 2 or n > 26:
-        raise ValueError("fast path supports 2 <= n <= 26")
-    m = n - 1
-    r, r_max = _all_words_run_stats(m)
-    if decoder in ("lazy", "mlstar1"):
-        # sum over c of d * Emb = 1 * (sum Emb) = (m + r) + (n + 1 - r)
-        total = int(((m + r) + (n + 1 - r)).sum())
-    elif decoder == "en":
-        # EN^n(y) grows the first longest run: distance 0 to itself
-        # (Emb = r_max + 1), distance 2 to the other n words of I_1(y).
-        total = int((2 * ((m + r) + (n + 1 - r) - (r_max + 1))).sum())
-    else:
-        raise ValueError(f"no fast path for decoder {decoder!r}")
-    return Fraction(total, (2 ** n) * n * comb(n, 1))
-
-
-def _exact_enumerate(decoder: str, n: int, k: int) -> Fraction:
-    """Literal evaluator: enumerate every channel output and every
-    candidate codeword in its insertion ball."""
+def _exact_enumerate(decode, n: int, k: int) -> Fraction:
+    """Literal evaluator: the exact objective of every channel output's
+    decoding, summed over all outputs."""
     from itertools import product as iproduct
 
     if n - k < 0:
         raise ValueError("k cannot exceed n")
     if 2 ** (n - k) * 2 ** k * n > 2 ** 26:
         raise ValueError(f"enumeration infeasible for n = {n}, k = {k}")
-    dec = _decode_single_factory(decoder, n, k)
-    total = 0
-    for y in iproduct((0, 1), repeat=n - k):
-        out = dec(y)
-        for c in insertion_ball(y, k, 2):
-            e = embedding_number_banded(c, y)
-            total += indel_distance(out, c) * e
+    total = sum(objective_f(y, decode(y, k), k)
+                for y in iproduct((0, 1), repeat=n - k))
     return Fraction(total, (2 ** n) * n * comb(n, k))
-
-
-def _decode_single_factory(decoder: str, n: int, k: int):
-    if decoder in ("lazy", "mlstar1"):
-        return decode_lazy if decoder == "lazy" else ml_star_1del
-    if decoder == "mlstar2":
-        return ml_star_2del
-    if decoder == "en":
-        return lambda y: decode_en(y, n)
-    if decoder == "en_minus1":
-        return lambda y: decode_en(y, n - 1)
-    raise ValueError(f"unknown decoder {decoder!r}")
 
 
 # ---------------------------------------------------------------------------

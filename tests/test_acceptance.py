@@ -179,7 +179,7 @@ def test_criterion_05_exact_lazy_law():
 
 def test_criterion_06_lazy_beats_en():
     start = time.perf_counter()
-    vals = {n: exact_expected_distance("en", n, 1) for n in (17, 18)}
+    vals = {n: exact_expected_distance("en:1", n, 1) for n in (17, 18)}
     elapsed = time.perf_counter() - start
     ok = all(vals[n] > Fraction(1, n) for n in (17, 18)) and elapsed < 300
     _verdict(6, "exact EN distance > 1/n at n=17,18", ok,

@@ -11,7 +11,7 @@ def test_decode_subcommand(capsys):
     assert capsys.readouterr().out.strip() == "0010"
     assert main(["decode", "--decoder", "lazy", "0101"]) == 0
     assert capsys.readouterr().out.strip() == "0101"
-    assert main(["decode", "--decoder", "en:6", "00110"]) == 0
+    assert main(["decode", "--decoder", "en:1", "00110"]) == 0
     assert capsys.readouterr().out.strip() == "000110"
     assert main(["decode", "--decoder", "mlstar2", "000000"]) == 0
     assert capsys.readouterr().out.strip() == "0000000"

@@ -37,12 +37,16 @@ class TestEmbeddingNumber:
             assert embedding_number(x, y) == embedding_number_bruteforce(x, y)
 
     def test_banded_equals_plain(self):
-        rnd = random.Random(2)
-        for _ in range(500):
-            x = tuple(rnd.randrange(2) for _ in range(rnd.randint(0, 12)))
-            k = rnd.randint(0, len(x))
-            y = tuple(rnd.randrange(2) for _ in range(k))
-            assert embedding_number_banded(x, y) == embedding_number(x, y)
+        # exhaustive: the banded row step is shared with the two-trace
+        # decoder, so the full-DP oracle covers every band shape here,
+        # including |y| > |x|
+        for q, max_len in ((2, 8), (3, 5)):
+            for m in range(max_len + 1):
+                for x in product(range(q), repeat=m):
+                    for k in range(m + 2):
+                        for y in product(range(q), repeat=k):
+                            assert (embedding_number_banded(x, y)
+                                    == embedding_number(x, y)), (x, y)
 
     def test_positive_iff_subsequence(self):
         for x in product((0, 1), repeat=7):

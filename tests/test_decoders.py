@@ -7,7 +7,7 @@ import pytest
 from indelkit.combinatorics import embedding_number, insertion_ball
 from indelkit.decoders import (brute_force_ml_star, decode_en, decode_lazy,
                                decode_ml_code, decode_mld_two_del,
-                               decode_mld_two_del_coded, decode_mld_two_ins,
+                               decode_mld_two_ins,
                                ml_star_1del, ml_star_2del, objective_f,
                                two_del_condition_poly, two_del_lazy_en_gap,
                                two_del_lazy_en_gap_fast)
@@ -310,7 +310,7 @@ class TestCodedMld:
             for c in code.enumerate_words():
                 for y1 in deletion_ball(c, 1):
                     for y2 in deletion_ball(c, 1):
-                        out = decode_mld_two_del_coded(y1, y2, code)
+                        out = decode_mld_two_del(y1, y2, code=code)
                         assert out == c, (c, y1, y2)
 
     def test_svt_corrects_alternating_only(self):
@@ -322,7 +322,7 @@ class TestCodedMld:
         for c in code.enumerate_words():
             for y1 in deletion_ball(c, 1):
                 for y2 in deletion_ball(c, 1):
-                    out = decode_mld_two_del_coded(y1, y2, code)
+                    out = decode_mld_two_del(y1, y2, code=code)
                     if out != c:
                         if y1 == y2:
                             failures_run += 1
@@ -330,5 +330,5 @@ class TestCodedMld:
                             failures_other += 1
         # same-run double deletions are not correctable by SVT alone,
         # alternating ambiguities (y1 != y2) are
-        assert failures_run > 0
+        assert failures_run == 115
         assert failures_other == 0

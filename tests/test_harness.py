@@ -8,7 +8,7 @@ import pytest
 from indelkit.channels import ChannelSpec
 from indelkit.decoders import ml_star_2del
 from indelkit.harness import (CSV_FIELDS, AggregateResult, ExperimentConfig,
-                              attribute_error, exact_expected_distance,
+                              _trial_components, exact_expected_distance,
                               figure_config, reproduce_figure, run_experiment,
                               sweep_brute_force_window, sweep_two_del_condition,
                               worker_count, write_figure_csv, write_rows_csv)
@@ -37,6 +37,14 @@ class TestConfig:
             small_cfg(t=3)
         with pytest.raises(ValueError):
             small_cfg(trials_per_point=0)
+        with pytest.raises(ValueError):
+            small_cfg(scs_cap=0)
+        with pytest.raises(ValueError):
+            small_cfg(metrics=("levenshtein_rate", "no_such_metric"))
+        with pytest.raises(ValueError):
+            small_cfg(channel=ChannelSpec("kdel", k=2))  # no two-trace kdel decoder
+        with pytest.raises(ValueError):
+            small_cfg(decoder="lazy")  # one-trace decoder at t=2
 
 
 class TestRunExperiment:
@@ -100,27 +108,53 @@ class TestRunExperiment:
             got = list(csv.DictReader(fh))
         assert list(got[0].keys()) == CSV_FIELDS
         assert len(got) == len(rows)
+        assert all(r["truncated_trials"] == "0" for r in got)
+
+    def test_truncated_trials_reach_the_csv(self, tmp_path):
+        # a candidate cap of 1 truncates every trial with several SCS
+        res = run_experiment(small_cfg(trials_per_point=50, scs_cap=1,
+                                       p_grid=(0.1,)), workers=1)
+        truncated = res.points[0].truncated_trials
+        assert truncated > 0
+        path = tmp_path / "out.csv"
+        write_rows_csv(res.rows(), str(path), CSV_FIELDS)
+        with open(path) as fh:
+            assert {r["truncated_trials"] for r in csv.DictReader(fh)} == {
+                str(truncated)}
 
 
 class TestAttribution:
-    def test_correct_is_none(self):
+    # _trial_components(c, output, t, kind) -> (distance, run, alternating)
+    def test_correct(self):
         c = pw("0110")
-        assert attribute_error(c, c, c, c) is None
+        assert _trial_components(c, c, 2, "del") == (0, 0, 0)
+        assert _trial_components(c, c, 2, "ins") == (0, 0, 0)
 
     def test_run_error(self):
-        c = pw("00110")
-        out = pw("0110")  # lost one symbol of the 00 run
-        assert attribute_error(c, pw("0110"), pw("0110"), out) == "run"
+        # lost one symbol of the 00 run in both traces
+        assert _trial_components(pw("00110"), pw("0110"), 2, "del") == (1, 1, 0)
 
     def test_alternating_error(self):
-        c = pw("0011001")   # swap to 0010101? keep length, wrong word
-        out = pw("0011010")
-        assert attribute_error(c, pw("001100"), pw("001101"), out) == "alternating"
+        # right length, swapped segment
+        assert _trial_components(pw("0011001"), pw("0011010"), 2,
+                                 "del") == (2, 0, 2)
 
-    def test_other(self):
-        c = pw("001100")
-        out = pw("01010")  # shorter and swapped
-        assert attribute_error(c, None, None, out) == "other"
+    def test_mixed_error(self):
+        # one symbol short and swapped: d_L = 3, one unit of it a run loss
+        assert _trial_components(pw("001100"), pw("01010"), 2,
+                                 "del") == (3, 1, 2)
+
+    def test_insertion_mirror(self):
+        c = pw("0110")
+        assert _trial_components(c, pw("01110"), 2, "ins") == (1, 1, 0)
+        assert _trial_components(c, pw("1010"), 2, "ins") == (2, 0, 2)
+        assert _trial_components(c, pw("10101"), 2, "ins") == (3, 1, 2)
+        # an output shorter than the codeword is no insertion run loss
+        assert _trial_components(c, pw("011"), 2, "ins") == (1, 0, 1)
+
+    def test_single_trace_not_split(self):
+        assert _trial_components(pw("00110"), pw("0110"), 1, "kdel") == (1, 0, 0)
+        assert _trial_components(pw("0011"), pw("0101"), 1, "del") == (2, 0, 0)
 
 
 class TestExactExpectedDistance:
@@ -130,7 +164,7 @@ class TestExactExpectedDistance:
 
     def test_fast_equals_enumeration(self):
         for n in (6, 9, 12):
-            for dec in ("lazy", "en"):
+            for dec in ("lazy", "en:1"):
                 assert (exact_expected_distance(dec, n, 1)
                         == exact_expected_distance(dec, n, 1, method="enumerate"))
 
@@ -138,7 +172,7 @@ class TestExactExpectedDistance:
         from indelkit.analysis import lazy_and_en_1del_analysis
         for n in (6, 10, 14):
             _, bound = lazy_and_en_1del_analysis(n)
-            assert exact_expected_distance("en", n, 1) >= bound
+            assert exact_expected_distance("en:1", n, 1) >= bound
 
     def test_two_del_decoder_ordering(self):
         # closed-form optimal decoder never loses to lazy or the prolonging
@@ -146,7 +180,7 @@ class TestExactExpectedDistance:
         n = 10
         star = exact_expected_distance("mlstar2", n, 2)
         lazy = exact_expected_distance("lazy", n, 2)
-        en1 = exact_expected_distance("en_minus1", n, 2)
+        en1 = exact_expected_distance("en:1", n, 2)
         assert star <= lazy
         assert star <= en1
 
