@@ -150,7 +150,11 @@ def _cmd_decode(args) -> int:
     if dec.traces == 1:
         out = dec.fn(traces[0], args.k)
     else:
-        out = dec.fn(*traces)[0]
+        out, truncated = dec.fn(*traces)
+        if truncated:
+            print("warning: the candidate cap was hit; the output is the best "
+                  "of the lexicographically first candidates only",
+                  file=sys.stderr)
     print(format_word(out))
     return 0
 

@@ -23,7 +23,7 @@ from typing import Callable
 
 from .combinatorics import (embedding_number, embedding_number_banded,
                             embedding_row_step, insertion_ball)
-from .supersequences import DEFAULT_CAP, enumerate_lcs, enumerate_scs
+from .supersequences import DEFAULT_CAP, lcs_dag, scs_dag
 from .words import Word, indel_distance, is_subsequence, runs
 
 
@@ -103,81 +103,74 @@ def decode_ml_code(y: Word, code) -> Word:
     return best
 
 
-def _mld_scores(candidates, traces, deletion: bool) -> list:
-    """Embedding-number products for every candidate, in order.
+def _ins_row_step(prev, plo, i, sym, y, d, m):
+    """Next banded row of Emb(y[:i']; x[:i]) over i' in [i, i + d] after
+    appending x_i = sym, with d = |y| - |x|: the transposed recurrence of
+    embedding_row_step, a running sum along y.  Returns (row, i)."""
+    run = 0
+    row = []
+    ap = row.append
+    base = i - 1 - plo  # prev index of i' - 1 at i' = i
+    for off in range(d + 1):
+        if y[i + off - 1] == sym:
+            run += prev[base + off]
+        ap(run)
+    return row, i
 
-    deletion=True scores Emb(x; y1) * Emb(x; y2) (candidates are common
-    supersequences); deletion=False scores Emb(y1; x) * Emb(y2; x)
-    (candidates are common subsequences).  Consecutive sorted candidates
-    share DP rows up to their common prefix, so the total work is the sum
-    of distinct-suffix lengths, not candidates x length.
+
+def _best_leaf(length: int, leaves, traces, deletion: bool,
+               member=None) -> tuple:
+    """(best, best_member, truncated) over the words of a lexicographic
+    DAG walk (supersequences.scs_dag / lcs_dag).
+
+    Scores Emb(x; y1) * Emb(x; y2) when deletion is set, else
+    Emb(y1; x) * Emb(y2; x), and keeps the first strict maximum: the
+    lexicographically smallest word of maximal score.  best_member is the
+    same over the words `member` accepts (None without `member`).  Each
+    trace keeps one banded DP row per depth of the current path, so a word
+    costs only the rows below its prefix shared with the previous word.  A
+    walk with a single word returns it unscored.
     """
-    if not candidates:
-        return []
-    s = len(candidates[0])
+    step = embedding_row_step if deletion else _ins_row_step
     per_trace = []
     for y in traces:
-        m = len(y)
-        if deletion:
-            stack = [([1], 0)]  # Emb rows over y-prefix, window [0, 0]
-            per_trace.append((y, m, s - m, stack))
-        else:
-            stack = [([1] * (m - s + 1), 0)]  # F_0[i] = 1 over i in [0, dy]
-            per_trace.append((y, m, m - s, stack))
-    scores = []
-    prev_x = None
-    for x in candidates:
-        k = 0
-        if prev_x is not None:
-            while k < s and x[k] == prev_x[k]:
-                k += 1
-            for _, _, _, stack in per_trace:
-                del stack[k + 1:]
-        for depth in range(k, s):
-            sym = x[depth]
-            i = depth + 1
-            for y, m, d, stack in per_trace:
-                prev, plo = stack[-1]
-                if deletion:
-                    stack.append(embedding_row_step(prev, plo, i, sym, y, d, m))
-                else:
-                    # row i of F[i'] = Emb(y[:i']; x[:i]) over i' in [i, i+d]
-                    run = 0
-                    row = []
-                    ap = row.append
-                    base = i - 1 - plo  # prev index of i' - 1 at i' = i
-                    for off in range(d + 1):
-                        if y[i + off - 1] == sym:
-                            run += prev[base + off]
-                        ap(run)
-                    stack.append((row, i))
-        prev_x = x
-        prod = 1
-        for y, m, d, stack in per_trace:
-            row, lo = stack[-1]
-            prod *= row[m - lo]
-        scores.append(prod)
-    return scores
+        d = length - len(y) if deletion else len(y) - length
+        first = [1] if deletion else [1] * (d + 1)
+        per_trace.append((y, len(y), d, [(first, 0)]))
+    best = best_member = None
+    top = top_member = -1
+    more = False
+    for path, shared, more in leaves:
+        if best is None and not more:
+            word = tuple(path)
+            return word, word if member and member(word) else None, False
+        score = 1
+        for y, m, d, rows in per_trace:
+            del rows[shared + 1:]
+            row, lo = rows[-1]
+            for i in range(len(rows), len(path) + 1):
+                row, lo = step(row, lo, i, path[i - 1], y, d, m)
+                rows.append((row, lo))
+            score *= row[m - lo]
+        if score > top:
+            best, top = tuple(path), score
+        if member is not None and score > top_member and member(tuple(path)):
+            best_member, top_member = tuple(path), score
+    return best, best_member, more
 
 
-def _argmax_scored(candidates, traces, deletion: bool) -> Word:
-    """First candidate (in the given sorted order) with the largest
-    embedding-number product; a single candidate is returned unscored."""
-    if len(candidates) == 1:
-        return candidates[0]
-    scores = _mld_scores(candidates, traces, deletion)
-    return candidates[max(range(len(scores)), key=scores.__getitem__)]
-
-
-def mld_two_del_detailed(y1: Word, y2: Word, band: int | None = None,
+def mld_two_del_detailed(y1: Word, y2: Word, band=None,
                          cap: int = DEFAULT_CAP, code=None) -> tuple:
     """Degraded two-trace decoder for deletions; returns (word, truncated).
 
     argmax of Emb(x; y1) * Emb(x; y2) over all shortest common
     supersequences of the traces (exact integer products, ties to the
-    lexicographically smallest word).
+    lexicographically smallest word), scored in place along one
+    lexicographic walk of the SCS DAG; with a cap, over the first `cap`
+    supersequences, and truncated tells whether more exist.  `band` is
+    accepted but not needed (see supersequences).
 
-    With a `code`, the candidates are intersected with it first; if no
+    With a `code`, the best candidate that is a codeword wins; if no
     candidate is a codeword and the candidates are one symbol short of the
     code length, a code that corrects one deletion at an unknown position
     (VT) decodes the best unrestricted candidate.  Anything else falls back
@@ -185,50 +178,50 @@ def mld_two_del_detailed(y1: Word, y2: Word, band: int | None = None,
     is counted as a failure by the harness.
     """
     y1, y2 = tuple(y1), tuple(y2)
-    traces = (y1, y2)
     # If one trace contains the other, the unique SCS is the longer trace.
-    if is_subsequence(y2, y1):
-        candidates, truncated = (y1,), False
-    elif is_subsequence(y1, y2):
-        candidates, truncated = (y2,), False
+    if is_subsequence(y2, y1) or is_subsequence(y1, y2):
+        best = y1 if len(y1) >= len(y2) else y2
+        length, truncated = len(best), False
+        member = (best if code is not None and length == code.n
+                  and code.is_member(best) else None)
     else:
-        res = enumerate_scs(y1, y2, band=band, cap=cap)
-        candidates, truncated = res.candidates, res.truncated
-    if code is None:
-        return _argmax_scored(candidates, traces, True), truncated
-    length = len(candidates[0])
-    if length == code.n:
-        members = [x for x in candidates if code.is_member(x)]
-        if members:
-            return _argmax_scored(members, traces, True), truncated
-    best = _argmax_scored(candidates, traces, True)
-    if length == code.n - 1 and getattr(code, "corrects_single_deletion", False):
+        length, leaves = scs_dag(y1, y2, cap)
+        coded = code is not None and length == code.n
+        best, member, truncated = _best_leaf(
+            length, leaves, (y1, y2), True, code.is_member if coded else None)
+    if member is not None:
+        return member, truncated
+    if (code is not None and length == code.n - 1
+            and getattr(code, "corrects_single_deletion", False)):
         return code.decode_1del(best), truncated
     return best, truncated
 
 
-def decode_mld_two_del(y1: Word, y2: Word, band: int | None = None,
+def decode_mld_two_del(y1: Word, y2: Word, band=None,
                        cap: int = DEFAULT_CAP, code=None) -> Word:
     return mld_two_del_detailed(y1, y2, band=band, cap=cap, code=code)[0]
 
 
-def mld_two_ins_detailed(y1: Word, y2: Word, band: int | None = None,
+def mld_two_ins_detailed(y1: Word, y2: Word, band=None,
                          cap: int = DEFAULT_CAP) -> tuple:
     """Two-trace decoder for insertions; returns (word, truncated).
 
     argmax of Emb(y1; x) * Emb(y2; x) over all longest common subsequences
-    (likelihood maximization, symmetric to the deletion case).
+    (likelihood maximization, symmetric to the deletion case), scored along
+    one lexicographic walk of the next-occurrence LCS automaton; cap and
+    band as in mld_two_del_detailed.
     """
     y1, y2 = tuple(y1), tuple(y2)
     if is_subsequence(y1, y2):
         return y1, False
     if is_subsequence(y2, y1):
         return y2, False
-    res = enumerate_lcs(y1, y2, band=band, cap=cap)
-    return _argmax_scored(res.candidates, (y1, y2), False), res.truncated
+    length, leaves = lcs_dag(y1, y2, cap)
+    best, _, truncated = _best_leaf(length, leaves, (y1, y2), False)
+    return best, truncated
 
 
-def decode_mld_two_ins(y1: Word, y2: Word, band: int | None = None,
+def decode_mld_two_ins(y1: Word, y2: Word, band=None,
                        cap: int = DEFAULT_CAP) -> Word:
     return mld_two_ins_detailed(y1, y2, band=band, cap=cap)[0]
 
@@ -402,7 +395,7 @@ DECODERS = {
     "mlstar2": Decoder(1, _DEL_KINDS, lambda y, k: ml_star_2del(y)),
     "brute": Decoder(1, ("kdel",), brute_force_ml_star),
     "mld2del": Decoder(2, ("del",), mld_two_del_detailed),
-    # the insertion decoder ignores a code
+    # takes no code: ExperimentConfig rejects coded mld2ins configs
     "mld2ins": Decoder(2, ("ins",),
                        lambda y1, y2, band=None, cap=DEFAULT_CAP, code=None:
                        mld_two_ins_detailed(y1, y2, band=band, cap=cap)),

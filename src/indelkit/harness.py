@@ -68,7 +68,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.t not in (1, 2):
             raise ValueError("t must be 1 or 2")
-        get_decoder(self.decoder, self.t, self.channel.kind)
+        ch = self.channel
+        get_decoder(self.decoder, self.t, ch.kind)
+        # p_grid alone sets the transmission probability of del/ins
+        if ch.kind in ("del", "ins") and ch.p != 0.0:
+            raise ValueError("channel p must be 0; p_grid sets it")
+        if ch.kind == "ins" and ch.q != self.q:
+            raise ValueError(f"ins channel q={ch.q} differs from q={self.q}")
+        if self.decoder == "mld2ins" and self.code.get("code", "all") != "all":
+            raise ValueError("mld2ins decodes without a code; use code 'all'")
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be >= 1")
         for p in self.p_grid:
@@ -170,7 +178,7 @@ def _run_chunk(config_json: str, point: int, p: float, lo: int, hi: int) -> tupl
     decode_code = code if cfg.code.get("code", "all") != "all" else None
     kind, k = cfg.channel.kind, cfg.channel.k
     decode = get_decoder(cfg.decoder, cfg.t, kind).fn
-    n, q, t, seed, cap = cfg.n, cfg.q, cfg.t, cfg.master_seed, cfg.scs_cap
+    q, t, seed, cap = cfg.q, cfg.t, cfg.master_seed, cfg.scs_cap
     sum_d = sum_d2 = fails = run_units = alt_units = truncated = 0
     for trial in range(lo, hi):
         c = code.sample(_stream_rng(seed, point, trial, 0))
@@ -186,12 +194,7 @@ def _run_chunk(config_json: str, point: int, p: float, lo: int, hi: int) -> tupl
         if t == 1:
             out, trunc = decode(ys[0], k), False
         else:
-            y1, y2 = ys
-            if kind == "del":
-                band = (n - len(y1), n - len(y2))
-            else:
-                band = (len(y2) - n, len(y1) - n)
-            out, trunc = decode(y1, y2, band=band, cap=cap, code=decode_code)
+            out, trunc = decode(*ys, cap=cap, code=decode_code)
         d, ru, au = _trial_components(c, out, t, kind)
         sum_d += d
         sum_d2 += d * d

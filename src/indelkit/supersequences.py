@@ -1,18 +1,20 @@
-"""LCS/SCS lengths and enumeration of all shortest common supersequences
-(and all longest common subsequences) of two words.
+"""LCS/SCS lengths and lexicographic walks over all shortest common
+supersequences (and all longest common subsequences) of two words.
 
-The enumerations are exact and deduplicated.  An optional diagonal band
-accelerates the DP when the caller knows how far the two words can drift
-apart (for channel traces: the total number of indels), and a candidate cap
-guards against the exponential worst case; hitting the cap sets a truncation
-flag instead of raising.
+Both sets are the leaves of a deterministic DAG, one whose out-edges at
+each node emit distinct symbols: the SCS DAG of the suffix-LCS table and
+the next-occurrence LCS automaton (Greenberg, arXiv:cs/0301030).  Distinct
+paths therefore spell distinct words, and an explicit-stack depth-first
+walk that takes the edges in symbol order reaches them once each, in
+lexicographic order, without recursion.  A cap stops the walk after the
+first `cap` words and reports whether more exist.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import Word
+from .words import Word, lcs_bit_rows
 
 DEFAULT_CAP = 10 ** 6
 
@@ -21,8 +23,9 @@ DEFAULT_CAP = 10 ** 6
 class ScsResult:
     """Extremal common-sequence enumeration result.
 
-    candidates is a sorted tuple of distinct words, each of length `length`;
-    truncated is set when more candidates existed than the cap allowed.
+    candidates is a sorted tuple of distinct words, each of length `length`:
+    all of them, or the lexicographically first `cap` with truncated set
+    when more exist.
     """
 
     length: int
@@ -55,172 +58,151 @@ def scs_length(y1: Word, y2: Word) -> int:
     return len(y1) + len(y2) - lcs_length(y1, y2)
 
 
-class _SuffixLcs:
-    """Banded table of suffix LCS lengths L(i, j) = LCS(y1[i:], y2[j:]).
+def _walk(descend, start, cap: int):
+    """Depth-first walk of a deterministic DAG, edges in symbol order.
 
-    The band keeps cells with j - i <= up and i - j <= down; a plain int
-    band means up = down = band and None means no restriction.  Rows are
-    plain lists offset by the band's left edge; cells outside the band read
-    as a large negative so they never look optimal.  The in-band values are
-    exact whenever no optimal alignment can drift past the band (for two
-    deletion traces of a length-n word: up = n - |y1|, down = n - |y2|).
+    descend(path, *node) follows the node's chain of single out-edges,
+    appending their symbols to `path`, and returns the out-edges
+    (symbol, child) of the first node with several, in increasing symbol
+    order, or none at a leaf.  At each of the first `cap` leaves, yields
+    (path, shared, more): the symbols along the path (a list the walk goes
+    on to change), the length of the prefix it shares with the previous
+    leaf, and whether another leaf follows.
     """
-
-    __slots__ = ("y1", "y2", "m1", "m2", "rows", "los", "neg")
-
-    def __init__(self, y1: Word, y2: Word, band):
-        m1, m2 = len(y1), len(y2)
-        if band is None:
-            up = down = m1 + m2
-        elif isinstance(band, tuple):
-            up, down = band
-        else:
-            up = down = band
-        self.y1, self.y2, self.m1, self.m2 = y1, y2, m1, m2
-        neg = -(m1 + m2 + 1)
-        self.neg = neg
-        rows: list = [None] * (m1 + 1)
-        los = [0] * (m1 + 1)
-        nxt_row: list = []
-        nxt_lo = 0
-        for i in range(m1, -1, -1):
-            lo = i - down
-            if lo < 0:
-                lo = 0
-            hi = i + up
-            if hi > m2:
-                hi = m2
-            row = [0] * (hi - lo + 1)
-            if i < m1 and lo <= hi:
-                yi = y1[i]
-                y2l = self.y2
-                nlen = len(nxt_row)
-                right = neg  # L(i, j+1), out of band beyond hi
-                for j in range(hi, lo - 1, -1):
-                    if j == m2:
-                        right = 0
-                        continue  # L(i, m2) = 0, already in row
-                    k = j - nxt_lo
-                    if yi == y2l[j]:
-                        kk = k + 1
-                        diag = nxt_row[kk] if 0 <= kk < nlen else neg
-                        v = diag + 1
-                    else:
-                        v = nxt_row[k] if 0 <= k < nlen else neg
-                        if right > v:
-                            v = right
-                    row[j - lo] = v
-                    right = v
-            rows[i] = row
-            los[i] = lo
-            nxt_row, nxt_lo = row, lo
-        self.rows = rows
-        self.los = los
-
-    def get(self, i: int, j: int) -> int:
-        if i > self.m1 or j > self.m2:
-            return self.neg
-        k = j - self.los[i]
-        row = self.rows[i]
-        return row[k] if 0 <= k < len(row) else self.neg
+    path: list = []
+    stack: list = []  # (depth, symbol, node) of the edges not yet taken
+    node, shared, leaves = start, 0, 0
+    while True:
+        out = descend(path, *node)
+        if out:
+            for sym, child in out[:0:-1]:
+                stack.append((len(path), sym, child))
+            sym, node = out[0]
+            path.append(sym)
+            continue
+        leaves += 1
+        yield path, shared, bool(stack)
+        if not stack or leaves == cap:
+            return
+        shared, sym, node = stack.pop()
+        del path[shared:]
+        path.append(sym)
 
 
-class _CapTracker:
-    __slots__ = ("cap", "hit")
-
-    def __init__(self, cap: int):
-        if cap < 1:
-            raise ValueError("cap must be >= 1")
-        self.cap = cap
-        self.hit = False
-
-    def clamp(self, words) -> tuple:
-        out = tuple(sorted(words))
-        if len(out) > self.cap:
-            self.hit = True
-            out = out[: self.cap]
-        return out
+def _check_cap(cap: int) -> None:
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
 
 
-def enumerate_scs(y1: Word, y2: Word, band: int | None = None,
-                  cap: int = DEFAULT_CAP) -> ScsResult:
-    """All distinct shortest common supersequences of y1 and y2.
+def scs_dag(y1: Word, y2: Word, cap: int = DEFAULT_CAP) -> tuple:
+    """(length, leaves): the SCS length of y1 and y2 and a `_walk` over
+    their shortest common supersequences.
 
-    When the symbols at a DP cell agree, every shortest supersequence starts
-    with that symbol (exchange argument), so only the diagonal move is
-    expanded there; otherwise a symbol may be consumed from either word
-    whenever doing so preserves the suffix LCS.  `band` restricts the DP to
-    |i - j| <= band, exact whenever the caller knows the optimal alignment
-    cannot drift further (for two traces of a length-n word: d1 + d2).
+    A node is the pair (k1, k2) of unread suffix lengths.  When the next
+    symbols agree, every shortest supersequence emits that symbol from both
+    words (exchange argument); otherwise a symbol may come from either word
+    whenever doing so keeps the suffix LCS, read off lcs_bit_rows of the
+    reversed words.  Once one word is used up, the rest of the other
+    follows.
     """
+    _check_cap(cap)
     y1, y2 = tuple(y1), tuple(y2)
-    L = _SuffixLcs(y1, y2, band)
     m1, m2 = len(y1), len(y2)
-    tracker = _CapTracker(cap)
-    memo: dict = {}
+    r1, r2 = y1[::-1], y2[::-1]
+    rows = lcs_bit_rows(r1, r2)  # LCS of the suffixes: rows[k1] & low k2 bits
 
-    def rec(i: int, j: int) -> tuple:
-        got = memo.get((i, j))
-        if got is not None:
-            return got
-        if i == m1:
-            res = (y2[j:],)
-        elif j == m2:
-            res = (y1[i:],)
-        elif y1[i] == y2[j]:
-            sym = y1[i]
-            res = tracker.clamp([(sym,) + s for s in rec(i + 1, j + 1)])
-        else:
-            here = L.get(i, j)
-            words = set()
-            if L.get(i + 1, j) == here:
-                sym = y1[i]
-                words.update((sym,) + s for s in rec(i + 1, j))
-            if L.get(i, j + 1) == here:
-                sym = y2[j]
-                words.update((sym,) + s for s in rec(i, j + 1))
-            res = tracker.clamp(words)
-        memo[i, j] = res
-        return res
+    def descend(path, k1, k2):
+        ap = path.append
+        while k1 and k2:
+            a, b = r1[k1 - 1], r2[k2 - 1]
+            if a == b:
+                ap(a)
+                k1 -= 1
+                k2 -= 1
+                continue
+            row = rows[k1]
+            if row >> (k2 - 1) & 1:  # reading b first would lose an LCS symbol
+                ap(a)
+                k1 -= 1
+                continue
+            low = (1 << k2) - 1
+            if (rows[k1 - 1] & low).bit_count() < (row & low).bit_count():
+                ap(b)
+                k2 -= 1
+                continue
+            if a < b:
+                return ((a, (k1 - 1, k2)), (b, (k1, k2 - 1)))
+            return ((b, (k1, k2 - 1)), (a, (k1 - 1, k2)))
+        path.extend(y1[m1 - k1:])
+        path.extend(y2[m2 - k2:])
+        return ()
 
-    candidates = rec(0, 0)
-    length = m1 + m2 - L.get(0, 0)
-    return ScsResult(length, candidates, tracker.hit)
+    return m1 + m2 - rows[m1].bit_count(), _walk(descend, (m1, m2), cap)
 
 
-def enumerate_lcs(y1: Word, y2: Word, band: int | None = None,
-                  cap: int = DEFAULT_CAP) -> ScsResult:
-    """All distinct longest common subsequences of y1 and y2.
+def lcs_dag(y1: Word, y2: Word, cap: int = DEFAULT_CAP) -> tuple:
+    """(length, leaves): the LCS length of y1 and y2 and a `_walk` over
+    their longest common subsequences.
 
-    Mirror image of enumerate_scs: at equal symbols every LCS starts with
-    the matched symbol; otherwise the skip moves preserving the suffix LCS
-    are expanded.
+    A node is the pair (k1, k2) of unread suffix lengths.  Its edge for
+    symbol c jumps past the next occurrence of c in both suffixes, kept
+    only when the LCS of what remains is one shorter: each distinct LCS is
+    the label of exactly one path, its leftmost embedding.
     """
-    y1, y2 = tuple(y1), tuple(y2)
-    L = _SuffixLcs(y1, y2, band)
-    m1, m2 = len(y1), len(y2)
-    tracker = _CapTracker(cap)
-    memo: dict = {}
+    _check_cap(cap)
+    r1, r2 = tuple(y1)[::-1], tuple(y2)[::-1]
+    rows = lcs_bit_rows(r1, r2)
+    occ1, occ2 = {}, {}  # symbol -> bit mask of its positions, reversed
+    for occ, r in ((occ1, r1), (occ2, r2)):
+        for pos, c in enumerate(r):
+            occ[c] = occ.get(c, 0) | (1 << pos)
+    alphabet = sorted(occ1.keys() & occ2.keys())
 
-    def rec(i: int, j: int) -> tuple:
-        got = memo.get((i, j))
-        if got is not None:
-            return got
-        if i == m1 or j == m2:
-            res = ((),)
-        elif y1[i] == y2[j]:
-            sym = y1[i]
-            res = tracker.clamp([(sym,) + s for s in rec(i + 1, j + 1)])
-        else:
-            here = L.get(i, j)
-            words = set()
-            if L.get(i + 1, j) == here:
-                words.update(rec(i + 1, j))
-            if L.get(i, j + 1) == here:
-                words.update(rec(i, j + 1))
-            res = tracker.clamp(words)
-        memo[i, j] = res
-        return res
+    def descend(path, k1, k2):
+        while True:
+            low1, low2 = (1 << k1) - 1, (1 << k2) - 1
+            want = (rows[k1] & low2).bit_count() - 1
+            if want < 0:
+                return ()
+            out = []
+            for c in alphabet:
+                n1 = (occ1[c] & low1).bit_length() - 1
+                n2 = (occ2[c] & low2).bit_length() - 1
+                if (n1 >= 0 and n2 >= 0
+                        and (rows[n1] & ((1 << n2) - 1)).bit_count() == want):
+                    out.append((c, (n1, n2)))
+            if len(out) > 1:
+                return out
+            (c, (k1, k2)), = out
+            path.append(c)
 
-    candidates = rec(0, 0)
-    return ScsResult(int(L.get(0, 0)), candidates, tracker.hit)
+    m1, m2 = len(r1), len(r2)
+    return rows[m1].bit_count(), _walk(descend, (m1, m2), cap)
+
+
+def _collect(length: int, leaves) -> ScsResult:
+    words, more = [], False
+    for path, _, more in leaves:
+        words.append(tuple(path))
+    return ScsResult(length, tuple(words), more)
+
+
+# `band` is accepted for callers that know how far the traces drift apart,
+# but no walk needs it: for two deletion traces of a length-n word, a path
+# through a node with j - i > n - |y1| (j symbols of y2 and i of y1 read)
+# has length >= j + (|y1| - i) > n >= the SCS length, so no shortest path
+# leaves the band; the insertion case is symmetric.
+
+
+def enumerate_scs(y1: Word, y2: Word, band=None,
+                  cap: int = DEFAULT_CAP) -> ScsResult:
+    """All distinct shortest common supersequences of y1 and y2, in
+    lexicographic order (the first `cap` of them); see scs_dag."""
+    return _collect(*scs_dag(y1, y2, cap))
+
+
+def enumerate_lcs(y1: Word, y2: Word, band=None,
+                  cap: int = DEFAULT_CAP) -> ScsResult:
+    """All distinct longest common subsequences of y1 and y2, in
+    lexicographic order (the first `cap` of them); see lcs_dag."""
+    return _collect(*lcs_dag(y1, y2, cap))

@@ -142,49 +142,33 @@ def is_two_symbol_alternating(w: Word) -> bool:
     return all(s == expected[i % 2] for i, s in enumerate(w))
 
 
-def _lcs_banded(x: Word, y: Word, band: int) -> int:
-    """LCS length restricted to |i - j| <= band; a lower bound in general,
-    exact whenever the true indel distance is <= band."""
-    m, n = len(x), len(y)
-    NEG = -(m + n + 1)
-    prev = [0] * (n + 1)  # row i = 0
-    for j in range(band + 1, n + 1):
-        prev[j] = NEG
-    for i in range(1, m + 1):
-        lo = max(0, i - band)
-        hi = min(n, i + band)
-        cur = [NEG] * (n + 1)
-        if lo == 0:
-            cur[0] = 0
-        xi = x[i - 1]
-        for j in range(max(1, lo), hi + 1):
-            best = prev[j - 1] + 1 if xi == y[j - 1] else NEG
-            if prev[j] > best:
-                best = prev[j]
-            if cur[j - 1] > best:
-                best = cur[j - 1]
-            cur[j] = best
-        prev = cur
-    return prev[n]
+def lcs_bit_rows(x: Word, y: Word) -> list:
+    """Bit-parallel LCS rows of x against y (Hyyro 2004).
+
+    rows[k] has bit t - 1 set iff LCS(x[:k], y[:t]) exceeds
+    LCS(x[:k], y[:t - 1]), so LCS(x[:k], y[:t]) is
+    (rows[k] & ((1 << t) - 1)).bit_count() for every k and t.  One
+    `V = (V + U) | (V - U)` update on a |y|-bit int per symbol of x.
+    """
+    match: dict = {}
+    for t, c in enumerate(y):
+        match[c] = match.get(c, 0) | (1 << t)
+    full = (1 << len(y)) - 1
+    v = full  # zero bits mark where the LCS row steps up
+    rows = [0]
+    for a in x:
+        u = v & match.get(a, 0)
+        v = ((v + u) | (v - u)) & full
+        rows.append(v ^ full)
+    return rows
 
 
 def indel_distance(x: Word, y: Word) -> int:
     """Minimum number of insertions plus deletions transforming x into y.
 
     Substitutions are not allowed moves, so this equals
-    |x| + |y| - 2*LCS(x, y).  Computed with a banded LCS whose band doubles
-    until the result is certified exact, which keeps the common case (nearly
-    equal words) linear-time.
+    |x| + |y| - 2*LCS(x, y), with the LCS from lcs_bit_rows.
     """
     if x == y:
         return 0
-    m, n = len(x), len(y)
-    if m == 0 or n == 0:
-        return m + n
-    band = abs(m - n) + 2
-    while True:
-        d = m + n - 2 * _lcs_banded(x, y, band)
-        # Any path of cost d stays within |i-j| <= d, so d <= band is exact.
-        if d <= band or band >= m + n:
-            return d
-        band = min(2 * band, m + n)
+    return len(x) + len(y) - 2 * lcs_bit_rows(x, y)[-1].bit_count()

@@ -1,9 +1,11 @@
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
 from indelkit.cli import main
+from indelkit.decoders import DECODERS
 
 
 def test_decode_subcommand(capsys):
@@ -19,6 +21,18 @@ def test_decode_subcommand(capsys):
     assert capsys.readouterr().out.strip() == "010"
     assert main(["decode", "--decoder", "brute", "--k", "2", "0000"]) == 0
     assert capsys.readouterr().out.strip() == "00000"
+
+
+def test_decode_warns_when_truncated(capsys, monkeypatch):
+    assert main(["decode", "--decoder", "mld2del", "010", "001"]) == 0
+    assert capsys.readouterr().err == ""
+    truncating = replace(DECODERS["mld2del"],
+                         fn=lambda y1, y2, **kw: ((0, 0, 1, 0), True))
+    monkeypatch.setitem(DECODERS, "mld2del", truncating)
+    assert main(["decode", "--decoder", "mld2del", "010", "001"]) == 0
+    got = capsys.readouterr()
+    assert got.out.strip() == "0010"
+    assert "warning" in got.err and "cap" in got.err
 
 
 def test_simulate_subcommand(tmp_path, capsys):

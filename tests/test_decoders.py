@@ -7,12 +7,14 @@ import pytest
 from indelkit.combinatorics import embedding_number, insertion_ball
 from indelkit.decoders import (brute_force_ml_star, decode_en, decode_lazy,
                                decode_ml_code, decode_mld_two_del,
-                               decode_mld_two_ins,
+                               decode_mld_two_ins, mld_two_del_detailed,
+                               mld_two_ins_detailed,
                                ml_star_1del, ml_star_2del, objective_f,
                                two_del_condition_poly, two_del_lazy_en_gap,
                                two_del_lazy_en_gap_fast)
-from indelkit.supersequences import enumerate_lcs, enumerate_scs
-from indelkit.words import indel_distance, parse_word, runs
+from indelkit.supersequences import (enumerate_lcs, enumerate_scs, lcs_length,
+                                     scs_length)
+from indelkit.words import indel_distance, is_subsequence, parse_word, runs
 
 
 def pw(s):
@@ -146,6 +148,69 @@ class TestMldTwoDel:
             out = decode_mld_two_del(y1, y2)
             assert is_subsequence(y1, out) and is_subsequence(y2, out)
             assert len(out) <= n
+
+
+def literal_argmax(y1, y2, q, deletion):
+    """The degraded decoder by definition: every word of the SCS (LCS)
+    length that is a common super- (sub-)sequence, scored with the plain
+    embedding-number DP; the first maximum in sorted order wins."""
+    s = scs_length(y1, y2) if deletion else lcs_length(y1, y2)
+    best, top = None, -1
+    for x in product(range(q), repeat=s):
+        if deletion and is_subsequence(y1, x) and is_subsequence(y2, x):
+            score = embedding_number(x, y1) * embedding_number(x, y2)
+        elif not deletion and is_subsequence(x, y1) and is_subsequence(x, y2):
+            score = embedding_number(y1, x) * embedding_number(y2, x)
+        else:
+            continue
+        if score > top:
+            best, top = x, score
+    return best
+
+
+class TestDagSearchVsLiteralArgmax:
+    def test_binary_exhaustive(self):
+        words = [w for m in range(7) for w in product((0, 1), repeat=m)]
+        for y1 in words:
+            for y2 in words:
+                assert mld_two_del_detailed(y1, y2) == (
+                    literal_argmax(y1, y2, 2, True), False), (y1, y2)
+                assert mld_two_ins_detailed(y1, y2) == (
+                    literal_argmax(y1, y2, 2, False), False), (y1, y2)
+
+    def test_ternary_random(self):
+        rnd = random.Random(12)
+        for _ in range(150):
+            y1 = tuple(rnd.randrange(3) for _ in range(rnd.randint(0, 6)))
+            y2 = tuple(rnd.randrange(3) for _ in range(rnd.randint(0, 6)))
+            assert mld_two_del_detailed(y1, y2) == (
+                literal_argmax(y1, y2, 3, True), False), (y1, y2)
+            assert mld_two_ins_detailed(y1, y2) == (
+                literal_argmax(y1, y2, 3, False), False), (y1, y2)
+
+    def test_long_traces(self):
+        # an explicit stack: no recursion limit, whatever the length
+        rnd = random.Random(13)
+        c = tuple(rnd.randrange(2) for _ in range(3000))
+        for k in (1, 2):
+            y1, y2 = list(c), list(c)
+            for y in (y1, y2):
+                for pos in sorted(rnd.sample(range(len(y)), k), reverse=True):
+                    del y[pos]
+            y1, y2 = tuple(y1), tuple(y2)
+            out, truncated = mld_two_del_detailed(y1, y2)
+            lcs = (len(y1) + len(y2) - indel_distance(y1, y2)) // 2
+            assert len(out) == len(y1) + len(y2) - lcs and not truncated
+            assert is_subsequence(y1, out) and is_subsequence(y2, out)
+            z1, z2 = list(c), list(c)
+            for z in (z1, z2):
+                for pos in sorted(rnd.sample(range(3001), k), reverse=True):
+                    z.insert(pos, rnd.randrange(2))
+            z1, z2 = tuple(z1), tuple(z2)
+            out, truncated = mld_two_ins_detailed(z1, z2)
+            lcs = (len(z1) + len(z2) - indel_distance(z1, z2)) // 2
+            assert len(out) == lcs and not truncated
+            assert is_subsequence(out, z1) and is_subsequence(out, z2)
 
 
 class TestMldTwoIns:

@@ -45,6 +45,18 @@ class TestConfig:
             small_cfg(channel=ChannelSpec("kdel", k=2))  # no two-trace kdel decoder
         with pytest.raises(ValueError):
             small_cfg(decoder="lazy")  # one-trace decoder at t=2
+        # p_grid alone sets the transmission probability
+        with pytest.raises(ValueError):
+            small_cfg(channel=ChannelSpec("del", p=0.02))
+        ins = dict(decoder="mld2ins", channel=ChannelSpec("ins", q=2))
+        with pytest.raises(ValueError):
+            small_cfg(**{**ins, "channel": ChannelSpec("ins", p=0.01, q=2)})
+        with pytest.raises(ValueError):
+            small_cfg(**{**ins, "channel": ChannelSpec("ins", q=4)})
+        with pytest.raises(ValueError):  # the insertion decoder takes no code
+            small_cfg(**ins, code={"code": "vt", "a": 0})
+        small_cfg(**ins)
+        small_cfg(**{**ins, "channel": ChannelSpec("ins", q=4)}, q=4)
 
 
 class TestRunExperiment:
@@ -121,6 +133,26 @@ class TestRunExperiment:
         with open(path) as fh:
             assert {r["truncated_trials"] for r in csv.DictReader(fh)} == {
                 str(truncated)}
+
+
+class TestPinnedSums:
+    # exact integer sums (sum_d, failures, run_units, alt_units, truncated)
+    # at seed 2024; any change to sampling, decoding or attribution moves them
+    @pytest.mark.parametrize("channel,decoder,p,trials,sums", [
+        (ChannelSpec("del"), "mld2del", 0.05, 100, (181, 73, 105, 76, 0)),
+        (ChannelSpec("ins", q=2), "mld2ins", 0.01, 200, (6, 5, 4, 2, 0)),
+    ])
+    def test_seed_2024(self, channel, decoder, p, trials, sums):
+        cfg = ExperimentConfig(channel=channel, t=2, n=150, q=2,
+                               decoder=decoder, p_grid=(p,),
+                               trials_per_point=trials, master_seed=2024)
+        pt = run_experiment(cfg, workers=1).points[0]
+        units = (pt.levenshtein_rate * 150 * trials, pt.failure_rate * trials,
+                 pt.run_component * 150 * trials,
+                 pt.alt_component * 150 * trials)
+        got = tuple(round(u) for u in units) + (pt.truncated_trials,)
+        assert all(abs(u - round(u)) < 1e-6 for u in units)
+        assert got == sums
 
 
 class TestAttribution:

@@ -1,6 +1,8 @@
 import random
 from itertools import product
 
+import pytest
+
 from indelkit.supersequences import (enumerate_lcs, enumerate_scs, lcs_length,
                                      scs_length)
 from indelkit.words import indel_distance, is_subsequence, parse_word
@@ -141,3 +143,50 @@ class TestEnumerateLcs:
             y1 = tuple(rnd.randrange(2) for _ in range(rnd.randint(0, 8)))
             y2 = tuple(rnd.randrange(2) for _ in range(rnd.randint(0, 8)))
             assert set(enumerate_lcs(y1, y2).candidates) == brute_lcs_set(y1, y2)
+
+
+class TestCap:
+    # a capped walk keeps the lexicographically first `cap` words and
+    # reports truncation exactly when more exist
+    def test_first_cap_words(self):
+        rnd = random.Random(7)
+        for enumerate_ in (enumerate_scs, enumerate_lcs):
+            for _ in range(150):
+                q = rnd.choice((2, 3))
+                y1 = tuple(rnd.randrange(q) for _ in range(rnd.randint(0, 10)))
+                y2 = tuple(rnd.randrange(q) for _ in range(rnd.randint(0, 10)))
+                full = enumerate_(y1, y2)
+                assert list(full.candidates) == sorted(full.candidates)
+                for cap in (1, 2, 3, 5, 17):
+                    res = enumerate_(y1, y2, cap=cap)
+                    assert res.length == full.length
+                    assert res.candidates == full.candidates[:cap]
+                    assert res.truncated == (len(full.candidates) > cap)
+
+    def test_cap_must_be_positive(self):
+        for enumerate_ in (enumerate_scs, enumerate_lcs):
+            with pytest.raises(ValueError):
+                enumerate_((0,), (1,), cap=0)
+
+
+class TestLongTraces:
+    def test_no_recursion_limit(self):
+        rnd = random.Random(8)
+        c = tuple(rnd.randrange(2) for _ in range(3000))
+        for k in (1, 2):
+            dels = [tuple(s for i, s in enumerate(c) if i not in drop)
+                    for drop in (set(rnd.sample(range(3000), k)),
+                                 set(rnd.sample(range(3000), k)))]
+            ins = []
+            for _ in range(2):
+                z = list(c)
+                for pos in sorted(rnd.sample(range(3001), k), reverse=True):
+                    z.insert(pos, rnd.randrange(2))
+                ins.append(tuple(z))
+            for (y1, y2), enumerate_, sign in ((dels, enumerate_scs, 1),
+                                                (ins, enumerate_lcs, -1)):
+                res = enumerate_(y1, y2)
+                lcs = (len(y1) + len(y2) - indel_distance(y1, y2)) // 2
+                expected = lcs if sign < 0 else len(y1) + len(y2) - lcs
+                assert res.length == expected and not res.truncated
+                assert all(len(x) == expected for x in res.candidates)

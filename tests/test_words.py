@@ -3,9 +3,10 @@ from itertools import product
 
 import pytest
 
+from indelkit.supersequences import lcs_length
 from indelkit.words import (format_word, indel_distance, is_alternating,
                             is_subsequence, is_two_symbol_alternating,
-                            parse_word, reconstruct, runs)
+                            lcs_bit_rows, parse_word, reconstruct, runs)
 
 
 def brute_lcs(x, y):
@@ -104,6 +105,34 @@ class TestIndelDistance:
             r = rnd.randint(0, len(x))
             for y in deletion_ball(x, r):
                 assert indel_distance(x, y) == r
+
+
+class TestLcsBitRows:
+    def test_equals_row_dp_exhaustive(self):
+        words = [w for m in range(9) for w in all_words(2, m)]
+        for x in words:
+            for y in words:
+                assert lcs_bit_rows(x, y)[-1].bit_count() == lcs_length(x, y)
+
+    def test_every_prefix_cell(self):
+        # LCS(x[:k], y[:t]) is the popcount of the low t bits of rows[k]
+        for x in all_words(2, 5):
+            for y in all_words(2, 5):
+                rows = lcs_bit_rows(x, y)
+                for k in range(6):
+                    for t in range(6):
+                        assert ((rows[k] & ((1 << t) - 1)).bit_count()
+                                == lcs_length(x[:k], y[:t]))
+
+    def test_equals_row_dp_random_long(self):
+        rnd = random.Random(11)
+        for q in (2, 4):
+            for _ in range(6):
+                x = tuple(rnd.randrange(q) for _ in range(rnd.randint(0, 500)))
+                y = tuple(rnd.randrange(q) for _ in range(rnd.randint(0, 500)))
+                assert lcs_bit_rows(x, y)[-1].bit_count() == lcs_length(x, y)
+                assert indel_distance(x, y) == (len(x) + len(y)
+                                                - 2 * lcs_length(x, y))
 
 
 class TestSubsequence:
