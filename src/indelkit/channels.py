@@ -43,6 +43,13 @@ class ChannelSpec:
             raise ValueError("k must be >= 0")
         if self.q < 2:
             raise ValueError("q must be >= 2")
+        # fields the kind does not read would be dropped by to_dict
+        if self.kind != "kdel" and self.k != 0:
+            raise ValueError(f"{self.kind} channels take no k")
+        if self.kind == "kdel" and self.p != 0.0:
+            raise ValueError("kdel channels take no p")
+        if self.kind != "ins" and self.q != 2:
+            raise ValueError(f"{self.kind} channels take no q")
 
     def to_dict(self) -> dict:
         if self.kind == "kdel":
@@ -53,8 +60,7 @@ class ChannelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ChannelSpec":
-        return cls(kind=d["kind"], p=d.get("p", 0.0), k=d.get("k", 0),
-                   q=d.get("q", 2))
+        return cls(**d)
 
 
 @dataclass(frozen=True)

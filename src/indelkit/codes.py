@@ -221,22 +221,27 @@ class SvtCode:
         return hits.pop()
 
 
+_CODE_KEYS = {"all": (), "vt": ("a",), "svt": ("a", "P", "b")}
+
+
 def make_code(params: dict, n: int, q: int = 2):
     """Build a code from its experiment-config JSON form.
 
     {"code": "all"} | {"code": "vt", "a": 0} | {"code": "svt", "a": 0,
-    "P": ..., "b": 0}; omitted parameters take the defaults above.
+    "P": ..., "b": 0}; omitted parameters take the defaults above, and a
+    key the kind does not read is an error.
     """
     kind = params.get("code", "all")
+    if kind not in _CODE_KEYS:
+        raise ValueError(f"unknown code kind {kind!r}")
+    extra = sorted(set(params) - {"code", *_CODE_KEYS[kind]})
+    if extra:
+        raise ValueError(f"code {kind!r} takes no {', '.join(extra)}")
     if kind == "all":
         return AllWordsCode(n, q)
+    if q != 2:
+        raise ValueError(f"{kind.upper()} codes here are binary")
     if kind == "vt":
-        if q != 2:
-            raise ValueError("VT codes here are binary")
         return VtCode(n, a=params.get("a", 0))
-    if kind == "svt":
-        if q != 2:
-            raise ValueError("SVT codes here are binary")
-        return SvtCode(n, a=params.get("a", 0), P=params.get("P"),
-                       b=params.get("b", 0))
-    raise ValueError(f"unknown code kind {kind!r}")
+    return SvtCode(n, a=params.get("a", 0), P=params.get("P"),
+                   b=params.get("b", 0))

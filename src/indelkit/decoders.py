@@ -21,10 +21,9 @@ from itertools import product
 from math import comb
 from typing import Callable
 
-from .combinatorics import (embedding_number, embedding_number_banded,
-                            embedding_row_step, insertion_ball)
+from .combinatorics import embedding_number, embedding_row_step, insertion_ball
 from .supersequences import DEFAULT_CAP, lcs_dag, scs_dag
-from .words import Word, indel_distance, is_subsequence, runs
+from .words import Word, check_word, indel_distance, is_subsequence, runs
 
 
 def decode_lazy(y: Word) -> Word:
@@ -238,7 +237,7 @@ def objective_f(y: Word, x: Word, k: int, code=None, q: int = 2) -> int:
     for c in insertion_ball(y, k, q):
         if code is not None and not _member(code, c):
             continue
-        total += indel_distance(x, c) * embedding_number_banded(c, y)
+        total += indel_distance(x, c) * embedding_number(c, y)
     return total
 
 
@@ -254,9 +253,11 @@ def brute_force_ml_star(y: Word, k: int, lengths=None, q: int = 2,
     window (default [|y|, |y|+k+1]); ties minimal length then lexicographic.
 
     This is the enumeration oracle for the optimal decoder; it refuses
-    windows with more than max_candidates words.
+    windows with more than max_candidates words and outputs y with a symbol
+    outside [0, q).
     """
     y = tuple(y)
+    check_word(y, q)
     if lengths is None:
         lengths = range(len(y), len(y) + k + 2)
     lengths = sorted(set(lengths))
@@ -348,7 +349,7 @@ def two_del_lazy_en_gap_fast(y: Word) -> int:
     xh = decode_en(y, n - 1)
     s1 = 0
     for c in insertion_ball(xh, 1, 2):
-        s1 += embedding_number_banded(c, y)
+        s1 += embedding_number(c, y)
     return 4 * comb(n, 2) - 2 * s1
 
 
@@ -360,16 +361,20 @@ def two_del_lazy_en_gap_fast(y: Word) -> int:
 class Decoder:
     """A named decoder: the number of traces it reads, the channel kinds it
     decodes and its function, fn(y, k) -> word for one trace and
-    fn(y1, y2, band=None, cap=DEFAULT_CAP, code=None) -> (word, truncated)
-    for two.  fast_1del(n, r, r_max), if set, is the exact sum of
-    d_L(fn(y, 1), c) * Emb(c; y) over all y in Sigma_2^(n-1) and c in
-    I_1(y), from the numpy arrays of the run counts and longest runs of y.
+    fn(y1, y2, band=None, cap=DEFAULT_CAP) -> (word, truncated) for two.
+    A `coded` fn also takes code= (None for the whole space) and, with one
+    trace, the alphabet size q=; every other decoder ignores the code, so
+    configs give it code 'all'.  fast_1del(n, r, r_max), if set, is the
+    exact sum of d_L(fn(y, 1), c) * Emb(c; y) over all y in Sigma_2^(n-1)
+    and c in I_1(y), from the numpy arrays of the run counts and longest
+    runs of y.
     """
 
     traces: int
     kinds: tuple
     fn: Callable
     fast_1del: Callable | None = None
+    coded: bool = False
 
 
 # I_1(y) holds n + 1 words whose embedding numbers sum to 2n.  The unchanged
@@ -393,12 +398,9 @@ DECODERS = {
     "en:2": Decoder(1, _DEL_KINDS, lambda y, k: decode_en(y, len(y) + 2)),
     "mlstar1": Decoder(1, _DEL_KINDS, lambda y, k: ml_star_1del(y), _lazy_1del),
     "mlstar2": Decoder(1, _DEL_KINDS, lambda y, k: ml_star_2del(y)),
-    "brute": Decoder(1, ("kdel",), brute_force_ml_star),
-    "mld2del": Decoder(2, ("del",), mld_two_del_detailed),
-    # takes no code: ExperimentConfig rejects coded mld2ins configs
-    "mld2ins": Decoder(2, ("ins",),
-                       lambda y1, y2, band=None, cap=DEFAULT_CAP, code=None:
-                       mld_two_ins_detailed(y1, y2, band=band, cap=cap)),
+    "brute": Decoder(1, ("kdel",), brute_force_ml_star, coded=True),
+    "mld2del": Decoder(2, ("del",), mld_two_del_detailed, coded=True),
+    "mld2ins": Decoder(2, ("ins",), mld_two_ins_detailed),
 }
 
 

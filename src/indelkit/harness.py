@@ -23,7 +23,7 @@ import numpy as np
 
 from .channels import ChannelSpec, transmit_del, transmit_ins, transmit_kdel
 from .codes import make_code
-from .combinatorics import embedding_number_banded, insertion_ball
+from .combinatorics import embedding_number, insertion_ball
 from .decoders import (get_decoder, ml_star_2del, objective_f,
                        two_del_condition_poly, two_del_lazy_en_gap_fast)
 from .words import Word, indel_distance, runs
@@ -69,14 +69,16 @@ class ExperimentConfig:
         if self.t not in (1, 2):
             raise ValueError("t must be 1 or 2")
         ch = self.channel
-        get_decoder(self.decoder, self.t, ch.kind)
+        dec = get_decoder(self.decoder, self.t, ch.kind)
         # p_grid alone sets the transmission probability of del/ins
         if ch.kind in ("del", "ins") and ch.p != 0.0:
             raise ValueError("channel p must be 0; p_grid sets it")
         if ch.kind == "ins" and ch.q != self.q:
             raise ValueError(f"ins channel q={ch.q} differs from q={self.q}")
-        if self.decoder == "mld2ins" and self.code.get("code", "all") != "all":
-            raise ValueError("mld2ins decodes without a code; use code 'all'")
+        make_code(self.code, self.n, self.q)  # rejects bad code params
+        if not dec.coded and self.code.get("code", "all") != "all":
+            raise ValueError(f"{self.decoder} decodes without a code; "
+                             "use code 'all'")
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be >= 1")
         for p in self.p_grid:
@@ -177,8 +179,11 @@ def _run_chunk(config_json: str, point: int, p: float, lo: int, hi: int) -> tupl
     code = make_code(cfg.code, cfg.n, cfg.q)
     decode_code = code if cfg.code.get("code", "all") != "all" else None
     kind, k = cfg.channel.kind, cfg.channel.k
-    decode = get_decoder(cfg.decoder, cfg.t, kind).fn
+    dec = get_decoder(cfg.decoder, cfg.t, kind)
     q, t, seed, cap = cfg.q, cfg.t, cfg.master_seed, cfg.scs_cap
+    kw = {"code": decode_code} if dec.coded else {}
+    if dec.coded and t == 1:
+        kw["q"] = q  # a one-trace coded decoder searches Sigma_q itself
     sum_d = sum_d2 = fails = run_units = alt_units = truncated = 0
     for trial in range(lo, hi):
         c = code.sample(_stream_rng(seed, point, trial, 0))
@@ -192,9 +197,9 @@ def _run_chunk(config_json: str, point: int, p: float, lo: int, hi: int) -> tupl
             else:
                 ys.append(transmit_kdel(c, k, rng))
         if t == 1:
-            out, trunc = decode(ys[0], k), False
+            out, trunc = dec.fn(ys[0], k, **kw), False
         else:
-            out, trunc = decode(*ys, cap=cap, code=decode_code)
+            out, trunc = dec.fn(*ys, cap=cap, **kw)
         d, ru, au = _trial_components(c, out, t, kind)
         sum_d += d
         sum_d2 += d * d
@@ -337,21 +342,18 @@ def sweep_two_del_condition(n: int, literal: bool = False) -> dict:
     return {"n": n, "words": 2 ** (n - 2), "violations": violations}
 
 
-def _lcs_rows_vs_word(X: np.ndarray, c: tuple) -> np.ndarray:
-    """LCS lengths of every row of X (N x L uint8) against word c."""
-    N, L = X.shape
-    M = len(c)
-    prev = np.zeros((N, M + 1), dtype=np.int16)
-    cur = np.zeros((N, M + 1), dtype=np.int16)
-    for i in range(L):
-        xi = X[:, i]
-        cur[:, 0] = 0
-        for j in range(1, M + 1):
-            np.maximum(prev[:, j], cur[:, j - 1], out=cur[:, j])
-            hit = prev[:, j - 1] + (xi == c[j - 1])
-            np.maximum(cur[:, j], hit, out=cur[:, j])
-        prev, cur = cur, prev
-    return prev[:, M]
+def _lcs_rows_vs_word(X: np.ndarray, c) -> np.ndarray:
+    """LCS lengths of every row of X (N x L, 0/1) against the binary word c
+    (|c| <= 31): the bit-parallel recurrence of words.lcs_bit_rows with one
+    uint32 bit vector per row, one numpy step per column of X."""
+    m1 = sum(1 << t for t, s in enumerate(c) if s)
+    full = (1 << len(c)) - 1
+    m0, m1, full = np.uint32(full ^ m1), np.uint32(m1), np.uint32(full)
+    v = np.full(X.shape[0], full)
+    for col in X.T:
+        u = v & np.where(col, m1, m0)
+        v = ((v + u) | (v - u)) & full
+    return len(c) - np.bitwise_count(v).astype(np.int16)
 
 
 def sweep_brute_force_window(n: int) -> dict:
@@ -372,12 +374,9 @@ def sweep_brute_force_window(n: int) -> dict:
         vals = np.arange(1 << L, dtype=np.uint32)
         shifts = np.arange(L - 1, -1, -1, dtype=np.uint32)
         classes.append(((vals[:, None] >> shifts[None, :]) & 1).astype(np.uint8))
-    shifts_n = np.arange(n - 1, -1, -1, dtype=np.uint32)
-    c_words = [tuple(int(b) for b in ((v >> shifts_n) & 1))
-               for v in np.arange(1 << n, dtype=np.uint32)]
-    # dist[class][cand, c_index]
+    # dist[class][cand, c_index], c running over the length-n class
     dist = [np.empty((1 << L, 1 << n), dtype=np.int16) for L in lengths]
-    for ci, c in enumerate(c_words):
+    for ci, c in enumerate(classes[lengths.index(n)]):
         for k, L in enumerate(lengths):
             lcs = _lcs_rows_vs_word(classes[k], c)
             dist[k][:, ci] = (L + n) - 2 * lcs
@@ -390,7 +389,7 @@ def sweep_brute_force_window(n: int) -> dict:
     for y in iproduct((0, 1), repeat=n - 2):
         ball = insertion_ball(y, 2, 2)
         idx = np.array([int("".join(map(str, c)), 2) for c in ball], dtype=np.int64)
-        w = np.array([embedding_number_banded(c, y) for c in ball], dtype=np.int64)
+        w = np.array([embedding_number(c, y) for c in ball], dtype=np.int64)
         scores = np.concatenate(
             [dist[k][:, idx].astype(np.int64) @ w for k in range(len(lengths))])
         best_idx = int(np.argmin(scores))  # first minimum: shortest, then lex

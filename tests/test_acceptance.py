@@ -245,9 +245,9 @@ def test_criterion_08_brute_force_window():
 
 
 def test_criterion_08_companion_violations_pinned():
-    expected_len = {4: 2, 5: 2, 6: 6, 7: 8, 8: 16}
-    expected_mis = {4: 2, 5: 2, 6: 8, 7: 8, 8: 24}
-    for n in (4, 5, 6, 7, 8):
+    expected_len = {4: 2, 5: 2, 6: 6, 7: 8, 8: 16, 9: 20, 10: 24}
+    expected_mis = {4: 2, 5: 2, 6: 8, 7: 8, 8: 24, 9: 20, 10: 24}
+    for n in expected_len:
         res = sweep_brute_force_window(n)
         assert len(res["length_violations"]) == expected_len[n]
         assert len(res["mismatches"]) == expected_mis[n]

@@ -26,6 +26,12 @@ class TestChannelSpec:
             ChannelSpec("del", p=1.5)
         with pytest.raises(ValueError):
             ChannelSpec("ins", q=1)
+        # fields the kind ignores, which to_dict would drop
+        for kw in (dict(kind="kdel", k=1, p=0.3), dict(kind="del", k=3),
+                   dict(kind="ins", k=1), dict(kind="kdel", k=1, q=4),
+                   dict(kind="del", q=4)):
+            with pytest.raises(ValueError):
+                ChannelSpec.from_dict(kw)
 
 
 class TestTransmitDel:

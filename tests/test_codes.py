@@ -147,6 +147,11 @@ class TestMakeCode:
         assert isinstance(make_code({"code": "svt"}, 8), SvtCode)
         with pytest.raises(ValueError):
             make_code({"code": "hamming"}, 6)
+        # keys the kind does not read, "A" a typo for "a"
+        for params in ({"code": "all", "a": 3}, {"code": "vt", "P": 5},
+                       {"code": "vt", "A": 4}, {"code": "svt", "A": 1}):
+            with pytest.raises(ValueError):
+                make_code(params, 8)
 
     def test_all_words_code(self):
         code = AllWordsCode(5, 2)

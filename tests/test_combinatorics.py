@@ -36,17 +36,18 @@ class TestEmbeddingNumber:
             y = tuple(rnd.randrange(3) for _ in range(rnd.randint(0, len(x) + 1)))
             assert embedding_number(x, y) == embedding_number_bruteforce(x, y)
 
-    def test_banded_equals_plain(self):
+    def test_band_shapes_vs_bruteforce(self):
         # exhaustive: the banded row step is shared with the two-trace
-        # decoder, so the full-DP oracle covers every band shape here,
-        # including |y| > |x|
+        # decoder, so the subset-enumeration oracle covers every band shape
+        # here, including |y| > |x|
+        assert embedding_number_banded is embedding_number
         for q, max_len in ((2, 8), (3, 5)):
             for m in range(max_len + 1):
                 for x in product(range(q), repeat=m):
                     for k in range(m + 2):
                         for y in product(range(q), repeat=k):
-                            assert (embedding_number_banded(x, y)
-                                    == embedding_number(x, y)), (x, y)
+                            assert (embedding_number(x, y)
+                                    == embedding_number_bruteforce(x, y)), (x, y)
 
     def test_positive_iff_subsequence(self):
         for x in product((0, 1), repeat=7):

@@ -1,17 +1,22 @@
 import csv
+import dataclasses
 import os
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
+import indelkit.harness as harness
 from indelkit.channels import ChannelSpec
-from indelkit.decoders import ml_star_2del
+from indelkit.decoders import get_decoder, ml_star_2del
 from indelkit.harness import (CSV_FIELDS, AggregateResult, ExperimentConfig,
-                              _trial_components, exact_expected_distance,
+                              _lcs_rows_vs_word, _trial_components,
+                              exact_expected_distance,
                               figure_config, reproduce_figure, run_experiment,
                               sweep_brute_force_window, sweep_two_del_condition,
                               worker_count, write_figure_csv, write_rows_csv)
+from indelkit.supersequences import lcs_length
 from indelkit.words import parse_word
 
 
@@ -57,6 +62,12 @@ class TestConfig:
             small_cfg(**ins, code={"code": "vt", "a": 0})
         small_cfg(**ins)
         small_cfg(**{**ins, "channel": ChannelSpec("ins", q=4)}, q=4)
+        with pytest.raises(ValueError):  # a typo for "a"
+            small_cfg(code={"code": "vt", "A": 4})
+        one = dict(channel=ChannelSpec("kdel", k=1), t=1, n=7)
+        with pytest.raises(ValueError):  # lazy takes no code
+            small_cfg(**one, decoder="lazy", code={"code": "vt", "a": 0})
+        small_cfg(**one, decoder="brute", code={"code": "vt", "a": 0})
 
 
 class TestRunExperiment:
@@ -102,6 +113,36 @@ class TestRunExperiment:
         res = run_experiment(cfg, workers=1)
         assert res.points[0].levenshtein_rate == pytest.approx(1 / 100)
         assert res.points[0].failure_rate == 1.0
+
+    def test_brute_decodes_within_the_code(self):
+        # VT corrects every single deletion, so the optimum over the code is
+        # the codeword itself
+        cfg = ExperimentConfig(channel=ChannelSpec("kdel", k=1), t=1, n=7,
+                               q=2, code={"code": "vt", "a": 0},
+                               decoder="brute", p_grid=(0.0,),
+                               trials_per_point=60, master_seed=1)
+        assert run_experiment(cfg, workers=1).points[0].failure_rate == 0.0
+
+    def test_brute_decodes_over_the_config_alphabet(self, monkeypatch):
+        outs = []
+
+        def recording_get_decoder(*args):
+            dec = get_decoder(*args)
+
+            def fn(*fn_args, **kw):
+                outs.append(dec.fn(*fn_args, **kw))
+                return outs[-1]
+
+            return dataclasses.replace(dec, fn=fn)
+
+        monkeypatch.setattr(harness, "get_decoder", recording_get_decoder)
+        cfg = ExperimentConfig(channel=ChannelSpec("kdel", k=1), t=1, n=5,
+                               q=3, decoder="brute", p_grid=(0.0,),
+                               trials_per_point=20, master_seed=1)
+        run_experiment(cfg, workers=1)
+        assert len(outs) == 20
+        assert all(0 <= s < 3 for out in outs for s in out)
+        assert any(2 in out for out in outs)
 
     def test_insertion_experiment_runs(self):
         cfg = ExperimentConfig(channel=ChannelSpec("ins", q=2), t=2, n=40,
@@ -231,6 +272,22 @@ class TestSweeps:
             lit = sweep_two_del_condition(n, literal=True)
             fast = sweep_two_del_condition(n)
             assert lit["violations"] == fast["violations"]
+
+    def test_window_lcs_equals_oracle(self):
+        words = [w for m in range(9) for w in product((0, 1), repeat=m)]
+        for m in range(9):
+            X = np.array(list(product((0, 1), repeat=m)),
+                         dtype=np.uint8).reshape(2 ** m, m)
+            for c in words:
+                assert _lcs_rows_vs_word(X, c).tolist() == [
+                    lcs_length(tuple(x), c) for x in X.tolist()], (m, c)
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            X = rng.integers(0, 2, size=(32, rng.integers(9, 15)),
+                             dtype=np.uint8)
+            c = tuple(rng.integers(0, 2, size=rng.integers(9, 14)).tolist())
+            assert _lcs_rows_vs_word(X, c).tolist() == [
+                lcs_length(tuple(x), c) for x in X.tolist()]
 
     def test_window_sweep_agrees_with_library_bruteforce(self):
         from indelkit.decoders import brute_force_ml_star
