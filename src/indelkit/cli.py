@@ -16,7 +16,7 @@ from .analysis import coded_success_bounds, two_del_formulas, two_ins_formulas
 from .decoders import DECODERS, get_decoder
 from .harness import (CSV_FIELDS, ExperimentConfig, exact_expected_distance,
                       reproduce_figure, run_experiment, sweep_brute_force_window,
-                      sweep_two_del_condition, worker_count, write_figure_csv,
+                      sweep_two_del_condition, write_figure_csv,
                       write_figure_svg, write_rows_csv)
 from .words import format_word, parse_word
 
@@ -77,15 +77,24 @@ def _cmd_oracle_check(args) -> int:
         ok &= not win["length_violations"] and not win["mismatches"]
     elif args.which == "emb":
         from itertools import product
-        from .combinatorics import embedding_number, embedding_number_bruteforce
+        from .combinatorics import (embedding_number, embedding_number_bruteforce,
+                                    insertion_ball_weights)
         bad = 0
+        balls = {}  # (y, t) -> {c: Emb(c; y)} over the c that contain y
         for m in range(0, n + 1):
             for x in product((0, 1), repeat=m):
                 for k in range(0, m + 1):
                     for y in product((0, 1), repeat=k):
-                        if embedding_number(x, y) != embedding_number_bruteforce(x, y):
-                            bad += 1
+                        e = embedding_number_bruteforce(x, y)
+                        bad += embedding_number(x, y) != e
+                        if e:
+                            balls.setdefault((y, m - k), {})[x] = e
         print(f"embedding-number DP vs subset enumeration, |x| <= {n}: "
+              f"{bad} mismatches")
+        ok &= bad == 0
+        bad = sum(insertion_ball_weights(y, t, 2) != ball
+                  for (y, t), ball in balls.items())
+        print(f"weighted insertion ball vs subset enumeration, |y| + t <= {n}: "
               f"{bad} mismatches")
         ok &= bad == 0
     elif args.which == "scs":
@@ -142,19 +151,19 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    traces = [parse_word(t) for t in args.traces]
     try:
+        traces = [parse_word(t) for t in args.traces]
         dec = get_decoder(args.decoder, len(traces))
-    except ValueError as exc:
+        if dec.traces == 1:
+            out, truncated = dec.fn(traces[0], args.k), False
+        else:
+            out, truncated = dec.fn(*traces)
+    except ValueError as exc:  # a bad trace, an unfit decoder or its refusal
         raise SystemExit(str(exc))
-    if dec.traces == 1:
-        out = dec.fn(traces[0], args.k)
-    else:
-        out, truncated = dec.fn(*traces)
-        if truncated:
-            print("warning: the candidate cap was hit; the output is the best "
-                  "of the lexicographically first candidates only",
-                  file=sys.stderr)
+    if truncated:
+        print("warning: the candidate cap was hit; the output is the best "
+              "of the lexicographically first candidates only",
+              file=sys.stderr)
     print(format_word(out))
     return 0
 
@@ -203,8 +212,6 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_decode)
 
     args = parser.parse_args(argv)
-    if getattr(args, "workers", None) is None and hasattr(args, "workers"):
-        args.workers = worker_count()
     return args.fn(args)
 
 

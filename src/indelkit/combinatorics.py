@@ -1,12 +1,13 @@
 """Embedding numbers, deletion/insertion balls, and maximal-run statistics.
 
 Counts are exact Python ints (arbitrary precision); the average maximal-run
-statistic is an exact Fraction.  Ball enumerations return canonically sorted
-tuples of distinct words so tests and decoders are deterministic.
+statistic is an exact Fraction.  Ball enumerations return sorted tuples of
+distinct words (insertion_ball_weights also counts embeddings).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -88,19 +89,27 @@ def deletion_ball(x: Word, t: int) -> tuple:
     return tuple(sorted(current))
 
 
-def insertion_ball(x: Word, t: int, q: int) -> tuple:
-    """All distinct supersequences of x of length |x| + t, sorted."""
+def insertion_ball_weights(y: Word, t: int, q: int) -> Counter:
+    """Counter mapping each c in I_t(y) over [0, q) to Emb(c; y).
+
+    Inserts t symbols at nondecreasing gaps of y, in order, so each c is
+    built once per t-subset S of its positions with c minus S = y; the
+    counts sum to C(|y| + t, t) * q^t.
+    """
     if t < 0:
         raise ValueError("insertion radius must be non-negative")
-    current = {tuple(x)}
+    y, m = tuple(y), len(y)
+    syms = [(s,) for s in range(q)]
+    grown = [((), 0)]  # (word so far, gap of y it has reached)
     for _ in range(t):
-        nxt = set()
-        for w in current:
-            for i in range(len(w) + 1):
-                for s in range(q):
-                    nxt.add(w[:i] + (s,) + w[i:])
-        current = nxt
-    return tuple(sorted(current))
+        grown = [(w + y[a:b] + s, b) for w, a in grown
+                 for b in range(a, m + 1) for s in syms]
+    return Counter(w + y[a:] for w, a in grown)
+
+
+def insertion_ball(x: Word, t: int, q: int) -> tuple:
+    """All distinct supersequences of x of length |x| + t, sorted."""
+    return tuple(sorted(insertion_ball_weights(x, t, q)))
 
 
 def insertion_ball_size(n: int, t: int, q: int) -> int:

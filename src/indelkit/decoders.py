@@ -21,7 +21,8 @@ from itertools import product
 from math import comb
 from typing import Callable
 
-from .combinatorics import embedding_number, embedding_row_step, insertion_ball
+from .combinatorics import (embedding_number, embedding_row_step, insertion_ball,
+                            insertion_ball_weights)
 from .supersequences import DEFAULT_CAP, lcs_dag, scs_dag
 from .words import Word, check_word, indel_distance, is_subsequence, runs
 
@@ -228,23 +229,15 @@ def decode_mld_two_ins(y1: Word, y2: Word, band=None,
 def objective_f(y: Word, x: Word, k: int, code=None, q: int = 2) -> int:
     """Exact integer expected-distance objective for the k-deletion channel.
 
-    Returns sum over c in I_k(y) (intersected with `code` if given) of
-    d_L(x, c) * Emb(c; y); this is the true objective scaled by the constant
-    n * C(n, k), so argmin comparisons are unchanged and exact.
+    Returns sum over c in I_k(y) (only those code.is_member accepts, if a
+    code is given) of d_L(x, c) * Emb(c; y); this is the true objective
+    scaled by the constant n * C(n, k), so argmin comparisons are unchanged
+    and exact.
     """
-    y, x = tuple(y), tuple(x)
-    total = 0
-    for c in insertion_ball(y, k, q):
-        if code is not None and not _member(code, c):
-            continue
-        total += indel_distance(x, c) * embedding_number(c, y)
-    return total
-
-
-def _member(code, w: Word) -> bool:
-    if hasattr(code, "is_member"):
-        return code.is_member(w)
-    return w in code
+    x = tuple(x)
+    return sum(indel_distance(x, c) * e
+               for c, e in insertion_ball_weights(y, k, q).items()
+               if code is None or code.is_member(c))
 
 
 def brute_force_ml_star(y: Word, k: int, lengths=None, q: int = 2,
@@ -253,8 +246,8 @@ def brute_force_ml_star(y: Word, k: int, lengths=None, q: int = 2,
     window (default [|y|, |y|+k+1]); ties minimal length then lexicographic.
 
     This is the enumeration oracle for the optimal decoder; it refuses
-    windows with more than max_candidates words and outputs y with a symbol
-    outside [0, q).
+    (ValueError) windows with more than max_candidates words and any y with
+    a symbol outside [0, q).
     """
     y = tuple(y)
     check_word(y, q)
@@ -267,11 +260,8 @@ def brute_force_ml_star(y: Word, k: int, lengths=None, q: int = 2,
     if total > max_candidates:
         raise ValueError(f"window holds {total} candidates; refusing above "
                          f"{max_candidates}")
-    ball = []
-    for c in insertion_ball(y, k, q):
-        if code is not None and not _member(code, c):
-            continue
-        ball.append((c, embedding_number(c, y)))
+    ball = [(c, w) for c, w in insertion_ball_weights(y, k, q).items()
+            if code is None or code.is_member(c)]
     best = None
     best_score = None
     for L in lengths:
@@ -330,10 +320,8 @@ def two_del_lazy_en_gap(y: Word) -> int:
     y = tuple(y)
     n = len(y) + 2
     xh = decode_en(y, n - 1)
-    total = 0
-    for c in insertion_ball(y, 2, 2):
-        total += embedding_number(c, y) * (indel_distance(xh, c) - 2)
-    return total
+    return sum(e * (indel_distance(xh, c) - 2)
+               for c, e in insertion_ball_weights(y, 2, 2).items())
 
 
 def two_del_lazy_en_gap_fast(y: Word) -> int:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .channels import ChannelSpec, transmit_del, transmit_ins, transmit_kdel
 from .codes import make_code
-from .combinatorics import embedding_number, insertion_ball
+from .combinatorics import insertion_ball_weights
 from .decoders import (get_decoder, ml_star_2del, objective_f,
                        two_del_condition_poly, two_del_lazy_en_gap_fast)
 from .words import Word, indel_distance, runs
@@ -75,6 +75,8 @@ class ExperimentConfig:
             raise ValueError("channel p must be 0; p_grid sets it")
         if ch.kind == "ins" and ch.q != self.q:
             raise ValueError(f"ins channel q={ch.q} differs from q={self.q}")
+        if ch.kind == "kdel" and ch.k > self.n:
+            raise ValueError(f"kdel channel deletes k={ch.k} > n={self.n} symbols")
         make_code(self.code, self.n, self.q)  # rejects bad code params
         if not dec.coded and self.code.get("code", "all") != "all":
             raise ValueError(f"{self.decoder} decodes without a code; "
@@ -387,9 +389,9 @@ def sweep_brute_force_window(n: int) -> dict:
     length_violations = []
     mismatches = []
     for y in iproduct((0, 1), repeat=n - 2):
-        ball = insertion_ball(y, 2, 2)
+        ball = insertion_ball_weights(y, 2, 2)
         idx = np.array([int("".join(map(str, c)), 2) for c in ball], dtype=np.int64)
-        w = np.array([embedding_number(c, y) for c in ball], dtype=np.int64)
+        w = np.fromiter(ball.values(), dtype=np.int64, count=len(ball))
         scores = np.concatenate(
             [dist[k][:, idx].astype(np.int64) @ w for k in range(len(lengths))])
         best_idx = int(np.argmin(scores))  # first minimum: shortest, then lex
@@ -423,29 +425,23 @@ def _paper_grid() -> tuple:
 
 def figure_config(fig: str, scale: str = "desk", master_seed: int = 2024,
                   code: dict | None = None, q: int = 2) -> ExperimentConfig:
-    """Experiment configuration backing each reproduced figure."""
+    """Experiment configuration backing each reproduced figure; q and code
+    pass through, and the config rejects what does not fit."""
     if scale not in ("desk", "paper"):
         raise ValueError("scale must be 'desk' or 'paper'")
     desk = scale == "desk"
     trials = 20_000 if desk else 200_000
     grid = _desk_grid() if desk else _paper_grid()
-    if fig in ("fig1", "fig2"):
-        n = 150 if desk else 450
-        return ExperimentConfig(channel=ChannelSpec("del"), t=2, n=n, q=q,
-                                decoder="mld2del", p_grid=grid,
-                                trials_per_point=trials, master_seed=master_seed)
-    if fig == "fig3":
-        n = 150 if desk else 450
-        return ExperimentConfig(channel=ChannelSpec("del"), t=2, n=n, q=2,
-                                code=code or {"code": "all"}, decoder="mld2del",
-                                p_grid=grid, trials_per_point=trials,
-                                master_seed=master_seed)
+    if fig not in ("fig1", "fig2", "fig3", "fig5"):
+        raise ValueError(f"unknown figure {fig!r} (expected fig1, fig2, fig3, fig5)")
     if fig == "fig5":
-        n = 150 if desk else 500
-        return ExperimentConfig(channel=ChannelSpec("ins", q=2), t=2, n=n, q=2,
-                                decoder="mld2ins", p_grid=grid,
-                                trials_per_point=trials, master_seed=master_seed)
-    raise ValueError(f"unknown figure {fig!r} (expected fig1, fig2, fig3, fig5)")
+        n, channel, decoder = 150 if desk else 500, ChannelSpec("ins", q=q), "mld2ins"
+    else:
+        n, channel, decoder = 150 if desk else 450, ChannelSpec("del"), "mld2del"
+    return ExperimentConfig(channel=channel, t=2, n=n, q=q,
+                            code=code or {"code": "all"}, decoder=decoder,
+                            p_grid=grid, trials_per_point=trials,
+                            master_seed=master_seed)
 
 
 def reproduce_figure(fig: str, scale: str = "desk", workers: int | None = None,

@@ -23,6 +23,14 @@ def test_decode_subcommand(capsys):
     assert capsys.readouterr().out.strip() == "00000"
 
 
+def test_decode_rejects_bad_traces_without_traceback():
+    # a symbol outside the brute decoder's binary alphabet, a non-digit
+    with pytest.raises(SystemExit, match="out of range"):
+        main(["decode", "--decoder", "brute", "--k", "1", "0212"])
+    with pytest.raises(SystemExit, match="invalid literal"):
+        main(["decode", "--decoder", "en:1", "01a"])
+
+
 def test_decode_warns_when_truncated(capsys, monkeypatch):
     assert main(["decode", "--decoder", "mld2del", "010", "001"]) == 0
     assert capsys.readouterr().err == ""
@@ -70,7 +78,9 @@ def test_analyze_subcommand(tmp_path):
 
 def test_oracle_check_emb(capsys):
     assert main(["oracle-check", "emb", "--n", "5"]) == 0
-    assert "0 mismatches" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "embedding-number DP vs subset enumeration, |x| <= 5: 0 mismatches" in out
+    assert "weighted insertion ball vs subset enumeration, |y| + t <= 5: 0 mismatches" in out
 
 
 def test_oracle_check_1del(capsys):

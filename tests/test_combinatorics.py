@@ -3,11 +3,14 @@ from fractions import Fraction
 from itertools import product
 from math import comb, log2
 
+import pytest
+
 from indelkit.combinatorics import (deletion_ball, embedding_number,
                                     embedding_number_banded,
                                     embedding_number_bruteforce, insertion_ball,
-                                    insertion_ball_size, max_run_length_counts,
-                                    tau_of_space, tau_of_space_bruteforce)
+                                    insertion_ball_size, insertion_ball_weights,
+                                    max_run_length_counts, tau_of_space,
+                                    tau_of_space_bruteforce)
 from indelkit.words import is_subsequence, parse_word
 
 
@@ -78,7 +81,6 @@ class TestBalls:
         x = parse_word("0110")
         assert deletion_ball(x, 0) == (x,)
         assert deletion_ball(parse_word("0000"), 1) == (parse_word("000"),)
-        import pytest
         with pytest.raises(ValueError):
             deletion_ball(x, 5)
 
@@ -115,6 +117,38 @@ class TestBalls:
             n = rnd.randint(0, 7)
             x = tuple(rnd.randrange(3) for _ in range(n))
             assert len(insertion_ball(x, 2, 3)) == insertion_ball_size(n, 2, 3)
+
+
+class TestInsertionBallWeights:
+    def test_vs_literal_filter(self):
+        # the ball is every length-|y|+t word containing y, each weighted by
+        # its embedding number
+        for q, max_m, max_t in ((2, 6, 3), (3, 4, 2)):
+            for m in range(max_m + 1):
+                for y in product(range(q), repeat=m):
+                    for t in range(max_t + 1):
+                        literal = {c: embedding_number_bruteforce(c, y)
+                                   for c in product(range(q), repeat=m + t)
+                                   if is_subsequence(y, c)}
+                        assert insertion_ball_weights(y, t, q) == literal, (y, t)
+
+    def test_counts_sum(self):
+        rnd = random.Random(6)
+        for _ in range(60):
+            q = rnd.randint(2, 4)
+            y = tuple(rnd.randrange(q) for _ in range(rnd.randint(0, 9)))
+            t = rnd.randint(0, 3)
+            weights = insertion_ball_weights(y, t, q)
+            assert sum(weights.values()) == comb(len(y) + t, t) * q ** t
+            assert len(weights) == insertion_ball_size(len(y), t, q)
+
+    def test_radius_zero_and_negative(self):
+        assert insertion_ball_weights(parse_word("0110"), 0, 2) == {
+            parse_word("0110"): 1}
+        with pytest.raises(ValueError):
+            insertion_ball_weights(parse_word("01"), -1, 2)
+        with pytest.raises(ValueError):
+            insertion_ball(parse_word("01"), -1, 2)
 
 
 class TestTau:

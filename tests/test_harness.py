@@ -68,6 +68,9 @@ class TestConfig:
         with pytest.raises(ValueError):  # lazy takes no code
             small_cfg(**one, decoder="lazy", code={"code": "vt", "a": 0})
         small_cfg(**one, decoder="brute", code={"code": "vt", "a": 0})
+        with pytest.raises(ValueError):  # more deletions than symbols
+            small_cfg(channel=ChannelSpec("kdel", k=5), t=1, n=3, decoder="brute")
+        small_cfg(channel=ChannelSpec("kdel", k=3), t=1, n=3, decoder="brute")
 
 
 class TestRunExperiment:
@@ -306,6 +309,16 @@ class TestFigures:
         assert cfg.n == 450 and cfg.trials_per_point == 200_000
         cfg = figure_config("fig5", "paper")
         assert cfg.n == 500
+        # q and code pass through for every figure
+        assert figure_config("fig3", q=4).q == 4
+        cfg = figure_config("fig5", q=4)
+        assert cfg.q == 4 and cfg.channel == ChannelSpec("ins", q=4)
+        assert (figure_config("fig1", code={"code": "vt", "a": 0}).code
+                == {"code": "vt", "a": 0})
+        with pytest.raises(ValueError):  # the insertion decoder takes no code
+            figure_config("fig5", code={"code": "vt", "a": 0})
+        with pytest.raises(ValueError):  # VT codes are binary
+            figure_config("fig3", q=4, code={"code": "vt", "a": 0})
         with pytest.raises(ValueError):
             figure_config("fig4")
 
