@@ -114,6 +114,26 @@ def _cmd_oracle_check(args) -> int:
                         bad += 1
         print(f"SCS enumeration vs brute filter, |y1| <= {n}: {bad} mismatches")
         ok &= bad == 0
+    elif args.which == "mld2":
+        from itertools import product
+        from .decoders import (mld_two_del_detailed, mld_two_ins_detailed,
+                               mld_two_oracle)
+        words = [w for m in range(n + 1) for w in product((0, 1), repeat=m)]
+        bad = 0
+        for y1 in words:
+            for y2 in words:
+                for deletion, decode in ((True, mld_two_del_detailed),
+                                         (False, mld_two_ins_detailed)):
+                    want = mld_two_oracle(y1, y2, deletion)[0], False
+                    got = decode(y1, y2)
+                    if got != want:
+                        bad += 1
+                        print(f"  {decode.__name__} y1='{format_word(y1)}' "
+                              f"y2='{format_word(y2)}': {got} != {want}")
+        print(f"two-trace decoders vs enumerate-then-argmax, "
+              f"{len(words) ** 2} binary pairs with |y1|, |y2| <= {n}: "
+              f"{bad} mismatches")
+        ok &= bad == 0
     print("OK" if ok else "VIOLATIONS FOUND")
     return 0 if ok else 1
 
@@ -161,8 +181,8 @@ def _cmd_decode(args) -> int:
     except ValueError as exc:  # a bad trace, an unfit decoder or its refusal
         raise SystemExit(str(exc))
     if truncated:
-        print("warning: the candidate cap was hit; the output is the best "
-              "of the lexicographically first candidates only",
+        print("warning: the cap on scored candidates was hit with unpruned "
+              "candidates left; the output is the best of those scored",
               file=sys.stderr)
     print(format_word(out))
     return 0
@@ -191,7 +211,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_reproduce)
 
     p = sub.add_parser("oracle-check", help="exhaustive exact verification")
-    p.add_argument("which", choices=["1del", "2del", "scs", "emb"])
+    p.add_argument("which", choices=["1del", "2del", "scs", "emb", "mld2"])
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(fn=_cmd_oracle_check)
 

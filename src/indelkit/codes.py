@@ -69,6 +69,13 @@ class AllWordsCode:
     def is_member(self, w: Word) -> bool:
         return len(w) == self.n and all(0 <= s < self.q for s in w)
 
+    def prefix_state(self, state: int, i: int, sym: int) -> int:
+        """State of a prefix after appending sym at 1-based position i to a
+        prefix in `state` (0 for the empty prefix).  Two prefixes of one
+        length in the same state complete to members alike: here, whether a
+        symbol fell outside the alphabet."""
+        return state if 0 <= sym < self.q else 1
+
     def enumerate_words(self) -> tuple:
         if self.n * log2(self.q) > _ENUM_LIMIT:
             raise ValueError("space too large to enumerate")
@@ -97,6 +104,10 @@ class VtCode:
 
     def is_member(self, w: Word) -> bool:
         return len(w) == self.n and self.checksum(w) == self.a
+
+    def prefix_state(self, state: int, i: int, sym: int) -> int:
+        """As AllWordsCode.prefix_state: the checksum of the prefix."""
+        return (state + i * sym) % (self.n + 1)
 
     def _mask(self, bits: np.ndarray) -> np.ndarray:
         return (bits @ self._weights) % (self.n + 1) == self.a
@@ -186,6 +197,11 @@ class SvtCode:
             return False
         total = sum((i + 1) * s for i, s in enumerate(w))
         return total % self.P == self.a and sum(w) % 2 == self.b
+
+    def prefix_state(self, state: int, i: int, sym: int) -> int:
+        """As AllWordsCode.prefix_state: twice the prefix's weighted sum mod
+        P, plus its parity."""
+        return 2 * ((state // 2 + i * sym) % self.P) + (state + sym) % 2
 
     def _mask(self, bits: np.ndarray) -> np.ndarray:
         return (((bits @ self._weights) % self.P == self.a)

@@ -19,11 +19,13 @@ import warnings
 from dataclasses import dataclass
 from itertools import product
 from math import comb
+from operator import ge
 from typing import Callable
 
 from .combinatorics import (embedding_number, embedding_row_step, insertion_ball,
                             insertion_ball_weights)
-from .supersequences import DEFAULT_CAP, lcs_dag, scs_dag
+from .supersequences import (DEFAULT_CAP, enumerate_lcs, enumerate_scs,
+                             lcs_dag, scs_dag)
 from .words import Word, check_word, indel_distance, is_subsequence, runs
 
 
@@ -118,18 +120,31 @@ def _ins_row_step(prev, plo, i, sym, y, d, m):
     return row, i
 
 
-def _best_leaf(length: int, leaves, traces, deletion: bool,
-               member=None) -> tuple:
+def _best_leaf(length: int, walk, traces, deletion: bool, cap: int,
+               code=None) -> tuple:
     """(best, best_member, truncated) over the words of a lexicographic
     DAG walk (supersequences.scs_dag / lcs_dag).
 
     Scores Emb(x; y1) * Emb(x; y2) when deletion is set, else
     Emb(y1; x) * Emb(y2; x), and keeps the first strict maximum: the
     lexicographically smallest word of maximal score.  best_member is the
-    same over the words `member` accepts (None without `member`).  Each
-    trace keeps one banded DP row per depth of the current path, so a word
-    costs only the rows below its prefix shared with the previous word.  A
-    walk with a single word returns it unscored.
+    same over the codewords of `code` (None without `code`).  Each trace
+    keeps one banded DP row per depth of the current path, so a word or a
+    branching node costs only the rows below the prefix the walk kept.
+
+    Subtrees are pruned exactly.  The score of any word is a nonnegative
+    linear function of each trace's row at any depth of its path:
+    Emb(u.v; y) = sum_j Emb(u; y[:j]) * Emb(v; y[j:]), and the transposed
+    rows of the insertion form split the same way.  Every prefix reaching a
+    node of the DAG has the same length, so when an earlier prefix reached a
+    branching node with both rows entrywise >= the current prefix's rows,
+    each completion scores at least as much after the earlier,
+    lexicographically smaller prefix: the subtree holds no first strict
+    maximum and is skipped.  Each node keeps a Pareto front of the row
+    pairs that reached it, keyed also by the code's prefix state, so that
+    the two prefixes complete to codewords alike.  At most `cap` words are
+    scored; truncated tells that the budget ran out with edges not yet
+    taken.  A walk with a single word returns it unscored.
     """
     step = embedding_row_step if deletion else _ins_row_step
     per_trace = []
@@ -137,26 +152,56 @@ def _best_leaf(length: int, leaves, traces, deletion: bool,
         d = length - len(y) if deletion else len(y) - length
         first = [1] if deletion else [1] * (d + 1)
         per_trace.append((y, len(y), d, [(first, 0)]))
-    best = best_member = None
-    top = top_member = -1
-    more = False
-    for path, shared, more in leaves:
-        if best is None and not more:
-            word = tuple(path)
-            return word, word if member and member(word) else None, False
-        score = 1
+    (_, m1, _, rows1), (_, m2, _, rows2) = per_trace
+    states = [0]  # the code's prefix state per depth; 0 without a code
+    fronts: dict = {}  # (node, state) -> non-dominated (row1, row2) pairs
+
+    def extend(path, shared):
+        # bring the rows (and states) from depth `shared` to len(path)
         for y, m, d, rows in per_trace:
             del rows[shared + 1:]
             row, lo = rows[-1]
-            for i in range(len(rows), len(path) + 1):
+            for i in range(shared + 1, len(path) + 1):
                 row, lo = step(row, lo, i, path[i - 1], y, d, m)
                 rows.append((row, lo))
-            score *= row[m - lo]
+        if code is not None:
+            del states[shared + 1:]
+            state = states[-1]
+            for i in range(shared + 1, len(path) + 1):
+                state = code.prefix_state(state, i, path[i - 1])
+                states.append(state)
+
+    def skip(path, shared, node):
+        extend(path, shared)
+        r1, r2 = rows1[-1][0], rows2[-1][0]
+        front = fronts.setdefault((node, states[-1]), [])
+        for a1, a2 in front:
+            if all(map(ge, a1, r1)) and all(map(ge, a2, r2)):
+                return True
+        front[:] = [(a1, a2) for a1, a2 in front
+                    if not (all(map(ge, r1, a1)) and all(map(ge, r2, a2)))]
+        front.append((r1, r2))
+        return False
+
+    best = best_member = None
+    top = top_member = -1
+    scored = 0
+    more = False
+    for path, shared, more in walk(skip):
+        if best is None and not more:
+            word = tuple(path)
+            member = code is not None and code.is_member(word)
+            return word, word if member else None, False
+        extend(path, shared)
+        scored += 1
+        (row1, lo1), (row2, lo2) = rows1[-1], rows2[-1]
+        score = row1[m1 - lo1] * row2[m2 - lo2]
         if score > top:
             best, top = tuple(path), score
-        if member is not None and score > top_member and member(tuple(path)):
+        if (code is not None and score > top_member
+                and code.is_member(tuple(path))):
             best_member, top_member = tuple(path), score
-    return best, best_member, more
+    return best, best_member, more and scored == cap
 
 
 def mld_two_del_detailed(y1: Word, y2: Word, band=None,
@@ -166,9 +211,11 @@ def mld_two_del_detailed(y1: Word, y2: Word, band=None,
     argmax of Emb(x; y1) * Emb(x; y2) over all shortest common
     supersequences of the traces (exact integer products, ties to the
     lexicographically smallest word), scored in place along one
-    lexicographic walk of the SCS DAG; with a cap, over the first `cap`
-    supersequences, and truncated tells whether more exist.  `band` is
-    accepted but not needed (see supersequences).
+    lexicographic walk of the SCS DAG that skips the subtrees no maximum
+    can lie in (see _best_leaf).  `cap` is a budget on the words scored;
+    truncated tells that it ran out with unpruned subtrees left, and the
+    output is then the best of the words scored.  `band` is accepted but
+    not needed (see supersequences).
 
     With a `code`, the best candidate that is a codeword wins; if no
     candidate is a codeword and the candidates are one symbol short of the
@@ -185,10 +232,10 @@ def mld_two_del_detailed(y1: Word, y2: Word, band=None,
         member = (best if code is not None and length == code.n
                   and code.is_member(best) else None)
     else:
-        length, leaves = scs_dag(y1, y2, cap)
+        length, walk = scs_dag(y1, y2, cap)
         coded = code is not None and length == code.n
         best, member, truncated = _best_leaf(
-            length, leaves, (y1, y2), True, code.is_member if coded else None)
+            length, walk, (y1, y2), True, cap, code if coded else None)
     if member is not None:
         return member, truncated
     if (code is not None and length == code.n - 1
@@ -208,22 +255,43 @@ def mld_two_ins_detailed(y1: Word, y2: Word, band=None,
 
     argmax of Emb(y1; x) * Emb(y2; x) over all longest common subsequences
     (likelihood maximization, symmetric to the deletion case), scored along
-    one lexicographic walk of the next-occurrence LCS automaton; cap and
-    band as in mld_two_del_detailed.
+    one pruned lexicographic walk of the next-occurrence LCS automaton; cap
+    and band as in mld_two_del_detailed.
     """
     y1, y2 = tuple(y1), tuple(y2)
     if is_subsequence(y1, y2):
         return y1, False
     if is_subsequence(y2, y1):
         return y2, False
-    length, leaves = lcs_dag(y1, y2, cap)
-    best, _, truncated = _best_leaf(length, leaves, (y1, y2), False)
+    length, walk = lcs_dag(y1, y2, cap)
+    best, _, truncated = _best_leaf(length, walk, (y1, y2), False, cap)
     return best, truncated
 
 
 def decode_mld_two_ins(y1: Word, y2: Word, band=None,
                        cap: int = DEFAULT_CAP) -> Word:
     return mld_two_ins_detailed(y1, y2, band=band, cap=cap)[0]
+
+
+def mld_two_oracle(y1: Word, y2: Word, deletion: bool = True,
+                   code=None) -> tuple:
+    """Test oracle for _best_leaf: (best, best_member), the first strict
+    maximum of the embedding-number product over every word enumerate_scs
+    (deletion) or enumerate_lcs lists, scored one by one, and the same over
+    the words `code` accepts (None without a code)."""
+    res = enumerate_scs(y1, y2) if deletion else enumerate_lcs(y1, y2)
+    best = best_member = None
+    top = top_member = -1
+    for x in res.candidates:
+        if deletion:
+            score = embedding_number(x, y1) * embedding_number(x, y2)
+        else:
+            score = embedding_number(y1, x) * embedding_number(y2, x)
+        if score > top:
+            best, top = x, score
+        if code is not None and score > top_member and code.is_member(x):
+            best_member, top_member = x, score
+    return best, best_member
 
 
 def objective_f(y: Word, x: Word, k: int, code=None, q: int = 2) -> int:
@@ -349,7 +417,9 @@ def two_del_lazy_en_gap_fast(y: Word) -> int:
 class Decoder:
     """A named decoder: the number of traces it reads, the channel kinds it
     decodes and its function, fn(y, k) -> word for one trace and
-    fn(y1, y2, band=None, cap=DEFAULT_CAP) -> (word, truncated) for two.
+    fn(y1, y2, band=None, cap=DEFAULT_CAP) -> (word, truncated) for two,
+    where cap is a budget on the candidates scored and truncated tells that
+    it ran out before the pruned search did.
     A `coded` fn also takes code= (None for the whole space) and, with one
     trace, the alphabet size q=; every other decoder ignores the code, so
     configs give it code 'all'.  fast_1del(n, r, r_max), if set, is the

@@ -28,7 +28,7 @@ from .decoders import (get_decoder, ml_star_2del, objective_f,
                        two_del_condition_poly, two_del_lazy_en_gap_fast)
 from .words import Word, indel_distance, runs
 
-DEFAULT_TRIAL_CAP = 50_000  # SCS/LCS candidate cap per trial
+DEFAULT_TRIAL_CAP = 50_000  # SCS/LCS candidates scored per trial at most
 METRICS = ("levenshtein_rate", "failure_rate", "run_component", "alt_component")
 CSV_FIELDS = ["metric", "q", "n", "p", "t", "code", "decoder", "value",
               "stderr", "trials", "truncated_trials", "seed"]
@@ -77,6 +77,9 @@ class ExperimentConfig:
             raise ValueError(f"ins channel q={ch.q} differs from q={self.q}")
         if ch.kind == "kdel" and ch.k > self.n:
             raise ValueError(f"kdel channel deletes k={ch.k} > n={self.n} symbols")
+        # a kdel channel reads no p: a second grid point reruns the same law
+        if ch.kind == "kdel" and len(self.p_grid) != 1:
+            raise ValueError("a kdel channel takes a single p_grid point")
         make_code(self.code, self.n, self.q)  # rejects bad code params
         if not dec.coded and self.code.get("code", "all") != "all":
             raise ValueError(f"{self.decoder} decodes without a code; "

@@ -7,12 +7,14 @@ the next-occurrence LCS automaton (Greenberg, arXiv:cs/0301030).  Distinct
 paths therefore spell distinct words, and an explicit-stack depth-first
 walk that takes the edges in symbol order reaches them once each, in
 lexicographic order, without recursion.  A cap stops the walk after the
-first `cap` words and reports whether more exist.
+first `cap` words and reports whether more exist; a caller that scores the
+words may also skip subtrees at the branching nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .words import Word, lcs_bit_rows
 
@@ -58,31 +60,38 @@ def scs_length(y1: Word, y2: Word) -> int:
     return len(y1) + len(y2) - lcs_length(y1, y2)
 
 
-def _walk(descend, start, cap: int):
+def _walk(descend, start, cap: int, skip=None):
     """Depth-first walk of a deterministic DAG, edges in symbol order.
 
     descend(path, *node) follows the node's chain of single out-edges,
-    appending their symbols to `path`, and returns the out-edges
-    (symbol, child) of the first node with several, in increasing symbol
-    order, or none at a leaf.  At each of the first `cap` leaves, yields
-    (path, shared, more): the symbols along the path (a list the walk goes
-    on to change), the length of the prefix it shares with the previous
-    leaf, and whether another leaf follows.
+    appending their symbols to `path`, and returns (node, out): the node it
+    stops at and, if that node branches, its out-edges (symbol, child) in
+    increasing symbol order, else none.  At each branching node,
+    skip(path, shared, node), if given, may return true to skip the node's
+    subtree.  At each of the first `cap` leaves, yields (path, shared, more):
+    the symbols along the path (a list the walk goes on to change), and
+    whether edges not yet taken remain.  In both calls, shared is the length
+    of the prefix that the path kept since the previous branching node or
+    leaf.
     """
     path: list = []
     stack: list = []  # (depth, symbol, node) of the edges not yet taken
     node, shared, leaves = start, 0, 0
     while True:
-        out = descend(path, *node)
-        if out:
+        node, out = descend(path, *node)
+        if not out:
+            leaves += 1
+            yield path, shared, bool(stack)
+            if leaves == cap:
+                return
+        elif skip is None or not skip(path, shared, node):
+            shared = len(path)
             for sym, child in out[:0:-1]:
-                stack.append((len(path), sym, child))
+                stack.append((shared, sym, child))
             sym, node = out[0]
             path.append(sym)
             continue
-        leaves += 1
-        yield path, shared, bool(stack)
-        if not stack or leaves == cap:
+        if not stack:
             return
         shared, sym, node = stack.pop()
         del path[shared:]
@@ -95,8 +104,8 @@ def _check_cap(cap: int) -> None:
 
 
 def scs_dag(y1: Word, y2: Word, cap: int = DEFAULT_CAP) -> tuple:
-    """(length, leaves): the SCS length of y1 and y2 and a `_walk` over
-    their shortest common supersequences.
+    """(length, walk): the SCS length of y1 and y2 and walk(skip=None), a
+    `_walk` over their shortest common supersequences.
 
     A node is the pair (k1, k2) of unread suffix lengths.  When the next
     symbols agree, every shortest supersequence emits that symbol from both
@@ -131,18 +140,19 @@ def scs_dag(y1: Word, y2: Word, cap: int = DEFAULT_CAP) -> tuple:
                 k2 -= 1
                 continue
             if a < b:
-                return ((a, (k1 - 1, k2)), (b, (k1, k2 - 1)))
-            return ((b, (k1, k2 - 1)), (a, (k1 - 1, k2)))
+                return (k1, k2), ((a, (k1 - 1, k2)), (b, (k1, k2 - 1)))
+            return (k1, k2), ((b, (k1, k2 - 1)), (a, (k1 - 1, k2)))
         path.extend(y1[m1 - k1:])
         path.extend(y2[m2 - k2:])
-        return ()
+        return (k1, k2), ()
 
-    return m1 + m2 - rows[m1].bit_count(), _walk(descend, (m1, m2), cap)
+    return (m1 + m2 - rows[m1].bit_count(),
+            partial(_walk, descend, (m1, m2), cap))
 
 
 def lcs_dag(y1: Word, y2: Word, cap: int = DEFAULT_CAP) -> tuple:
-    """(length, leaves): the LCS length of y1 and y2 and a `_walk` over
-    their longest common subsequences.
+    """(length, walk): the LCS length of y1 and y2 and walk(skip=None), a
+    `_walk` over their longest common subsequences.
 
     A node is the pair (k1, k2) of unread suffix lengths.  Its edge for
     symbol c jumps past the next occurrence of c in both suffixes, kept
@@ -163,7 +173,7 @@ def lcs_dag(y1: Word, y2: Word, cap: int = DEFAULT_CAP) -> tuple:
             low1, low2 = (1 << k1) - 1, (1 << k2) - 1
             want = (rows[k1] & low2).bit_count() - 1
             if want < 0:
-                return ()
+                return (k1, k2), ()
             out = []
             for c in alphabet:
                 n1 = (occ1[c] & low1).bit_length() - 1
@@ -172,17 +182,17 @@ def lcs_dag(y1: Word, y2: Word, cap: int = DEFAULT_CAP) -> tuple:
                         and (rows[n1] & ((1 << n2) - 1)).bit_count() == want):
                     out.append((c, (n1, n2)))
             if len(out) > 1:
-                return out
+                return (k1, k2), out
             (c, (k1, k2)), = out
             path.append(c)
 
     m1, m2 = len(r1), len(r2)
-    return rows[m1].bit_count(), _walk(descend, (m1, m2), cap)
+    return rows[m1].bit_count(), partial(_walk, descend, (m1, m2), cap)
 
 
-def _collect(length: int, leaves) -> ScsResult:
+def _collect(length: int, walk) -> ScsResult:
     words, more = [], False
-    for path, _, more in leaves:
+    for path, _, more in walk():
         words.append(tuple(path))
     return ScsResult(length, tuple(words), more)
 

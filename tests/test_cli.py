@@ -96,6 +96,21 @@ def test_oracle_check_2del_reports_known_violations(capsys):
     assert "18 closed-form sign violations" in out
 
 
+def test_oracle_check_mld2(capsys):
+    assert main(["oracle-check", "mld2", "--n", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "3969 binary pairs with |y1|, |y2| <= 5: 0 mismatches" in out
+
+
+def test_oracle_check_mld2_reports_a_mismatch(capsys, monkeypatch):
+    import indelkit.decoders as decoders
+    monkeypatch.setattr(decoders, "mld_two_ins_detailed",
+                        lambda y1, y2: (tuple(y1), False))
+    assert main(["oracle-check", "mld2", "--n", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "<lambda> y1='0' y2='1'" in out and "VIOLATIONS FOUND" in out
+
+
 def test_reproduce_figure_tiny(tmp_path, capsys, monkeypatch):
     # shrink the desk config through the figure_config seams for a fast run
     import indelkit.harness as harness

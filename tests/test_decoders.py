@@ -4,16 +4,21 @@ from itertools import product
 
 import pytest
 
+from indelkit.channels import transmit_del
+from indelkit.codes import (AllWordsCode, SvtCode, VtCode,
+                            default_svt_window_modulus)
 from indelkit.combinatorics import embedding_number, insertion_ball
-from indelkit.decoders import (brute_force_ml_star, decode_en, decode_lazy,
-                               decode_ml_code, decode_mld_two_del,
+from indelkit.decoders import (_best_leaf, brute_force_ml_star, decode_en,
+                               decode_lazy, decode_ml_code, decode_mld_two_del,
                                decode_mld_two_ins, mld_two_del_detailed,
                                mld_two_ins_detailed,
-                               ml_star_1del, ml_star_2del, objective_f,
+                               ml_star_1del, ml_star_2del, mld_two_oracle,
+                               objective_f,
                                two_del_condition_poly, two_del_lazy_en_gap,
                                two_del_lazy_en_gap_fast)
-from indelkit.supersequences import (enumerate_lcs, enumerate_scs, lcs_length,
-                                     scs_length)
+from indelkit.harness import _stream_rng
+from indelkit.supersequences import (DEFAULT_CAP, enumerate_lcs, enumerate_scs,
+                                     lcs_dag, lcs_length, scs_dag, scs_length)
 from indelkit.words import indel_distance, is_subsequence, parse_word, runs
 
 
@@ -96,26 +101,6 @@ class TestMlCode:
         assert out == pw("000")  # lexicographic fallback
 
 
-def mld_del_bruteforce(y1, y2):
-    res = enumerate_scs(y1, y2)
-    best, best_s = None, -1
-    for x in res.candidates:
-        s = embedding_number(x, y1) * embedding_number(x, y2)
-        if s > best_s:
-            best, best_s = x, s
-    return best
-
-
-def mld_ins_bruteforce(y1, y2):
-    res = enumerate_lcs(y1, y2)
-    best, best_s = None, -1
-    for x in res.candidates:
-        s = embedding_number(y1, x) * embedding_number(y2, x)
-        if s > best_s:
-            best, best_s = x, s
-    return best
-
-
 class TestMldTwoDel:
     def test_reference_values(self):
         assert decode_mld_two_del(pw("00"), pw("00")) == pw("00")
@@ -128,14 +113,14 @@ class TestMldTwoDel:
                 for y1 in product((0, 1), repeat=m1):
                     for y2 in product((0, 1), repeat=m2):
                         assert decode_mld_two_del(y1, y2) == \
-                            mld_del_bruteforce(y1, y2)
+                            mld_two_oracle(y1, y2)[0]
 
     def test_vs_bruteforce_random(self):
         rnd = random.Random(8)
         for _ in range(200):
             y1 = tuple(rnd.randrange(2) for _ in range(rnd.randint(0, 8)))
             y2 = tuple(rnd.randrange(2) for _ in range(rnd.randint(0, 8)))
-            assert decode_mld_two_del(y1, y2) == mld_del_bruteforce(y1, y2)
+            assert decode_mld_two_del(y1, y2) == mld_two_oracle(y1, y2)[0]
 
     def test_output_is_common_supersequence(self):
         from indelkit.words import is_subsequence
@@ -213,6 +198,108 @@ class TestDagSearchVsLiteralArgmax:
             assert is_subsequence(out, z1) and is_subsequence(out, z2)
 
 
+def walk_pick(y1, y2, deletion=True, code=None):
+    """(best, best_member) of the pruned walk itself, before any shortcut
+    or code fallback of the decoders."""
+    length, walk = (scs_dag if deletion else lcs_dag)(y1, y2)
+    return _best_leaf(length, walk, (y1, y2), deletion, DEFAULT_CAP, code)[:2]
+
+
+def channel_pair(rnd, c, p):
+    return tuple(tuple(s for s in c if rnd.random() >= p) for _ in range(2))
+
+
+class TestPrunedWalkVsOracle:
+    # The pruned walk against mld_two_oracle, the literal first strict
+    # maximum of the embedding-number product over the full enumeration.
+
+    def test_binary_exhaustive(self):
+        words = [w for m in range(7) for w in product((0, 1), repeat=m)]
+        for y1 in words:
+            for y2 in words:
+                for deletion in (True, False):
+                    assert walk_pick(y1, y2, deletion) == mld_two_oracle(
+                        y1, y2, deletion), (y1, y2, deletion)
+
+    def test_random_channel_pairs(self):
+        rnd = random.Random(14)
+        for trial in range(300):
+            q = (2, 4)[trial % 2]
+            c = tuple(rnd.randrange(q) for _ in range(rnd.randint(1, 120)))
+            y1, y2 = channel_pair(rnd, c, rnd.uniform(0.0, 0.2))
+            assert mld_two_del_detailed(y1, y2) == (
+                mld_two_oracle(y1, y2)[0], False), (c, y1, y2)
+
+    @pytest.mark.parametrize("kind", ["vt", "svt"])
+    def test_coded(self, kind):
+        # Every VT residue (every SVT residue and parity) at the SCS length.
+        # The front is keyed by the code's prefix state, so the codeword
+        # pick stays exact where it differs from the unrestricted best.
+        rnd = random.Random(15)
+        picks_differ = 0
+        for _ in range(60 if kind == "vt" else 200):
+            c = tuple(rnd.randrange(2) for _ in range(rnd.randint(8, 40)))
+            y1, y2 = channel_pair(rnd, c, rnd.uniform(0.05, 0.3))
+            n = scs_length(y1, y2)
+            if kind == "vt":
+                codes = [VtCode(n, a) for a in range(n + 1)]
+            else:
+                P = default_svt_window_modulus(n)
+                codes = [SvtCode(n, a, P, b) for a in range(P) for b in (0, 1)]
+            for code in codes:
+                best, member = mld_two_oracle(y1, y2, code=code)
+                assert walk_pick(y1, y2, code=code) == (best, member), (
+                    y1, y2, code.a)
+                if member is not None:
+                    assert mld_two_del_detailed(y1, y2, code=code) == (
+                        member, False)
+                    picks_differ += member != best
+        assert picks_differ > 0
+
+    def test_cap_budgets_scored_words(self):
+        # a budget smaller than the number of SCS words truncates only
+        # when it runs out before the pruned walk does
+        rnd = random.Random(16)
+        saved = 0
+        for _ in range(200):
+            c = tuple(rnd.randrange(2) for _ in range(rnd.randint(4, 30)))
+            y1, y2 = channel_pair(rnd, c, 0.2)
+            words = enumerate_scs(y1, y2).candidates
+            for cap in (1, 2, 5):
+                out, truncated = mld_two_del_detailed(y1, y2, cap=cap)
+                if truncated:
+                    assert out in words
+                else:
+                    assert out == mld_two_oracle(y1, y2)[0]
+                    saved += len(words) > cap
+                if len(words) > 1 and cap == 1:
+                    assert truncated and out == words[0]
+        assert saved > 0
+
+    def test_paper_scale_pair_decodes_untruncated(self):
+        # q=2, n=900, Del(0.05), trial 5 of the harness streams at seed 2024:
+        # 172,800 SCS words, the most of the first 15 trials.  Scoring them
+        # one by one took over 20 s; the pruned walk takes about 2 s.
+        def trace(stream):
+            return transmit_del(c, 0.05, _stream_rng(2024, 0, 5, stream))
+
+        c = AllWordsCode(900).sample(_stream_rng(2024, 0, 5, 0))
+        y1, y2 = trace(1), trace(2)
+        out, truncated = mld_two_del_detailed(y1, y2)
+        assert not truncated
+        assert len(out) == scs_length(y1, y2) == 894
+        assert is_subsequence(y1, out) and is_subsequence(y2, out)
+
+        def score(x):
+            return embedding_number(x, y1) * embedding_number(x, y2)
+
+        # the codeword is 6 symbols longer than an SCS, so it is no
+        # candidate; the output beats the lexicographically first ones
+        top = score(out)
+        assert all(top >= score(x)
+                   for x in enumerate_scs(y1, y2, cap=40).candidates)
+
+
 class TestMldTwoIns:
     def test_reference_values(self):
         assert decode_mld_two_ins(pw("00"), pw("00")) == pw("00")
@@ -225,14 +312,15 @@ class TestMldTwoIns:
                 for y1 in product((0, 1), repeat=m1):
                     for y2 in product((0, 1), repeat=m2):
                         assert decode_mld_two_ins(y1, y2) == \
-                            mld_ins_bruteforce(y1, y2)
+                            mld_two_oracle(y1, y2, False)[0]
 
     def test_vs_bruteforce_random(self):
         rnd = random.Random(10)
         for _ in range(200):
             y1 = tuple(rnd.randrange(2) for _ in range(rnd.randint(0, 8)))
             y2 = tuple(rnd.randrange(2) for _ in range(rnd.randint(0, 8)))
-            assert decode_mld_two_ins(y1, y2) == mld_ins_bruteforce(y1, y2)
+            assert decode_mld_two_ins(y1, y2) == mld_two_oracle(
+                y1, y2, False)[0]
 
 
 class TestObjective:

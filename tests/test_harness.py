@@ -71,6 +71,8 @@ class TestConfig:
         with pytest.raises(ValueError):  # more deletions than symbols
             small_cfg(channel=ChannelSpec("kdel", k=5), t=1, n=3, decoder="brute")
         small_cfg(channel=ChannelSpec("kdel", k=3), t=1, n=3, decoder="brute")
+        with pytest.raises(ValueError):  # kdel reads no p: one law, two labels
+            small_cfg(**one, decoder="lazy", p_grid=(0.0, 0.3))
 
 
 class TestRunExperiment:
@@ -167,7 +169,8 @@ class TestRunExperiment:
         assert all(r["truncated_trials"] == "0" for r in got)
 
     def test_truncated_trials_reach_the_csv(self, tmp_path):
-        # a candidate cap of 1 truncates every trial with several SCS
+        # a budget of one scored candidate truncates every trial with
+        # several SCS
         res = run_experiment(small_cfg(trials_per_point=50, scs_cap=1,
                                        p_grid=(0.1,)), workers=1)
         truncated = res.points[0].truncated_trials
