@@ -18,6 +18,7 @@ from .decoders import (decode_lazy, decode_en, decode_ml_code,
                        two_del_condition_poly)
 from .codes import AllWordsCode, VtCode, SvtCode, DecodeFailure, make_code
 from .analysis import (TwoChannelFormulas, two_del_formulas, two_ins_formulas,
-                       coded_success_bounds, lazy_and_en_1del_analysis)
+                       coded_success_bounds, lazy_and_en_1del_analysis,
+                       lazy_1del_law, en1_1del_law)
 
 __version__ = "0.1.0"

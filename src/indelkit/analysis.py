@@ -74,12 +74,40 @@ def coded_success_bounds(q: int, p: float, n: int) -> dict:
     return {"uncoded": base, "vt": vt, "svt": svt}
 
 
+def lazy_1del_law(n: int) -> Fraction:
+    """Exact expected normalized distance of the lazy decoder (and of
+    mlstar1, which decodes the same) over the 1-deletion channel with the
+    whole binary space as the code: 1/n.
+
+    I_1(y) holds n + 1 words whose embedding numbers sum to 2n, each at
+    distance 1 from y, so every y in Sigma_2^(n-1) scores 2n and the total
+    n * 2^n is divided by 2^n * n * C(n, 1).
+    """
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    return Fraction(1, n)
+
+
+def en1_1del_law(n: int) -> Fraction:
+    """Exact expected normalized distance of the run-prolonging decoder en:1
+    over the 1-deletion channel with the whole binary space as the code:
+    (2n - 1 - tau(Sigma_2^(n-1))) / n^2.
+
+    Growing the first longest run of y gives the word x of I_1(y) with
+    Emb(x; y) = r_max + 1; x is at distance 2 from every other word of
+    I_1(y), whose embedding numbers sum to 2n - r_max - 1, so y scores
+    2 (2n - r_max - 1); summed over
+    Sigma_2^(n-1) that is 2^n (2n - 1 - tau(n-1)), divided by 2^n * n * n.
+    """
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    return (2 * n - 1 - tau_of_space(n - 1)) / (n * n)
+
+
 def lazy_and_en_1del_analysis(n: int) -> tuple:
     """Exact (lazy_err, en_lower_bound) for the 1-deletion channel over the
     whole binary space: lazy_err = 1/n and the run-prolonging decoder's
     expected normalized distance is at least (2/n)(1 - tau(Sigma_2^n)/n)."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    lazy_err = Fraction(1, n)
+    lazy_err = lazy_1del_law(n)
     en_lower = Fraction(2, n) * (1 - tau_of_space(n) / n)
     return lazy_err, en_lower

@@ -54,14 +54,13 @@ def _cmd_oracle_check(args) -> int:
     n = args.n
     ok = True
     if args.which == "1del":
-        from fractions import Fraction
-        lazy = exact_expected_distance("lazy", n, 1)
-        print(f"lazy expected normalized distance at n={n}: {lazy} "
-              f"(1/n = {Fraction(1, n)})")
-        ok &= lazy == Fraction(1, n)
-        en = exact_expected_distance("en:1", n, 1)
-        print(f"run-prolonging decoder at n={n}: {en} "
-              f"({'>' if en > lazy else '<='} lazy)")
+        for name, dec in DECODERS.items():
+            if dec.fast_1del is not None:
+                law = exact_expected_distance(name, n, 1)
+                enum = exact_expected_distance(name, n, 1, method="enumerate")
+                print(f"{name} at n={n}: law {law}, enumeration {enum}"
+                      f"{'' if law == enum else '  <- MISMATCH'}")
+                ok &= law == enum
     elif args.which == "2del":
         res = sweep_two_del_condition(n)
         print(f"n={n}: {len(res['violations'])} closed-form sign violations "
@@ -171,15 +170,12 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    try:
-        traces = [parse_word(t) for t in args.traces]
-        dec = get_decoder(args.decoder, len(traces))
-        if dec.traces == 1:
-            out, truncated = dec.fn(traces[0], args.k), False
-        else:
-            out, truncated = dec.fn(*traces)
-    except ValueError as exc:  # a bad trace, an unfit decoder or its refusal
-        raise SystemExit(str(exc))
+    traces = [parse_word(t) for t in args.traces]
+    dec = get_decoder(args.decoder, len(traces))
+    if dec.traces == 1:
+        out, truncated = dec.fn(traces[0], args.k), False
+    else:
+        out, truncated = dec.fn(*traces)
     if truncated:
         print("warning: the cap on scored candidates was hit with unpruned "
               "candidates left; the output is the best of those scored",
@@ -232,7 +228,10 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_decode)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ValueError as exc:  # bad input or a refusal: one line, exit code 1
+        raise SystemExit(str(exc))
 
 
 if __name__ == "__main__":

@@ -22,11 +22,14 @@ from math import comb
 from operator import ge
 from typing import Callable
 
+from .analysis import en1_1del_law, lazy_1del_law
 from .combinatorics import (embedding_number, embedding_row_step, insertion_ball,
                             insertion_ball_weights)
 from .supersequences import (DEFAULT_CAP, enumerate_lcs, enumerate_scs,
                              lcs_dag, scs_dag)
 from .words import Word, check_word, indel_distance, is_subsequence, runs
+
+BRUTE_MAX_CANDIDATES = 2 ** 21  # brute_force_ml_star refuses larger windows
 
 
 def decode_lazy(y: Word) -> Word:
@@ -308,26 +311,21 @@ def objective_f(y: Word, x: Word, k: int, code=None, q: int = 2) -> int:
                if code is None or code.is_member(c))
 
 
-def brute_force_ml_star(y: Word, k: int, lengths=None, q: int = 2,
-                        code=None, max_candidates: int = 2 ** 21) -> Word:
-    """Global argmin of the exact objective over every word in a length
-    window (default [|y|, |y|+k+1]); ties minimal length then lexicographic.
+def brute_force_ml_star(y: Word, k: int, q: int = 2, code=None) -> Word:
+    """Global argmin of the exact objective over every word of length in
+    [|y|, |y|+k+1]; ties minimal length then lexicographic.
 
     This is the enumeration oracle for the optimal decoder; it refuses
-    (ValueError) windows with more than max_candidates words and any y with
-    a symbol outside [0, q).
+    (ValueError) windows with more than BRUTE_MAX_CANDIDATES words and any
+    y with a symbol outside [0, q).
     """
     y = tuple(y)
     check_word(y, q)
-    if lengths is None:
-        lengths = range(len(y), len(y) + k + 2)
-    lengths = sorted(set(lengths))
-    if lengths and (lengths[0] < len(y) or lengths[-1] > len(y) + k + 1):
-        raise ValueError("lengths must lie within [|y|, |y|+k+1]")
+    lengths = range(len(y), len(y) + k + 2)
     total = sum(q ** L for L in lengths)
-    if total > max_candidates:
+    if total > BRUTE_MAX_CANDIDATES:
         raise ValueError(f"window holds {total} candidates; refusing above "
-                         f"{max_candidates}")
+                         f"{BRUTE_MAX_CANDIDATES}")
     ball = [(c, w) for c, w in insertion_ball_weights(y, k, q).items()
             if code is None or code.is_member(c)]
     best = None
@@ -422,10 +420,9 @@ class Decoder:
     it ran out before the pruned search did.
     A `coded` fn also takes code= (None for the whole space) and, with one
     trace, the alphabet size q=; every other decoder ignores the code, so
-    configs give it code 'all'.  fast_1del(n, r, r_max), if set, is the
-    exact sum of d_L(fn(y, 1), c) * Emb(c; y) over all y in Sigma_2^(n-1)
-    and c in I_1(y), from the numpy arrays of the run counts and longest
-    runs of y.
+    configs give it code 'all'.  fast_1del(n), if set, is the decoder's
+    exact 1-deletion law from analysis: its expected normalized distance
+    over the whole binary space, a Fraction, for n >= 2.
     """
 
     traces: int
@@ -435,26 +432,16 @@ class Decoder:
     coded: bool = False
 
 
-# I_1(y) holds n + 1 words whose embedding numbers sum to 2n.  The unchanged
-# output is at distance 1 from each; growing the first longest run gives a
-# word at distance 0 from itself (Emb = r_max + 1) and 2 from the rest.
-def _lazy_1del(n, r, r_max):
-    return 2 * n * len(r)
-
-
-def _en1_1del(n, r, r_max):
-    return int((2 * (2 * n - r_max - 1)).sum())
-
-
 _DEL_KINDS = ("del", "kdel")
 DECODERS = {
     "lazy": Decoder(1, ("del", "ins", "kdel"), lambda y, k: decode_lazy(y),
-                    _lazy_1del),
+                    lazy_1del_law),
     "en:0": Decoder(1, _DEL_KINDS, lambda y, k: decode_en(y, len(y))),
     "en:1": Decoder(1, _DEL_KINDS, lambda y, k: decode_en(y, len(y) + 1),
-                    _en1_1del),
+                    en1_1del_law),
     "en:2": Decoder(1, _DEL_KINDS, lambda y, k: decode_en(y, len(y) + 2)),
-    "mlstar1": Decoder(1, _DEL_KINDS, lambda y, k: ml_star_1del(y), _lazy_1del),
+    "mlstar1": Decoder(1, _DEL_KINDS, lambda y, k: ml_star_1del(y),
+                       lazy_1del_law),
     "mlstar2": Decoder(1, _DEL_KINDS, lambda y, k: ml_star_2del(y)),
     "brute": Decoder(1, ("kdel",), brute_force_ml_star, coded=True),
     "mld2del": Decoder(2, ("del",), mld_two_del_detailed, coded=True),

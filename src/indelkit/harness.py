@@ -265,28 +265,6 @@ def write_rows_csv(rows: list, path: str, fields: list) -> None:
 # exact enumeration evaluators (1-Del and 2-Del channels, binary)
 
 
-def _all_words_run_stats(m: int) -> tuple:
-    """(run_count, max_run) int64 arrays over all 2^m binary words of
-    length m, via vectorized bit tricks."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    x = np.arange(1 << m, dtype=np.uint64)
-    if m == 1:
-        return np.ones(2, dtype=np.int64), np.ones(2, dtype=np.int64)
-    mask = np.uint64((1 << (m - 1)) - 1)
-    diff = (x ^ (x >> np.uint64(1))) & mask       # adjacent symbols differ
-    r = 1 + np.bitwise_count(diff).astype(np.int64)
-    same = (~diff) & mask                         # adjacent symbols equal
-    r_max = np.ones(1 << m, dtype=np.int64)
-    t = same.copy()
-    length = 0
-    while t.any():
-        length += 1
-        np.maximum(r_max, length + 1, out=r_max, where=t != 0)
-        t &= t >> np.uint64(1)
-    return r, r_max
-
-
 def exact_expected_distance(decoder: str, n: int, k: int = 1,
                             method: str = "auto") -> Fraction:
     """Exact expected normalized indel distance of a one-trace decoder over
@@ -294,16 +272,15 @@ def exact_expected_distance(decoder: str, n: int, k: int = 1,
 
     Averages d_L(decoder(y), c) / n over all codewords c and channel
     outputs y, weighted by Emb(c; y) / C(n, k).  For k = 1 with a decoder
-    that has a run-structure fast path (lazy, mlstar1, en:1) it covers the
-    criterion sizes (n <= 20); `method="enumerate"` forces the literal
-    double loop used to validate it.
+    that has an exact 1-deletion law in analysis (lazy, mlstar1, en:1) it
+    returns the law, for any n >= 2; `method="enumerate"` forces the
+    literal double loop used to validate it.
     """
+    if method not in ("auto", "enumerate"):
+        raise ValueError(f"method must be 'auto' or 'enumerate', not {method!r}")
     dec = get_decoder(decoder, 1, "kdel")
-    if k == 1 and method != "enumerate" and dec.fast_1del is not None:
-        if n < 2 or n > 26:
-            raise ValueError("fast path supports 2 <= n <= 26")
-        r, r_max = _all_words_run_stats(n - 1)
-        return Fraction(dec.fast_1del(n, r, r_max), (2 ** n) * n * comb(n, 1))
+    if k == 1 and method == "auto" and dec.fast_1del is not None:
+        return dec.fast_1del(n)
     return _exact_enumerate(dec.fn, n, k)
 
 

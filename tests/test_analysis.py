@@ -3,7 +3,8 @@ from math import exp
 
 import pytest
 
-from indelkit.analysis import (coded_success_bounds, lazy_and_en_1del_analysis,
+from indelkit.analysis import (coded_success_bounds, en1_1del_law,
+                               lazy_1del_law, lazy_and_en_1del_analysis,
                                two_del_formulas, two_ins_formulas)
 
 
@@ -84,3 +85,15 @@ class TestLazyEnAnalysis:
         for n in range(17, 26):
             lazy, en_bound = lazy_and_en_1del_analysis(n)
             assert en_bound > lazy
+
+
+class TestOneDeletionLaws:
+    def test_en_exceeds_lazy_beyond_two(self):
+        assert en1_1del_law(2) == lazy_1del_law(2)
+        for n in range(3, 64):
+            assert en1_1del_law(n) > lazy_1del_law(n)
+
+    def test_rejects_short_words(self):
+        for law in (lazy_1del_law, en1_1del_law):
+            with pytest.raises(ValueError):
+                law(1)

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
+import indelkit
 from indelkit.cli import main
 from indelkit.decoders import DECODERS
 
@@ -83,10 +88,42 @@ def test_oracle_check_emb(capsys):
     assert "weighted insertion ball vs subset enumeration, |y| + t <= 5: 0 mismatches" in out
 
 
+@pytest.mark.filterwarnings("ignore:lazy decoding is only proven optimal")
 def test_oracle_check_1del(capsys):
     assert main(["oracle-check", "1del", "--n", "9"]) == 0
     out = capsys.readouterr().out
-    assert "1/9" in out and "OK" in out
+    assert "lazy at n=9: law 1/9, enumeration 1/9" in out
+    assert "en:1 at n=9: law 437/2592, enumeration 437/2592" in out
+    assert "mlstar1 at n=9: law 1/9, enumeration 1/9" in out
+    assert "OK" in out
+
+
+@pytest.mark.filterwarnings("ignore:lazy decoding is only proven optimal")
+def test_oracle_check_1del_reports_a_wrong_law(capsys, monkeypatch):
+    wrong = replace(DECODERS["en:1"], fast_1del=lambda n: Fraction(1, n))
+    monkeypatch.setitem(DECODERS, "en:1", wrong)
+    assert main(["oracle-check", "1del", "--n", "6"]) == 1
+    out = capsys.readouterr().out
+    assert "en:1 at n=6: law 1/6, enumeration 133/576  <- MISMATCH" in out
+    assert "VIOLATIONS FOUND" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--q", "2", "--n", "10", "--p", "0"],
+    ["oracle-check", "1del", "--n", "1"],
+    ["oracle-check", "2del", "--n", "2"],
+    ["decode", "--decoder", "en:1", "01a"],
+    ["simulate", "--config", os.devnull, "--out", os.devnull],
+    ["reproduce-figure", "fig1", "--seed", "-1", "--workers", "1"],
+])
+def test_value_errors_exit_with_one_line(argv):
+    src = os.path.dirname(os.path.dirname(indelkit.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    res = subprocess.run([sys.executable, "-m", "indelkit.cli", *argv],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 1
+    assert len(res.stderr.splitlines()) == 1
+    assert "Traceback" not in res.stderr
 
 
 def test_oracle_check_2del_reports_known_violations(capsys):

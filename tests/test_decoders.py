@@ -368,12 +368,6 @@ class TestBruteForce:
             out = brute_force_ml_star(y, 1)
             assert objective_f(y, out, 1) <= objective_f(y, y, 1)
 
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            brute_force_ml_star(pw("010"), 1, lengths=[2])
-        with pytest.raises(ValueError):
-            brute_force_ml_star(pw("010"), 1, lengths=[6])
-
     def test_refuses_infeasible(self):
         with pytest.raises(ValueError):
             brute_force_ml_star((0,) * 24, 2)

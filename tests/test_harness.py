@@ -9,7 +9,7 @@ import pytest
 
 import indelkit.harness as harness
 from indelkit.channels import ChannelSpec
-from indelkit.decoders import get_decoder, ml_star_2del
+from indelkit.decoders import DECODERS, get_decoder, ml_star_2del
 from indelkit.harness import (CSV_FIELDS, AggregateResult, ExperimentConfig,
                               _lcs_rows_vs_word, _trial_components,
                               exact_expected_distance,
@@ -241,11 +241,31 @@ class TestExactExpectedDistance:
         for n in range(5, 13):
             assert exact_expected_distance("lazy", n, 1) == Fraction(1, n)
 
+    @pytest.mark.filterwarnings("ignore:lazy decoding is only proven optimal")
     def test_fast_equals_enumeration(self):
-        for n in (6, 9, 12):
-            for dec in ("lazy", "en:1"):
+        laws = [name for name, dec in DECODERS.items()
+                if dec.fast_1del is not None]
+        assert laws == ["lazy", "en:1", "mlstar1"]
+        for n in range(2, 13):
+            for dec in laws:
                 assert (exact_expected_distance(dec, n, 1)
                         == exact_expected_distance(dec, n, 1, method="enumerate"))
+
+    def test_en1_law_pinned(self):
+        # the values of the former all-words run-statistics pass
+        assert exact_expected_distance("en:1", 17, 1) == Fraction(939195, 9469952)
+        assert exact_expected_distance("en:1", 18, 1) == Fraction(2003743, 21233664)
+        assert exact_expected_distance("en:1", 26, 1) == Fraction(772088413,
+                                                                  11341398016)
+
+    def test_laws_beyond_enumeration(self):
+        en = exact_expected_distance("en:1", 40, 1)
+        assert isinstance(en, Fraction) and en > Fraction(1, 40)
+        assert exact_expected_distance("lazy", 40, 1) == Fraction(1, 40)
+
+    def test_rejects_unknown_method(self):
+        with pytest.raises(ValueError, match="method"):
+            exact_expected_distance("lazy", 6, 1, method="literal")
 
     def test_en_vs_analysis_bound(self):
         from indelkit.analysis import lazy_and_en_1del_analysis
