@@ -67,6 +67,97 @@ def embedding_number(x: Word, y: Word) -> int:
 embedding_number_banded = embedding_number
 
 
+class EmbeddingLanes:
+    """Banded embedding rows of length-`length` words x over [0, q) against
+    the trace y, each row one int of d + 1 lanes of `width` bits.
+
+    Deletion form (x a supersequence of y, d = length - |y|): lane k of row
+    i holds Emb(x[:i]; y[:j]) at j = i - d + k (0 off [0, |y|]), and the
+    step is row = (row >> width) + (row & mask).  Insertion form (x a
+    subsequence of y, d = |y| - length): lane k of row i holds
+    Emb(y[:i + k]; x[:i]), and the step is the transposed running sum
+    along y, a lane prefix sum: row = ((row & mask) * ones) & band.  The
+    mask of row i and symbol c fills lane k where y matches c at the cell's
+    new index.  Every cell, and every partial lane sum of the product, is
+    at most comb(N, min(d, N // 2)) with N = length (deletion) or |y|
+    (insertion), and `width` is that bound's bit length plus one, so no
+    step carries between lanes and the top bit of each lane, set in
+    `guard`, stays clear; one subtraction then compares two rows lane by
+    lane (dominates).  The masks are built once per row, each a shift of
+    the row above's, as the rows first need them.
+    """
+
+    def __init__(self, y: Word, length: int, deletion: bool, q: int):
+        m = len(y)
+        d = length - m if deletion else m - length
+        if d < 0:
+            raise ValueError(f"no {'deletion' if deletion else 'insertion'} "
+                             f"band for |y| = {m} and length {length}")
+        n = length if deletion else m
+        self.d, self.deletion, self._y = d, deletion, tuple(y)
+        self.width = w = comb(n, min(d, n // 2)).bit_length() + 1
+        self.band = (1 << (d + 1) * w) - 1
+        self.ones = self.band // ((1 << w) - 1)
+        self.guard = self.ones << (w - 1)
+        self._lane = (1 << w) - 1
+        self._top = self._lane << d * w
+        self._shift = 0 if deletion else d * w  # the lane of the full count
+        # the y index (1-based) entering the top lane at row i is i + lag
+        self._lag = 0 if deletion else d
+        self.first = 1 << d * w if deletion else self.ones
+        masks = [0] * q  # row 0's: only insertion lanes 1..d meet y, at y[:d]
+        for k in range(1, self._lag + 1):
+            masks[y[k - 1]] |= self._lane << k * w
+        self._masks = [[mk] for mk in masks]  # per symbol, per row
+
+    def _grow(self, end: int) -> None:
+        """Append the masks of the rows up to `end`: each row's are the row
+        above's shifted down one lane, with y's new index in the top lane."""
+        w, top, lag = self.width, self._top, self._lag
+        start = len(self._masks[0])
+        # y's symbol entering the top lane per new row; -1 past y's end
+        new = self._y[start + lag - 1:end + lag]
+        new += (-1,) * (end + 1 - start - len(new))
+        for c, masks in enumerate(self._masks):
+            mk = masks[-1]
+            ap = masks.append
+            for s in new:
+                mk >>= w
+                if s == c:
+                    mk |= top
+                ap(mk)
+
+    def extend(self, rows: list, path, start: int) -> None:
+        """Cut `rows` (row i at index i) back to row `start` and append the
+        rows of path[start:], one big-int step each."""
+        del rows[start + 1:]
+        end = len(path)
+        masks = self._masks
+        if len(masks[0]) <= end:
+            self._grow(end)
+        row = rows[-1]
+        ap = rows.append
+        if self.deletion:
+            w = self.width
+            for i in range(start + 1, end + 1):
+                row = (row >> w) + (row & masks[path[i - 1]][i])
+                ap(row)
+        else:
+            ones, band = self.ones, self.band
+            for i in range(start + 1, end + 1):
+                row = ((row & masks[path[i - 1]][i]) * ones) & band
+                ap(row)
+
+    def count(self, row: int) -> int:
+        """Emb(x; y) (deletion) or Emb(y; x) (insertion) from the full row."""
+        return (row >> self._shift) & self._lane
+
+    def dominates(self, a: int, r: int) -> bool:
+        """Whether every lane of row a is >= the same lane of row r: each
+        lane of (a | guard) - r keeps its guard bit iff it does not borrow."""
+        return ((a | self.guard) - r) & self.guard == self.guard
+
+
 def embedding_number_bruteforce(x: Word, y: Word) -> int:
     """Oracle: count embeddings by explicit recursion over index choices."""
     from itertools import combinations

@@ -19,11 +19,10 @@ import warnings
 from dataclasses import dataclass
 from itertools import product
 from math import comb
-from operator import ge
 from typing import Callable
 
 from .analysis import en1_1del_law, lazy_1del_law
-from .combinatorics import (embedding_number, embedding_row_step, insertion_ball,
+from .combinatorics import (EmbeddingLanes, embedding_number, insertion_ball,
                             insertion_ball_weights)
 from .supersequences import (DEFAULT_CAP, enumerate_lcs, enumerate_scs,
                              lcs_dag, scs_dag)
@@ -108,21 +107,6 @@ def decode_ml_code(y: Word, code) -> Word:
     return best
 
 
-def _ins_row_step(prev, plo, i, sym, y, d, m):
-    """Next banded row of Emb(y[:i']; x[:i]) over i' in [i, i + d] after
-    appending x_i = sym, with d = |y| - |x|: the transposed recurrence of
-    embedding_row_step, a running sum along y.  Returns (row, i)."""
-    run = 0
-    row = []
-    ap = row.append
-    base = i - 1 - plo  # prev index of i' - 1 at i' = i
-    for off in range(d + 1):
-        if y[i + off - 1] == sym:
-            run += prev[base + off]
-        ap(run)
-    return row, i
-
-
 def _best_leaf(length: int, walk, traces, deletion: bool, cap: int,
                code=None) -> tuple:
     """(best, best_member, truncated) over the words of a lexicographic
@@ -133,40 +117,43 @@ def _best_leaf(length: int, walk, traces, deletion: bool, cap: int,
     lexicographically smallest word of maximal score.  best_member is the
     same over the codewords of `code` (None without `code`).  Each trace
     keeps one banded DP row per depth of the current path, so a word or a
-    branching node costs only the rows below the prefix the walk kept.
+    branching node costs only the rows below the prefix the walk kept.  A
+    row is one int (combinatorics.EmbeddingLanes): the band's d + 1 cells
+    in lanes of comb(N, min(d, N // 2)).bit_length() + 1 bits, N = length
+    for deletions and |y| for insertions, a bound no cell exceeds, so one
+    shift-and-add (deletion) or mask-and-multiply (insertion) per symbol
+    steps the whole row without a carry between lanes, and the score reads
+    one lane.
 
     Subtrees are pruned exactly.  The score of any word is a nonnegative
     linear function of each trace's row at any depth of its path:
     Emb(u.v; y) = sum_j Emb(u; y[:j]) * Emb(v; y[j:]), and the transposed
     rows of the insertion form split the same way.  Every prefix reaching a
     node of the DAG has the same length, so when an earlier prefix reached a
-    branching node with both rows entrywise >= the current prefix's rows,
-    each completion scores at least as much after the earlier,
-    lexicographically smaller prefix: the subtree holds no first strict
-    maximum and is skipped.  Each node keeps a Pareto front of the row
-    pairs that reached it, keyed also by the code's prefix state, so that
-    the two prefixes complete to codewords alike.  At most `cap` words are
-    scored; truncated tells that the budget ran out with edges not yet
-    taken.  A walk with a single word returns it unscored.
+    branching node with both rows lane by lane >= the current prefix's rows
+    (one subtraction per row, EmbeddingLanes.dominates), each completion
+    scores at least as much after the earlier, lexicographically smaller
+    prefix: the subtree holds no first strict maximum and is skipped.  Each
+    node keeps a Pareto front of the row pairs that reached it, keyed also
+    by the code's prefix state, so that the two prefixes complete to
+    codewords alike.  At most `cap` words are scored; truncated tells that
+    the budget ran out with edges not yet taken.  A walk with a single word
+    returns it unscored, before any row is built.
     """
-    step = embedding_row_step if deletion else _ins_row_step
-    per_trace = []
-    for y in traces:
-        d = length - len(y) if deletion else len(y) - length
-        first = [1] if deletion else [1] * (d + 1)
-        per_trace.append((y, len(y), d, [(first, 0)]))
-    (_, m1, _, rows1), (_, m2, _, rows2) = per_trace
+    q = 1 + max(max(y, default=0) for y in traces)
+    lanes: list = []  # one EmbeddingLanes per trace, made by the first extend
+    rows1, rows2 = [], []  # the packed row per depth of the current path
     states = [0]  # the code's prefix state per depth; 0 without a code
     fronts: dict = {}  # (node, state) -> non-dominated (row1, row2) pairs
 
     def extend(path, shared):
         # bring the rows (and states) from depth `shared` to len(path)
-        for y, m, d, rows in per_trace:
-            del rows[shared + 1:]
-            row, lo = rows[-1]
-            for i in range(shared + 1, len(path) + 1):
-                row, lo = step(row, lo, i, path[i - 1], y, d, m)
-                rows.append((row, lo))
+        if not lanes:
+            for y, rows in zip(traces, (rows1, rows2)):
+                lanes.append(EmbeddingLanes(y, length, deletion, q))
+                rows.append(lanes[-1].first)
+        lanes[0].extend(rows1, path, shared)
+        lanes[1].extend(rows2, path, shared)
         if code is not None:
             del states[shared + 1:]
             state = states[-1]
@@ -176,13 +163,15 @@ def _best_leaf(length: int, walk, traces, deletion: bool, cap: int,
 
     def skip(path, shared, node):
         extend(path, shared)
-        r1, r2 = rows1[-1][0], rows2[-1][0]
+        r1, r2 = rows1[-1], rows2[-1]
+        lanes1, lanes2 = lanes
         front = fronts.setdefault((node, states[-1]), [])
         for a1, a2 in front:
-            if all(map(ge, a1, r1)) and all(map(ge, a2, r2)):
+            if lanes1.dominates(a1, r1) and lanes2.dominates(a2, r2):
                 return True
         front[:] = [(a1, a2) for a1, a2 in front
-                    if not (all(map(ge, r1, a1)) and all(map(ge, r2, a2)))]
+                    if not (lanes1.dominates(r1, a1)
+                            and lanes2.dominates(r2, a2))]
         front.append((r1, r2))
         return False
 
@@ -197,8 +186,7 @@ def _best_leaf(length: int, walk, traces, deletion: bool, cap: int,
             return word, word if member else None, False
         extend(path, shared)
         scored += 1
-        (row1, lo1), (row2, lo2) = rows1[-1], rows2[-1]
-        score = row1[m1 - lo1] * row2[m2 - lo2]
+        score = lanes[0].count(rows1[-1]) * lanes[1].count(rows2[-1])
         if score > top:
             best, top = tuple(path), score
         if (code is not None and score > top_member

@@ -88,7 +88,7 @@ def test_oracle_check_emb(capsys):
     assert "weighted insertion ball vs subset enumeration, |y| + t <= 5: 0 mismatches" in out
 
 
-@pytest.mark.filterwarnings("ignore:lazy decoding is only proven optimal")
+@pytest.mark.filterwarnings("error::UserWarning")
 def test_oracle_check_1del(capsys):
     assert main(["oracle-check", "1del", "--n", "9"]) == 0
     out = capsys.readouterr().out
@@ -98,7 +98,19 @@ def test_oracle_check_1del(capsys):
     assert "OK" in out
 
 
-@pytest.mark.filterwarnings("ignore:lazy decoding is only proven optimal")
+def test_oracle_check_1del_report_holds_no_warning():
+    # n = 6 is below mlstar1's proven range, where a direct call warns
+    src = os.path.dirname(os.path.dirname(indelkit.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    res = subprocess.run([sys.executable, "-m", "indelkit.cli", "oracle-check",
+                          "1del", "--n", "6"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0
+    assert "mlstar1 at n=6: law 1/6, enumeration 1/6" in res.stdout
+    assert "Warning" not in res.stdout and res.stderr == ""
+
+
+@pytest.mark.filterwarnings("error::UserWarning")
 def test_oracle_check_1del_reports_a_wrong_law(capsys, monkeypatch):
     wrong = replace(DECODERS["en:1"], fast_1del=lambda n: Fraction(1, n))
     monkeypatch.setitem(DECODERS, "en:1", wrong)
@@ -112,6 +124,10 @@ def test_oracle_check_1del_reports_a_wrong_law(capsys, monkeypatch):
     ["analyze", "--q", "2", "--n", "10", "--p", "0"],
     ["oracle-check", "1del", "--n", "1"],
     ["oracle-check", "2del", "--n", "2"],
+    ["oracle-check", "emb", "--n", "0"],
+    ["oracle-check", "scs", "--n", "-1"],
+    ["oracle-check", "mld2", "--n", "-1"],
+    ["oracle-check", "mld2", "--n", "0"],
     ["decode", "--decoder", "en:1", "01a"],
     ["simulate", "--config", os.devnull, "--out", os.devnull],
     ["reproduce-figure", "fig1", "--seed", "-1", "--workers", "1"],

@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import comb, log2
+from operator import ge
 
 import pytest
 
-from indelkit.combinatorics import (deletion_ball, embedding_number,
+from indelkit.combinatorics import (EmbeddingLanes, deletion_ball,
+                                    embedding_number,
                                     embedding_number_banded,
                                     embedding_number_bruteforce, insertion_ball,
                                     insertion_ball_size, insertion_ball_weights,
@@ -69,6 +72,159 @@ class TestEmbeddingNumber:
         # 80 zeros embed every shorter all-zero word C(80, k) times
         x = (0,) * 80
         assert embedding_number(x, (0,) * 40) == comb(80, 40)
+
+
+emb = lru_cache(maxsize=None)(embedding_number)  # cleared after each test
+
+
+def unpack(lanes, row):
+    mask = (1 << lanes.width) - 1
+    return [(row >> k * lanes.width) & mask for k in range(lanes.d + 1)]
+
+
+def pack(lanes, cells):
+    return sum(v << k * lanes.width for k, v in enumerate(cells))
+
+
+def check_rows(lanes, y, x, rows, start=0):
+    """Every lane of the packed rows[start:] of x against y equals
+    embedding_number on the matching prefixes."""
+    d, m = lanes.d, len(y)
+    for i in range(start, len(rows)):
+        row = rows[i]
+        assert row & ~lanes.band == 0 and row & lanes.guard == 0
+        if lanes.deletion:  # lane k: Emb(x[:i]; y[:j]) at j = i - d + k
+            want = [emb(x[:i], y[:i - d + k]) if 0 <= i - d + k <= m else 0
+                    for k in range(d + 1)]
+        else:  # lane k: Emb(y[:i + k]; x[:i])
+            want = [emb(y[:i + k], x[:i]) for k in range(d + 1)]
+        assert unpack(lanes, row) == want, (y, x, lanes.deletion, i)
+    full = emb(x, y) if lanes.deletion else emb(y, x)
+    assert lanes.count(rows[-1]) == full
+
+
+def check_lanes(y, x, deletion, q=2):
+    """check_rows over every row of x; returns the kernel."""
+    lanes = EmbeddingLanes(y, len(x), deletion, q)
+    rows = [lanes.first]
+    lanes.extend(rows, x, 0)
+    check_rows(lanes, y, x, rows)
+    return lanes
+
+
+def check_all_words(y, n, deletion):
+    """check_rows for every binary x of length n, taken in lexicographic
+    order with the rows cut back to the prefix x shares with the word
+    before it, as the decoders' walk does."""
+    lanes = EmbeddingLanes(y, n, deletion, 2)
+    rows, prev = [lanes.first], None
+    for x in product((0, 1), repeat=n):
+        shared = 0 if prev is None else next(
+            i for i in range(n) if x[i] != prev[i])
+        lanes.extend(rows, x, shared)
+        check_rows(lanes, y, x, rows, shared)
+        prev = x
+
+
+class TestEmbeddingLanes:
+    @pytest.fixture(autouse=True)
+    def _drop_emb_cache(self):
+        yield
+        emb.cache_clear()
+
+    def test_deletion_rows_exhaustive_binary(self):
+        for n in range(9):
+            for k in range(n + 1):
+                for y in product((0, 1), repeat=k):
+                    check_all_words(y, n, True)
+
+    def test_insertion_rows_exhaustive_binary(self):
+        for m in range(9):
+            for y in product((0, 1), repeat=m):
+                for n in range(m + 1):
+                    check_all_words(y, n, False)
+
+    def test_random_qary(self):
+        rnd = random.Random(11)
+        for _ in range(300):
+            long = tuple(rnd.randrange(4) for _ in range(rnd.randint(0, 14)))
+            if rnd.random() < 0.5:  # a subsequence: nonzero counts
+                short = tuple(s for s in long if rnd.random() < 0.7)
+            else:
+                short = tuple(rnd.randrange(4)
+                              for _ in range(rnd.randint(0, len(long))))
+            check_lanes(short, long, True, 4)
+            check_lanes(long, short, False, 4)
+
+    def test_zero_band(self):
+        for w in product(range(3), repeat=5):
+            for deletion in (True, False):
+                lanes = check_lanes(w, w, deletion, 3)
+                assert lanes.d == 0
+                assert check_lanes(w[::-1], w, deletion, 3).d == 0
+
+    def test_band_wider_than_half(self):
+        # traces 0 and 1111 have SCS length 5: d = 4 > 5 // 2 for the first
+        for x in product((0, 1), repeat=5):
+            lanes = check_lanes((0,), x, True)
+            assert lanes.d == 4 and lanes.width == comb(5, 2).bit_length() + 1
+            check_lanes((1, 1, 1, 1), x, True)
+            lanes = check_lanes(x, (0,), False)
+            assert lanes.d == 4 and lanes.width == comb(5, 2).bit_length() + 1
+
+    def test_lane_bound_reached(self):
+        # 0^L against 0^(L-d) puts C(L, d) in a lane: the widest value
+        for n, d in ((12, 6), (40, 20), (150, 9), (450, 20)):
+            for deletion in (True, False):
+                x = (0,) * n if deletion else (0,) * (n - d)
+                y = (0,) * (n - d) if deletion else (0,) * n
+                lanes = EmbeddingLanes(y, len(x), deletion, 2)
+                rows = [lanes.first]
+                lanes.extend(rows, x, 0)
+                assert lanes.count(rows[-1]) == comb(n, d)
+                assert lanes.width == comb(n, d).bit_length() + 1
+                assert all(r & lanes.guard == 0 for r in rows)
+        check_lanes((0,) * 6, (0,) * 12, True)
+        check_lanes((0,) * 12, (0,) * 6, False)
+
+    def test_extend_from_a_kept_prefix(self):
+        # the decoders' walk cuts the rows back to a shared prefix and
+        # re-extends them; that equals extending the new word from scratch
+        rnd = random.Random(5)
+        for _ in range(200):
+            a = tuple(rnd.randrange(3) for _ in range(12))
+            b = a[:rnd.randint(0, 12)] + tuple(rnd.randrange(3) for _ in range(12))
+            b = b[:12]
+            y = tuple(s for s in a if rnd.random() < 0.7)
+            for deletion, ys in ((True, y), (False, a + (2, 0, 1))):
+                lanes = EmbeddingLanes(ys, 12, deletion, 3)
+                rows = [lanes.first]
+                lanes.extend(rows, a, 0)
+                shared = next((i for i in range(12) if a[i] != b[i]), 12)
+                lanes.extend(rows, b, shared)
+                fresh = [lanes.first]
+                EmbeddingLanes(ys, 12, deletion, 3).extend(fresh, b, 0)
+                assert rows == fresh
+
+    def test_guard_dominance_equals_lanewise_ge(self):
+        rnd = random.Random(9)
+        for y, length in (((0, 1, 1, 0), 9), ((0,) * 20, 30)):
+            lanes = EmbeddingLanes(y, length, True, 2)
+            top = (1 << lanes.width - 1) - 1  # the largest value a lane holds
+            values = (0, 1, 2, top - 1, top)
+            for _ in range(3000):
+                a = [rnd.choice(values) if rnd.random() < 0.5
+                     else rnd.randint(0, top) for _ in range(lanes.d + 1)]
+                r = [v if rnd.random() < 0.4 else rnd.choice(values) for v in a]
+                pa, pr = pack(lanes, a), pack(lanes, r)
+                assert lanes.dominates(pa, pr) == all(map(ge, a, r)), (a, r)
+                assert lanes.dominates(pr, pa) == all(map(ge, r, a))
+
+    def test_rejects_a_negative_band(self):
+        with pytest.raises(ValueError):
+            EmbeddingLanes((0, 1, 1), 2, True, 2)
+        with pytest.raises(ValueError):
+            EmbeddingLanes((0, 1), 3, False, 2)
 
 
 class TestBalls:
