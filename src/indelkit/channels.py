@@ -15,7 +15,7 @@ rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from math import comb
 
@@ -23,6 +23,32 @@ import numpy as np
 
 from .combinatorics import embedding_number
 from .words import Word
+
+
+# the JSON type of each field annotation that a config can mistype
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "dict": dict,
+               "tuple": list, "ChannelSpec": dict}
+
+
+def json_fields(cls, d, what: str) -> dict:
+    """d, a JSON object for the dataclass cls, once a ValueError has named
+    any unknown key, missing field without a default, or mistyped value."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, not {d!r}")
+    fs = {f.name: f for f in fields(cls)}
+    unknown = sorted(d.keys() - fs.keys())
+    if unknown:
+        raise ValueError(f"unknown {what} key(s) {', '.join(map(repr, unknown))}"
+                         f"; expected some of {', '.join(fs)}")
+    for name, f in fs.items():
+        if name not in d:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ValueError(f"{what} lacks the key {name!r}")
+        elif (isinstance(d[name], bool)
+              or not isinstance(d[name], _JSON_TYPES[f.type])):
+            raise ValueError(f"{what} key {name!r} has the wrong JSON type: "
+                             f"{d[name]!r}")
+    return d
 
 
 @dataclass(frozen=True)
@@ -60,7 +86,7 @@ class ChannelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ChannelSpec":
-        return cls(**d)
+        return cls(**json_fields(cls, d, "channel"))
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 import warnings
+from dataclasses import replace
 
 from .analysis import coded_success_bounds, two_del_formulas, two_ins_formulas
 from .decoders import DECODERS, get_decoder
@@ -26,8 +26,7 @@ def _cmd_simulate(args) -> int:
     with open(args.config) as fh:
         cfg = ExperimentConfig.from_json(fh.read())
     if args.seed is not None:
-        cfg = ExperimentConfig.from_json(
-            json.dumps({**json.loads(cfg.to_json()), "master_seed": args.seed}))
+        cfg = replace(cfg, master_seed=args.seed)
     result = run_experiment(cfg, workers=args.workers)
     write_rows_csv(result.rows(), args.out, CSV_FIELDS)
     for pt in result.points:
@@ -86,21 +85,30 @@ def _cmd_oracle_check(args) -> int:
         ok &= not win["length_violations"] and not win["mismatches"]
     elif args.which == "emb":
         from itertools import product
-        from .combinatorics import (embedding_number, embedding_number_bruteforce,
+        from .combinatorics import (EmbeddingLanes, embedding_number,
+                                    embedding_number_bruteforce,
                                     insertion_ball_weights)
-        bad = 0
+        bad = lanes_bad = 0
         balls = {}  # (y, t) -> {c: Emb(c; y)} over the c that contain y
         for m in range(0, n + 1):
             for x in product((0, 1), repeat=m):
                 for k in range(0, m + 1):
                     for y in product((0, 1), repeat=k):
                         e = embedding_number_bruteforce(x, y)
-                        bad += embedding_number(x, y) != e
+                        emb = embedding_number(x, y)
+                        bad += emb != e
                         if e:
                             balls.setdefault((y, m - k), {})[x] = e
+                        for lanes, path in ((EmbeddingLanes(y, m, True, 2), x),
+                                            (EmbeddingLanes(x, k, False, 2), y)):
+                            rows = [lanes.first]
+                            lanes.extend(rows, path, 0)
+                            lanes_bad += lanes.count(rows[-1]) != emb
         print(f"embedding-number DP vs subset enumeration, |x| <= {n}: "
               f"{bad} mismatches")
-        ok &= bad == 0
+        print(f"packed embedding lanes (both forms) vs DP, |x| <= {n}: "
+              f"{lanes_bad} mismatches")
+        ok &= bad == 0 and lanes_bad == 0
         bad = sum(insertion_ball_weights(y, t, 2) != ball
                   for (y, t), ball in balls.items())
         print(f"weighted insertion ball vs subset enumeration, |y| + t <= {n}: "
@@ -108,7 +116,6 @@ def _cmd_oracle_check(args) -> int:
         ok &= bad == 0
     elif args.which == "scs":
         from itertools import product
-        from .combinatorics import embedding_number
         from .supersequences import enumerate_scs, scs_length
         from .words import is_subsequence
         bad = 0
@@ -165,15 +172,11 @@ def _cmd_analyze(args) -> int:
                     row.update(vt_success_bound=bounds["vt"],
                                svt_success_bound=bounds["svt"])
                 rows.append(row)
-    fields = list(rows[0].keys())
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=fields)
-            w.writeheader()
-            w.writerows(rows)
+        write_rows_csv(rows, args.out, list(rows[0]))
         print(f"wrote {args.out}")
     else:
-        w = csv.DictWriter(sys.stdout, fieldnames=fields)
+        w = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]))
         w.writeheader()
         w.writerows(rows)
     return 0

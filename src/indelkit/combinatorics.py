@@ -14,41 +14,15 @@ from math import comb
 from .words import Word, runs
 
 
-def embedding_row_step(prev, plo, i, sym, y, d, m):
-    """Next banded row of Emb(x[:i]; y[:j]) after appending x_i = sym.
-
-    `prev` holds row i-1 from column `plo` on; the new row covers the window
-    j in [max(0, i-d), min(i, m)] with d = |x| - |y| and m = |y|, outside
-    which no cell reaches the final count.  Only the cell j = i lacks a
-    value above it, and j = 0 has no diagonal term.  Returns (row, lo).
-    """
-    lo = i - d
-    if lo < 0:
-        lo = 0
-    hi = i if i < m else m
-    row = []
-    ap = row.append
-    j = lo
-    if j == 0:
-        ap(prev[0])
-        j = 1
-    pl = len(prev)
-    while j <= hi:
-        pj = j - plo
-        v = prev[pj] if pj < pl else 0
-        if sym == y[j - 1]:
-            v += prev[pj - 1]
-        ap(v)
-        j += 1
-    return row, lo
-
-
 def embedding_number(x: Word, y: Word) -> int:
     """Number of index subsets I of x with x_I = y.
 
-    One embedding_row_step per symbol of x, on the band of cells that can
-    reach the final count, O(|x| * (|x| - |y| + 1)) time.  Zero iff y is
-    not a subsequence of x; embedding_number(x, x) = 1.
+    Row i of the DP holds Emb(x[:i]; y[:j]) on the band j in
+    [max(0, i-d), min(i, m)], d = |x| - |y| and m = |y|, outside which no
+    cell reaches the final count: O(|x| * (d + 1)) time.  Only the cell
+    j = i lacks a value above it, and j = 0 has no diagonal term.  Zero iff
+    y is not a subsequence of x; embedding_number(x, x) = 1.  The plain
+    reference for EmbeddingLanes.
     """
     m = len(y)
     d = len(x) - m
@@ -56,10 +30,28 @@ def embedding_number(x: Word, y: Word) -> int:
         return 0
     if m == 0:
         return 1
-    row, lo = [1], 0
+    prev, plo = [1], 0  # row i-1 from column plo on
     for i, sym in enumerate(x, 1):
-        row, lo = embedding_row_step(row, lo, i, sym, y, d, m)
-    return row[m - lo]
+        lo = i - d
+        if lo < 0:
+            lo = 0
+        hi = i if i < m else m
+        row = []
+        ap = row.append
+        j = lo
+        if j == 0:
+            ap(prev[0])
+            j = 1
+        pl = len(prev)
+        while j <= hi:
+            pj = j - plo
+            v = prev[pj] if pj < pl else 0
+            if sym == y[j - 1]:
+                v += prev[pj - 1]
+            ap(v)
+            j += 1
+        prev, plo = row, lo
+    return prev[m - plo]
 
 
 # the former name of the banded loop, still imported by benchmarks/checks.py
@@ -83,8 +75,8 @@ class EmbeddingLanes:
     (insertion), and `width` is that bound's bit length plus one, so no
     step carries between lanes and the top bit of each lane, set in
     `guard`, stays clear; one subtraction then compares two rows lane by
-    lane (dominates).  The masks are built once per row, each a shift of
-    the row above's, as the rows first need them.
+    lane (dominates).  The masks of every row 0..length are built at
+    construction, each a shift of the row above's.
     """
 
     def __init__(self, y: Word, length: int, deletion: bool, q: int):
@@ -94,38 +86,32 @@ class EmbeddingLanes:
             raise ValueError(f"no {'deletion' if deletion else 'insertion'} "
                              f"band for |y| = {m} and length {length}")
         n = length if deletion else m
-        self.d, self.deletion, self._y = d, deletion, tuple(y)
+        self.d, self.deletion = d, deletion
         self.width = w = comb(n, min(d, n // 2)).bit_length() + 1
         self.band = (1 << (d + 1) * w) - 1
         self.ones = self.band // ((1 << w) - 1)
         self.guard = self.ones << (w - 1)
-        self._lane = (1 << w) - 1
-        self._top = self._lane << d * w
+        self._lane = lane = (1 << w) - 1
         self._shift = 0 if deletion else d * w  # the lane of the full count
-        # the y index (1-based) entering the top lane at row i is i + lag
-        self._lag = 0 if deletion else d
         self.first = 1 << d * w if deletion else self.ones
-        masks = [0] * q  # row 0's: only insertion lanes 1..d meet y, at y[:d]
-        for k in range(1, self._lag + 1):
-            masks[y[k - 1]] |= self._lane << k * w
-        self._masks = [[mk] for mk in masks]  # per symbol, per row
-
-    def _grow(self, end: int) -> None:
-        """Append the masks of the rows up to `end`: each row's are the row
-        above's shifted down one lane, with y's new index in the top lane."""
-        w, top, lag = self.width, self._top, self._lag
-        start = len(self._masks[0])
-        # y's symbol entering the top lane per new row; -1 past y's end
-        new = self._y[start + lag - 1:end + lag]
-        new += (-1,) * (end + 1 - start - len(new))
-        for c, masks in enumerate(self._masks):
-            mk = masks[-1]
+        # the y index (1-based) entering the top lane at row i is i + lag
+        lag = 0 if deletion else d
+        row0 = [0] * q  # row 0's: only insertion lanes 1..d meet y, at y[:d]
+        for k in range(1, lag + 1):
+            row0[y[k - 1]] |= lane << k * w
+        # y's symbol entering the top lane at rows 1..length; -1 past y's end
+        new = tuple(y[lag:]) + (-1,) * (length + lag - m)
+        top = lane << d * w
+        self._masks = []  # per symbol, per row
+        for c, mk in enumerate(row0):
+            masks = [mk]
             ap = masks.append
             for s in new:
                 mk >>= w
                 if s == c:
                     mk |= top
                 ap(mk)
+            self._masks.append(masks)
 
     def extend(self, rows: list, path, start: int) -> None:
         """Cut `rows` (row i at index i) back to row `start` and append the
@@ -133,8 +119,6 @@ class EmbeddingLanes:
         del rows[start + 1:]
         end = len(path)
         masks = self._masks
-        if len(masks[0]) <= end:
-            self._grow(end)
         row = rows[-1]
         ap = rows.append
         if self.deletion:

@@ -117,13 +117,8 @@ def _best_leaf(length: int, walk, traces, deletion: bool, cap: int,
     lexicographically smallest word of maximal score.  best_member is the
     same over the codewords of `code` (None without `code`).  Each trace
     keeps one banded DP row per depth of the current path, so a word or a
-    branching node costs only the rows below the prefix the walk kept.  A
-    row is one int (combinatorics.EmbeddingLanes): the band's d + 1 cells
-    in lanes of comb(N, min(d, N // 2)).bit_length() + 1 bits, N = length
-    for deletions and |y| for insertions, a bound no cell exceeds, so one
-    shift-and-add (deletion) or mask-and-multiply (insertion) per symbol
-    steps the whole row without a carry between lanes, and the score reads
-    one lane.
+    branching node costs only the rows below the prefix the walk kept; a
+    row is one packed int (see combinatorics.EmbeddingLanes).
 
     Subtrees are pruned exactly.  The score of any word is a nonnegative
     linear function of each trace's row at any depth of its path:

@@ -21,7 +21,8 @@ from math import ceil, comb, sqrt
 
 import numpy as np
 
-from .channels import ChannelSpec, transmit_del, transmit_ins, transmit_kdel
+from .channels import (ChannelSpec, json_fields, transmit_del, transmit_ins,
+                       transmit_kdel)
 from .codes import make_code
 from .combinatorics import insertion_ball_weights
 from .decoders import (get_decoder, ml_star_2del, objective_f,
@@ -68,6 +69,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.t not in (1, 2):
             raise ValueError("t must be 1 or 2")
+        if self.n < 1 or self.q < 2:
+            raise ValueError(f"need n >= 1 and q >= 2, not n={self.n}, q={self.q}")
+        if not self.p_grid:
+            raise ValueError("p_grid must hold at least one probability")
         ch = self.channel
         dec = get_decoder(self.decoder, self.t, ch.kind)
         # p_grid alone sets the transmission probability of del/ins
@@ -87,8 +92,8 @@ class ExperimentConfig:
         if self.trials_per_point < 1:
             raise ValueError("trials_per_point must be >= 1")
         for p in self.p_grid:
-            if not 0.0 <= p < 1.0:
-                raise ValueError("grid probabilities must be in [0, 1)")
+            if not (isinstance(p, (int, float)) and 0.0 <= p < 1.0):
+                raise ValueError(f"grid probabilities must be in [0, 1), not {p!r}")
         if self.scs_cap < 1:
             raise ValueError("scs_cap must be >= 1")
         unknown = [m for m in self.metrics if m not in METRICS]
@@ -105,11 +110,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        d = json.loads(text)
+        d = json_fields(cls, json.loads(text), "config")
         d["channel"] = ChannelSpec.from_dict(d["channel"])
-        d["p_grid"] = tuple(d["p_grid"])
-        if "metrics" in d:
-            d["metrics"] = tuple(d["metrics"])
+        for key in ("p_grid", "metrics"):
+            if key in d:
+                d[key] = tuple(d[key])
         return cls(**d)
 
 
@@ -257,8 +262,7 @@ def write_rows_csv(rows: list, path: str, fields: list) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -302,23 +306,17 @@ def _exact_enumerate(decode, n: int, k: int) -> Fraction:
 # exhaustive 2-deletion verification sweeps
 
 
-def sweep_two_del_condition(n: int, literal: bool = False) -> dict:
+def sweep_two_del_condition(n: int) -> dict:
     """Compare, for every y in Sigma_2^(n-2), the sign of the exact
-    lazy-versus-prolong gap against the closed-form condition polynomial.
-
-    Returns counts and the violating words.  `literal=True` evaluates the
-    gap by full insertion-ball enumeration instead of the algebraic
-    shortcut (slower; used to validate the shortcut).
-    """
+    lazy-versus-prolong gap (two_del_lazy_en_gap_fast) against the
+    closed-form condition polynomial; returns counts and the violators."""
     from itertools import product as iproduct
-    from .decoders import two_del_lazy_en_gap
 
-    gap_fn = two_del_lazy_en_gap if literal else two_del_lazy_en_gap_fast
     violations = []
     for y in iproduct((0, 1), repeat=n - 2):
         prof = runs(y)
         poly = two_del_condition_poly(n, prof.r_max, prof.r)
-        gap = gap_fn(y)
+        gap = two_del_lazy_en_gap_fast(y)
         if (gap >= 0) != (poly >= 0):
             violations.append({"y": y, "gap": gap, "poly": poly})
     return {"n": n, "words": 2 ** (n - 2), "violations": violations}
@@ -395,14 +393,6 @@ def sweep_brute_force_window(n: int) -> dict:
 # figure reproduction
 
 
-def _desk_grid() -> tuple:
-    return (0.01, 0.02, 0.03, 0.05)
-
-
-def _paper_grid() -> tuple:
-    return tuple(round(0.005 * i, 3) for i in range(1, 11))
-
-
 def figure_config(fig: str, scale: str = "desk", master_seed: int = 2024,
                   code: dict | None = None, q: int = 2) -> ExperimentConfig:
     """Experiment configuration backing each reproduced figure; q and code
@@ -411,7 +401,8 @@ def figure_config(fig: str, scale: str = "desk", master_seed: int = 2024,
         raise ValueError("scale must be 'desk' or 'paper'")
     desk = scale == "desk"
     trials = 20_000 if desk else 200_000
-    grid = _desk_grid() if desk else _paper_grid()
+    grid = ((0.01, 0.02, 0.03, 0.05) if desk
+            else tuple(round(0.005 * i, 3) for i in range(1, 11)))
     if fig not in ("fig1", "fig2", "fig3", "fig5"):
         raise ValueError(f"unknown figure {fig!r} (expected fig1, fig2, fig3, fig5)")
     if fig == "fig5":

@@ -62,9 +62,12 @@ def fig5_result():
 
 
 @pytest.fixture(scope="module")
-def fig3_results():
-    out = {}
-    for code in ({"code": "all"}, {"code": "vt", "a": 0}, {"code": "svt", "a": 0}):
+def fig3_results(fig12_results):
+    # the uncoded fig3 series runs the fig1 q=2 config: reuse that run
+    assert (figure_config("fig3", "desk", SEED, code={"code": "all"})
+            == figure_config("fig1", "desk", SEED, q=2))
+    out = {"all": fig12_results[2]}
+    for code in ({"code": "vt", "a": 0}, {"code": "svt", "a": 0}):
         cfg = figure_config("fig3", "desk", SEED, code=code)
         out[code["code"]] = run_experiment(cfg, workers=WORKERS)
     return out

@@ -13,6 +13,13 @@ from indelkit.cli import main
 from indelkit.decoders import DECODERS
 
 
+def run_cli(*argv):
+    src = os.path.dirname(os.path.dirname(indelkit.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "indelkit.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def test_decode_subcommand(capsys):
     assert main(["decode", "--decoder", "mld2del", "010", "001"]) == 0
     assert capsys.readouterr().out.strip() == "0010"
@@ -68,6 +75,16 @@ def test_simulate_subcommand(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert {r["metric"] for r in rows} == {"levenshtein_rate", "failure_rate"}
     assert all(r["decoder"] == "mld2del" for r in rows)
+    # --seed overrides the config's master seed, and nothing else
+    seeded = tmp_path / "seeded.csv"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(seeded),
+                 "--workers", "1", "--seed", "12"]) == 0
+    cfg_path.write_text(json.dumps({**cfg, "master_seed": 12}))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out_path),
+                 "--workers", "1"]) == 0
+    assert seeded.read_text() == out_path.read_text()
+    assert all(r["seed"] == "12"
+               for r in csv.DictReader(seeded.read_text().splitlines()))
 
 
 def test_analyze_subcommand(tmp_path):
@@ -85,7 +102,19 @@ def test_oracle_check_emb(capsys):
     assert main(["oracle-check", "emb", "--n", "5"]) == 0
     out = capsys.readouterr().out
     assert "embedding-number DP vs subset enumeration, |x| <= 5: 0 mismatches" in out
+    assert "packed embedding lanes (both forms) vs DP, |x| <= 5: 0 mismatches" in out
     assert "weighted insertion ball vs subset enumeration, |y| + t <= 5: 0 mismatches" in out
+
+
+def test_oracle_check_emb_reports_a_lanes_mismatch(capsys, monkeypatch):
+    from indelkit.combinatorics import EmbeddingLanes
+    # a wrong count wherever Emb(x; y) > 0: 19 pairs with |x| <= 2, 2 forms
+    monkeypatch.setattr(EmbeddingLanes, "count", lambda self, row: 0)
+    assert main(["oracle-check", "emb", "--n", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "DP vs subset enumeration, |x| <= 2: 0 mismatches" in out
+    assert "lanes (both forms) vs DP, |x| <= 2: 38 mismatches" in out
+    assert "VIOLATIONS FOUND" in out
 
 
 @pytest.mark.filterwarnings("error::UserWarning")
@@ -100,11 +129,7 @@ def test_oracle_check_1del(capsys):
 
 def test_oracle_check_1del_report_holds_no_warning():
     # n = 6 is below mlstar1's proven range, where a direct call warns
-    src = os.path.dirname(os.path.dirname(indelkit.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    res = subprocess.run([sys.executable, "-m", "indelkit.cli", "oracle-check",
-                          "1del", "--n", "6"],
-                         capture_output=True, text=True, env=env, timeout=120)
+    res = run_cli("oracle-check", "1del", "--n", "6")
     assert res.returncode == 0
     assert "mlstar1 at n=6: law 1/6, enumeration 1/6" in res.stdout
     assert "Warning" not in res.stdout and res.stderr == ""
@@ -133,13 +158,28 @@ def test_oracle_check_1del_reports_a_wrong_law(capsys, monkeypatch):
     ["reproduce-figure", "fig1", "--seed", "-1", "--workers", "1"],
 ])
 def test_value_errors_exit_with_one_line(argv):
-    src = os.path.dirname(os.path.dirname(indelkit.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    res = subprocess.run([sys.executable, "-m", "indelkit.cli", *argv],
-                         capture_output=True, text=True, env=env, timeout=120)
+    res = run_cli(*argv)
     assert res.returncode == 1
     assert len(res.stderr.splitlines()) == 1
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("change,key", [
+    ({"seedd": 3}, "seedd"),
+    ({"channel": {"kind": "del", "pp": 0.1}}, "pp"),
+    ({"p_grid": 0.05}, "p_grid"),
+])
+def test_simulate_config_typos_exit_with_one_line(tmp_path, change, key):
+    cfg = {"channel": {"kind": "del"}, "t": 2, "n": 30, "q": 2,
+           "p_grid": [0.02], "trials_per_point": 10, **change}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(cfg))
+    res = run_cli("simulate", "--config", str(path),
+                  "--out", str(tmp_path / "results.csv"))
+    assert res.returncode == 1
+    assert len(res.stderr.splitlines()) == 1 and repr(key) in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "results.csv").exists()
 
 
 def test_oracle_check_2del_reports_known_violations(capsys):

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import json
 import os
 from fractions import Fraction
 from itertools import product
@@ -73,6 +74,44 @@ class TestConfig:
         small_cfg(channel=ChannelSpec("kdel", k=3), t=1, n=3, decoder="brute")
         with pytest.raises(ValueError):  # kdel reads no p: one law, two labels
             small_cfg(**one, decoder="lazy", p_grid=(0.0, 0.3))
+
+    @pytest.mark.parametrize("kw,match", [
+        (dict(n=0), "n >= 1"), (dict(n=-3), "n >= 1"), (dict(q=0), "q >= 2"),
+        (dict(q=1), "q >= 2"), (dict(p_grid=()), "p_grid"),
+    ])
+    def test_degenerate_sizes_rejected(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            small_cfg(**kw)
+
+    @pytest.mark.parametrize("change,match", [
+        ({"seedd": 3, "codee": {}}, r"unknown config key\(s\) 'codee', 'seedd'"),
+        ({"channel": {"kind": "del", "pp": 0.1}}, r"unknown channel key\(s\) 'pp'"),
+        ({"channel": {"p": 0.0}}, "channel lacks the key 'kind'"),
+        ({"channel": {"kind": "del", "p": "0.1"}}, "channel key 'p'"),
+        ({"channel": [0.1]}, "config key 'channel'"),
+        ({"p_grid": 0.05}, "config key 'p_grid'"),
+        ({"p_grid": ["0.05"]}, "grid probabilities"),
+        ({"n": "40"}, "config key 'n'"),
+        ({"trials_per_point": True}, "config key 'trials_per_point'"),
+        ({"metrics": "failure_rate"}, "config key 'metrics'"),
+    ])
+    def test_from_json_names_the_bad_key(self, change, match):
+        d = {**json.loads(small_cfg().to_json()), **change}
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig.from_json(json.dumps(d))
+
+    def test_from_json_names_a_missing_key(self):
+        for key in ("channel", "t", "n", "q"):
+            d = json.loads(small_cfg().to_json())
+            del d[key]
+            with pytest.raises(ValueError, match=f"config lacks the key '{key}'"):
+                ExperimentConfig.from_json(json.dumps(d))
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            ExperimentConfig.from_json("[]")
+        # a config that leaves the defaulted fields out still loads
+        d = {"channel": {"kind": "del"}, "t": 2, "n": 40, "q": 2}
+        assert ExperimentConfig.from_json(json.dumps(d)) == ExperimentConfig(
+            channel=ChannelSpec("del"), t=2, n=40, q=2)
 
 
 class TestRunExperiment:
@@ -292,12 +331,6 @@ class TestSweeps:
     def test_condition_sweep_clean_at_small_n(self):
         assert sweep_two_del_condition(5)["violations"] == []
         assert sweep_two_del_condition(7)["violations"] == []
-
-    def test_condition_sweep_literal_matches_fast(self):
-        for n in (5, 6, 8):
-            lit = sweep_two_del_condition(n, literal=True)
-            fast = sweep_two_del_condition(n)
-            assert lit["violations"] == fast["violations"]
 
     def test_window_lcs_equals_oracle(self):
         words = [w for m in range(9) for w in product((0, 1), repeat=m)]
