@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
+from itertools import compress
 from math import comb
 
 import numpy as np
@@ -110,26 +111,22 @@ def _as_rng(rng) -> np.random.Generator:
 def transmit_del(x: Word, p: float, rng) -> Word:
     """Delete every symbol of x independently with probability p."""
     rng = _as_rng(rng)
-    if not x:
-        return ()
-    keep = rng.random(len(x)) >= p
-    return tuple(s for s, k in zip(x, keep) if k)
+    return tuple(compress(x, (rng.random(len(x)) >= p).tolist()))
 
 
 def transmit_ins(x: Word, p: float, q: int, rng) -> Word:
     """Insert, at each of the |x|+1 gaps independently with probability p,
     one symbol drawn uniformly from the alphabet (at most one per gap)."""
     rng = _as_rng(rng)
-    gaps = rng.random(len(x) + 1) < p
-    symbols = rng.integers(0, q, size=int(gaps.sum()))
+    gaps = np.flatnonzero(rng.random(len(x) + 1) < p).tolist()
+    symbols = rng.integers(0, q, size=len(gaps)).tolist()
     out = []
-    si = 0
-    for i in range(len(x) + 1):
-        if gaps[i]:
-            out.append(int(symbols[si]))
-            si += 1
-        if i < len(x):
-            out.append(x[i])
+    prev = 0
+    for gap, s in zip(gaps, symbols):  # gap i lies just before x[i]
+        out += x[prev:gap]
+        out.append(s)
+        prev = gap
+    out += x[prev:]
     return tuple(out)
 
 

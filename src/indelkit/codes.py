@@ -54,7 +54,7 @@ def _sample_member(n: int, rng: np.random.Generator, member_mask_fn) -> Word:
         mask = member_mask_fn(batch)
         idx = np.flatnonzero(mask)
         if idx.size:
-            return tuple(int(b) for b in batch[idx[0]])
+            return tuple(batch[idx[0]].tolist())
 
 
 class AllWordsCode:
@@ -83,7 +83,7 @@ class AllWordsCode:
         return tuple(product(range(self.q), repeat=self.n))
 
     def sample(self, rng: np.random.Generator) -> Word:
-        return tuple(int(s) for s in rng.integers(0, self.q, size=self.n))
+        return tuple(rng.integers(0, self.q, size=self.n).tolist())
 
 
 class VtCode:
@@ -248,11 +248,18 @@ def make_code(params: dict, n: int, q: int = 2):
     key the kind does not read is an error.
     """
     kind = params.get("code", "all")
-    if kind not in _CODE_KEYS:
+    if not isinstance(kind, str) or kind not in _CODE_KEYS:
         raise ValueError(f"unknown code kind {kind!r}")
     extra = sorted(set(params) - {"code", *_CODE_KEYS[kind]})
     if extra:
         raise ValueError(f"code {kind!r} takes no {', '.join(extra)}")
+    for key, value in params.items():
+        if key == "code" or (key == "P" and value is None):
+            continue
+        if isinstance(value, bool) or not isinstance(value, int):
+            kinds = "an int or null" if key == "P" else "an int"
+            raise ValueError(f"code {kind!r} key {key!r} must be {kinds}, "
+                             f"not {value!r}")
     if kind == "all":
         return AllWordsCode(n, q)
     if q != 2:

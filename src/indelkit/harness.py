@@ -6,6 +6,13 @@ SeedSequence((master_seed, point_index, trial_index, stream)), stream 0 for
 the codeword draw and 1..t for the channels, so results are bit-identical
 for any worker count or chunking.  Aggregation sums exact integers
 (distances, failures, attribution units) and divides once at the end.
+
+The SeedSequence hash itself is computed in batch: `_seed_states` hashes a
+block of trials and all their streams in one pass of uint32 numpy
+arithmetic, and each PCG64 is seeded from its row.  The generators, and so
+the results, are the ones numpy's own SeedSequence gives.  The bounds this
+needs: master_seed >= 0 (numpy hashes no negative int) and
+trials_per_point <= 2**32 (a trial index is one 32-bit entropy word).
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from fractions import Fraction
 from math import ceil, comb, sqrt
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .channels import (ChannelSpec, json_fields, transmit_del, transmit_ins,
                        transmit_kdel)
@@ -30,6 +38,7 @@ from .decoders import (get_decoder, ml_star_2del, objective_f,
 from .words import Word, indel_distance, runs
 
 DEFAULT_TRIAL_CAP = 50_000  # SCS/LCS candidates scored per trial at most
+MAX_TRIALS = 1 << 32  # trial indices must fit one 32-bit entropy word
 METRICS = ("levenshtein_rate", "failure_rate", "run_component", "alt_component")
 CSV_FIELDS = ["metric", "q", "n", "p", "t", "code", "decoder", "value",
               "stderr", "trials", "truncated_trials", "seed"]
@@ -89,8 +98,11 @@ class ExperimentConfig:
         if not dec.coded and self.code.get("code", "all") != "all":
             raise ValueError(f"{self.decoder} decodes without a code; "
                              "use code 'all'")
-        if self.trials_per_point < 1:
-            raise ValueError("trials_per_point must be >= 1")
+        if not 1 <= self.trials_per_point <= MAX_TRIALS:
+            raise ValueError(f"trials_per_point must be in [1, 2**32], "
+                             f"not {self.trials_per_point}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, not {self.master_seed}")
         for p in self.p_grid:
             if not (isinstance(p, (int, float)) and 0.0 <= p < 1.0):
                 raise ValueError(f"grid probabilities must be in [0, 1), not {p!r}")
@@ -162,8 +174,111 @@ class AggregateResult:
 
 
 def _stream_rng(master_seed: int, point: int, trial: int, stream: int):
+    """One stream's generator from numpy's own SeedSequence: the reference
+    that `_trial_rngs` reproduces."""
     return np.random.default_rng(
         np.random.SeedSequence((master_seed, point, trial, stream)))
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx, after O'Neill's
+# seed_seq_fe) with its default pool of 4 words
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+SEED_BLOCK = 2048  # trials whose generator states are hashed in one pass
+
+
+def _int_words(n: int) -> list:
+    """The int n >= 0 as SeedSequence splits an entropy int: its 32-bit
+    words, least significant first ([0] for 0)."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_states(master_seed: int, point: int, lo: int, hi: int,
+                 streams: int) -> np.ndarray:
+    """SeedSequence((master_seed, point, trial, stream)).generate_state(4,
+    np.uint64) for every trial in [lo, hi) and stream in [0, streams), as a
+    (hi - lo, streams, 4) uint64 array.
+
+    The hash constants advance the same way whatever the data, so one pass
+    of wrapping uint32 arithmetic hashes the whole block: trial indices run
+    down the rows, streams across the columns, and the words shared by the
+    block (the seed's, the point's) stay scalars until they mix with those.
+    """
+    if (master_seed < 0 or not 0 <= point <= _MASK32
+            or not 0 <= lo <= hi <= MAX_TRIALS):
+        raise ValueError("need master_seed >= 0, and point and trial indices "
+                         "in [0, 2**32)")
+    u32 = np.uint32
+    entropy = [u32(w) for w in _int_words(master_seed)] + [
+        u32(point), np.arange(lo, hi, dtype=u32)[:, None],
+        np.arange(streams, dtype=u32)[None, :]]
+    const = _INIT_A
+
+    def hashmix(v):
+        nonlocal const
+        v = v ^ u32(const)
+        const = const * _MULT_A & _MASK32
+        v = v * u32(const)
+        return v ^ (v >> u32(16))
+
+    def mix(x, y):
+        v = u32(_MIX_MULT_L) * x - u32(_MIX_MULT_R) * y
+        return v ^ (v >> u32(16))
+
+    with np.errstate(over="ignore"):  # uint32 scalars warn when they wrap
+        pool = [hashmix(w) for w in entropy[:_POOL]]
+        for src in range(_POOL):
+            for dst in range(_POOL):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for w in entropy[_POOL:]:
+            for dst in range(_POOL):
+                pool[dst] = mix(pool[dst], hashmix(w))
+        # generate_state: 8 words cycling over the pool, read as 4 uint64
+        state = np.empty((hi - lo, streams, 2 * _POOL), dtype="<u4")
+        const = _INIT_B
+        for j in range(2 * _POOL):
+            v = pool[j % _POOL] ^ u32(const)
+            const = const * _MULT_B & _MASK32
+            v = v * u32(const)
+            state[:, :, j] = v ^ (v >> u32(16))
+    return state.view("<u8").astype(np.uint64, copy=False)
+
+
+class _PresetSeed(ISeedSequence):
+    """A seed sequence whose state for PCG64 is already computed."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # PCG64 asks for exactly this; another request would seed it apart
+        # from numpy's SeedSequence
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise RuntimeError(f"numpy asked for generate_state({n_words}, "
+                               f"{np.dtype(dtype)}), not (4, uint64)")
+        return self.state
+
+
+def _trial_rngs(master_seed: int, point: int, lo: int, hi: int, streams: int):
+    """Yield, for each trial in [lo, hi), its generators for streams
+    0..streams-1: the same as `_stream_rng` gives, hashed SEED_BLOCK trials
+    at a time."""
+    for start in range(lo, hi, SEED_BLOCK):
+        states = _seed_states(master_seed, point, start,
+                              min(start + SEED_BLOCK, hi), streams)
+        for row in states:
+            yield [np.random.Generator(np.random.PCG64(_PresetSeed(s)))
+                   for s in row]
 
 
 def _trial_components(c: Word, output: Word, t: int, kind: str) -> tuple:
@@ -195,17 +310,14 @@ def _run_chunk(config_json: str, point: int, p: float, lo: int, hi: int) -> tupl
     if dec.coded and t == 1:
         kw["q"] = q  # a one-trace coded decoder searches Sigma_q itself
     sum_d = sum_d2 = fails = run_units = alt_units = truncated = 0
-    for trial in range(lo, hi):
-        c = code.sample(_stream_rng(seed, point, trial, 0))
-        ys = []
-        for stream in range(1, t + 1):
-            rng = _stream_rng(seed, point, trial, stream)
-            if kind == "del":
-                ys.append(transmit_del(c, p, rng))
-            elif kind == "ins":
-                ys.append(transmit_ins(c, p, q, rng))
-            else:
-                ys.append(transmit_kdel(c, k, rng))
+    for c_rng, *rngs in _trial_rngs(seed, point, lo, hi, t + 1):
+        c = code.sample(c_rng)
+        if kind == "del":
+            ys = [transmit_del(c, p, rng) for rng in rngs]
+        elif kind == "ins":
+            ys = [transmit_ins(c, p, q, rng) for rng in rngs]
+        else:
+            ys = [transmit_kdel(c, k, rng) for rng in rngs]
         if t == 1:
             out, trunc = dec.fn(ys[0], k, **kw), False
         else:

@@ -102,6 +102,50 @@ class TestTransmitIns:
             assert abs(counts[s] - total / 3) <= 4.5 * se
 
 
+def _transmit_del_loop(x, p, rng):
+    """Reference form of transmit_del: one Python step per symbol."""
+    if not x:
+        return ()
+    keep = rng.random(len(x)) >= p
+    return tuple(s for s, k in zip(x, keep) if k)
+
+
+def _transmit_ins_loop(x, p, q, rng):
+    """Reference form of transmit_ins: one Python step per gap."""
+    gaps = rng.random(len(x) + 1) < p
+    symbols = rng.integers(0, q, size=int(gaps.sum()))
+    out = []
+    si = 0
+    for i in range(len(x) + 1):
+        if gaps[i]:
+            out.append(int(symbols[si]))
+            si += 1
+        if i < len(x):
+            out.append(x[i])
+    return tuple(out)
+
+
+class TestSamplersEqualLoops:
+    # the samplers draw the same numbers as the per-symbol loops, leave the
+    # generator in the same state, and give the same words
+    @pytest.mark.parametrize("q", [2, 4])
+    @pytest.mark.parametrize("p", [0.0, 0.01, 0.5])
+    def test_del_and_ins(self, q, p):
+        words = np.random.default_rng(q)
+        for seed in range(300):
+            n = 0 if seed % 50 == 0 else int(words.integers(1, 80))
+            x = tuple(words.integers(0, q, n).tolist())
+            for fast, loop in ((lambda r: transmit_del(x, p, r),
+                                lambda r: _transmit_del_loop(x, p, r)),
+                               (lambda r: transmit_ins(x, p, q, r),
+                                lambda r: _transmit_ins_loop(x, p, q, r))):
+                r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+                y = fast(r1)
+                assert y == loop(r2)
+                assert all(type(s) is int for s in y)
+                assert r1.bit_generator.state == r2.bit_generator.state
+
+
 class TestTransmitKdel:
     def test_boundaries(self):
         x = parse_word("01101")

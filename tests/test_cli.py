@@ -168,6 +168,8 @@ def test_value_errors_exit_with_one_line(argv):
     ({"seedd": 3}, "seedd"),
     ({"channel": {"kind": "del", "pp": 0.1}}, "pp"),
     ({"p_grid": 0.05}, "p_grid"),
+    ({"code": {"code": "vt", "a": "1"}}, "a"),
+    ({"code": {"code": "svt", "P": 5.5}}, "P"),
 ])
 def test_simulate_config_typos_exit_with_one_line(tmp_path, change, key):
     cfg = {"channel": {"kind": "del"}, "t": 2, "n": 30, "q": 2,
@@ -178,6 +180,19 @@ def test_simulate_config_typos_exit_with_one_line(tmp_path, change, key):
                   "--out", str(tmp_path / "results.csv"))
     assert res.returncode == 1
     assert len(res.stderr.splitlines()) == 1 and repr(key) in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "results.csv").exists()
+
+
+def test_simulate_rejects_a_negative_seed(tmp_path):
+    cfg = {"channel": {"kind": "del"}, "t": 2, "n": 30, "q": 2,
+           "p_grid": [0.02], "trials_per_point": 10}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(cfg))
+    res = run_cli("simulate", "--config", str(path), "--seed", "-1",
+                  "--out", str(tmp_path / "results.csv"))
+    assert res.returncode == 1
+    assert len(res.stderr.splitlines()) == 1 and "master_seed" in res.stderr
     assert "Traceback" not in res.stderr
     assert not (tmp_path / "results.csv").exists()
 

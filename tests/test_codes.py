@@ -153,6 +153,20 @@ class TestMakeCode:
             with pytest.raises(ValueError):
                 make_code(params, 8)
 
+    @pytest.mark.parametrize("params,key", [
+        ({"code": "vt", "a": "1"}, "'a'"), ({"code": "vt", "a": 1.0}, "'a'"),
+        ({"code": "vt", "a": True}, "'a'"), ({"code": "svt", "b": True}, "'b'"),
+        ({"code": "svt", "P": "5"}, "'P'"), ({"code": "svt", "P": 5.0}, "'P'"),
+        ({"code": ["vt"]}, "code kind"),
+    ])
+    def test_value_types_named(self, params, key):
+        with pytest.raises(ValueError, match=key):
+            make_code(params, 8)
+
+    def test_null_window_modulus_takes_the_default(self):
+        assert make_code({"code": "svt", "P": None}, 8).P == \
+            default_svt_window_modulus(8)
+
     def test_all_words_code(self):
         code = AllWordsCode(5, 2)
         assert code.is_member(pw("01010"))
@@ -160,6 +174,43 @@ class TestMakeCode:
         rng = np.random.default_rng(1)
         w = code.sample(rng)
         assert len(w) == 5
+
+
+def _all_words_sample_loop(code, rng):
+    """Reference form of AllWordsCode.sample: one int() per symbol."""
+    return tuple(int(s) for s in rng.integers(0, code.q, size=code.n))
+
+
+def _sample_member_loop(n, rng, member_mask_fn):
+    """Reference form of codes._sample_member: one int() per symbol."""
+    while True:
+        batch = rng.integers(0, 2, size=(64, n), dtype=np.uint8)
+        idx = np.flatnonzero(member_mask_fn(batch))
+        if idx.size:
+            return tuple(int(b) for b in batch[idx[0]])
+
+
+class TestSamplersEqualLoops:
+    # same words, same Python int symbols, same generator state afterwards
+    def _check(self, fast, loop, seeds=300):
+        for seed in range(seeds):
+            r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+            w = fast(r1)
+            assert w == loop(r2)
+            assert all(type(s) is int for s in w)
+            assert r1.bit_generator.state == r2.bit_generator.state
+
+    @pytest.mark.parametrize("q", [2, 4])
+    @pytest.mark.parametrize("n", [0, 1, 37, 150])
+    def test_all_words(self, q, n):
+        code = AllWordsCode(n, q)
+        self._check(code.sample, lambda r: _all_words_sample_loop(code, r))
+
+    @pytest.mark.parametrize("code", [VtCode(12, 3), VtCode(40, 0),
+                                      SvtCode(20, a=1, b=1)])
+    def test_members(self, code):
+        self._check(code.sample,
+                    lambda r: _sample_member_loop(code.n, r, code._mask))
 
 
 class TestVtUnderIndependentOracle:

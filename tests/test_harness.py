@@ -9,10 +9,13 @@ import numpy as np
 import pytest
 
 import indelkit.harness as harness
-from indelkit.channels import ChannelSpec
+from indelkit.channels import (ChannelSpec, transmit_del, transmit_ins,
+                               transmit_kdel)
+from indelkit.codes import make_code
 from indelkit.decoders import DECODERS, get_decoder, ml_star_2del
 from indelkit.harness import (CSV_FIELDS, AggregateResult, ExperimentConfig,
-                              _lcs_rows_vs_word, _trial_components,
+                              _lcs_rows_vs_word, _PresetSeed, _seed_states,
+                              _stream_rng, _trial_components, _trial_rngs,
                               exact_expected_distance,
                               figure_config, reproduce_figure, run_experiment,
                               sweep_brute_force_window, sweep_two_del_condition,
@@ -94,11 +97,23 @@ class TestConfig:
         ({"n": "40"}, "config key 'n'"),
         ({"trials_per_point": True}, "config key 'trials_per_point'"),
         ({"metrics": "failure_rate"}, "config key 'metrics'"),
+        ({"code": {"code": "vt", "a": "1"}}, "code 'vt' key 'a' must be an int"),
+        ({"code": {"code": "svt", "P": "5"}}, "key 'P' must be an int or null"),
+        ({"master_seed": -1}, "master_seed must be >= 0"),
+        ({"trials_per_point": 2 ** 32 + 1}, "trials_per_point must be in"),
     ])
     def test_from_json_names_the_bad_key(self, change, match):
         d = {**json.loads(small_cfg().to_json()), **change}
         with pytest.raises(ValueError, match=match):
             ExperimentConfig.from_json(json.dumps(d))
+
+    def test_seed_bounds(self):
+        # numpy hashes no negative seed; a trial index is one 32-bit word
+        with pytest.raises(ValueError, match="master_seed"):
+            small_cfg(master_seed=-1)
+        with pytest.raises(ValueError, match="trials_per_point"):
+            small_cfg(trials_per_point=2 ** 32 + 1)
+        small_cfg(master_seed=2 ** 70, trials_per_point=2 ** 32)
 
     def test_from_json_names_a_missing_key(self):
         for key in ("channel", "t", "n", "q"):
@@ -221,6 +236,118 @@ class TestRunExperiment:
                 str(truncated)}
 
 
+class TestSeedKernel:
+    # _seed_states / _trial_rngs against numpy's own SeedSequence
+    EDGE = [(0, 0, 0), (2 ** 32 - 1, 1, 5), (2 ** 32, 0, 2 ** 32 - 1),
+            (2 ** 64 + 5, 3, 2 ** 32 - 1), (2024, 2 ** 32 - 1, 7),
+            (2 ** 100 + 2 ** 64, 0, 1)]
+
+    def _tuples(self):
+        rng = np.random.default_rng(11)
+        out = list(self.EDGE)
+        for _ in range(150):
+            # seeds of one, two and three 32-bit words
+            seed = int.from_bytes(rng.bytes(9), "little") >> int(rng.integers(0, 72))
+            trial = int(rng.integers(0, 2 ** 32)) >> int(rng.integers(0, 32))
+            out.append((seed, int(rng.integers(0, 20)), trial))
+        return out
+
+    def test_states_equal_seed_sequence(self):
+        for seed, point, trial in self._tuples():
+            lo = max(0, trial - 2)
+            states = _seed_states(seed, point, lo, trial + 1, 3)
+            assert states.shape == (trial + 1 - lo, 3, 4)
+            assert states.dtype == np.uint64
+            for i, tr in enumerate(range(lo, trial + 1)):
+                for stream in range(3):
+                    want = np.random.SeedSequence(
+                        (seed, point, tr, stream)).generate_state(4, np.uint64)
+                    assert states[i, stream].tolist() == want.tolist()
+
+    def test_draws_equal_stream_rng(self):
+        for seed, point, trial in self._tuples()[:40]:
+            rngs, = _trial_rngs(seed, point, trial, trial + 1, 3)
+            for stream, rng in enumerate(rngs):
+                want = _stream_rng(seed, point, trial, stream).random(20)
+                assert rng.random(20).tolist() == want.tolist()
+
+    def test_bounds(self):
+        for args in [(-1, 0, 0, 1), (0, -1, 0, 1), (0, 2 ** 32, 0, 1),
+                     (0, 0, 0, 2 ** 32 + 1), (0, 0, 5, 4)]:
+            with pytest.raises(ValueError):
+                _seed_states(*args, 2)
+        assert _seed_states(0, 0, 2 ** 32 - 1, 2 ** 32, 1).shape == (1, 1, 4)
+
+    def test_preset_seed_refuses_another_request(self):
+        seed = _PresetSeed(_seed_states(1, 0, 0, 1, 1)[0, 0])
+        assert seed.generate_state(4, np.uint64) is seed.state
+        for args in [(4,), (8, np.uint64), (4, np.uint32)]:
+            with pytest.raises(RuntimeError, match="not \\(4, uint64\\)"):
+                seed.generate_state(*args)
+
+
+def _literal_sums(cfg, point=0):
+    """The exact sums of one grid point from a plain per-trial loop over
+    `_stream_rng`: the harness's reference."""
+    code = make_code(cfg.code, cfg.n, cfg.q)
+    coded = cfg.code.get("code", "all") != "all"
+    kind, k, p, t = cfg.channel.kind, cfg.channel.k, cfg.p_grid[point], cfg.t
+    dec = get_decoder(cfg.decoder, t, kind)
+    kw = {"code": code if coded else None} if dec.coded else {}
+    if dec.coded and t == 1:
+        kw["q"] = cfg.q
+    sums = [0] * 5
+    for trial in range(cfg.trials_per_point):
+        c = code.sample(_stream_rng(cfg.master_seed, point, trial, 0))
+        ys = []
+        for stream in range(1, t + 1):
+            rng = _stream_rng(cfg.master_seed, point, trial, stream)
+            ys.append(transmit_del(c, p, rng) if kind == "del"
+                      else transmit_ins(c, p, cfg.q, rng) if kind == "ins"
+                      else transmit_kdel(c, k, rng))
+        out, trunc = ((dec.fn(ys[0], k, **kw), False) if t == 1
+                      else dec.fn(*ys, cap=cfg.scs_cap, **kw))
+        d, ru, au = _trial_components(c, out, t, kind)
+        for i, v in enumerate((d, out != c, ru, au, trunc)):
+            sums[i] += v
+    return tuple(sums)
+
+
+def _point_sums(pt, n):
+    """(sum_d, failures, run_units, alt_units, truncated) of a PointResult,
+    read back from its rates."""
+    units = (pt.levenshtein_rate * n * pt.trials, pt.failure_rate * pt.trials,
+             pt.run_component * n * pt.trials, pt.alt_component * n * pt.trials)
+    assert all(abs(u - round(u)) < 1e-6 for u in units)
+    return tuple(round(u) for u in units) + (pt.truncated_trials,)
+
+
+class TestBatchSeedingEqualsLiteralLoop:
+    CONFIGS = {
+        "del": small_cfg(n=30, p_grid=(0.08,), trials_per_point=60,
+                         master_seed=2 ** 64 + 5),
+        "ins": small_cfg(channel=ChannelSpec("ins", q=4), q=4, n=30,
+                         decoder="mld2ins", p_grid=(0.05,),
+                         trials_per_point=60, master_seed=2 ** 32),
+        "kdel": small_cfg(channel=ChannelSpec("kdel", k=2), t=1, n=8,
+                          decoder="brute", code={"code": "vt", "a": 2},
+                          p_grid=(0.0,), trials_per_point=40, master_seed=0),
+        "vt": small_cfg(n=30, code={"code": "vt", "a": 1}, p_grid=(0.08,),
+                        trials_per_point=60, master_seed=2 ** 32 - 1),
+    }
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sums(self, name, workers, monkeypatch):
+        cfg = self.CONFIGS[name]
+        if workers == 1:  # blocks split the run; two workers split it in chunks
+            monkeypatch.setattr(harness, "SEED_BLOCK", 7)
+        pt = run_experiment(cfg, workers=workers).points[0]
+        want = _literal_sums(cfg)
+        assert _point_sums(pt, cfg.n) == want
+        assert want[1] > 0  # failures: the decoded words depend on the draws
+
+
 class TestPinnedSums:
     # exact integer sums (sum_d, failures, run_units, alt_units, truncated)
     # at seed 2024; any change to sampling, decoding or attribution moves them
@@ -233,12 +360,7 @@ class TestPinnedSums:
                                decoder=decoder, p_grid=(p,),
                                trials_per_point=trials, master_seed=2024)
         pt = run_experiment(cfg, workers=1).points[0]
-        units = (pt.levenshtein_rate * 150 * trials, pt.failure_rate * trials,
-                 pt.run_component * 150 * trials,
-                 pt.alt_component * 150 * trials)
-        got = tuple(round(u) for u in units) + (pt.truncated_trials,)
-        assert all(abs(u - round(u)) < 1e-6 for u in units)
-        assert got == sums
+        assert _point_sums(pt, 150) == sums
 
 
 class TestAttribution:
