@@ -71,6 +71,10 @@ def _cmd_oracle_check(args) -> int:
                       f"{'' if law == enum else '  <- MISMATCH'}")
                 ok &= law == enum
     elif args.which == "2del":
+        # check the window sweep's range before the condition sweep runs
+        if not 3 <= n <= 13:
+            raise ValueError(f"oracle-check 2del needs 3 <= --n <= 13, "
+                             f"not {n}")
         res = sweep_two_del_condition(n)
         print(f"n={n}: {len(res['violations'])} closed-form sign violations "
               f"over {res['words']} outputs")

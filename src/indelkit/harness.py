@@ -424,6 +424,8 @@ def sweep_two_del_condition(n: int) -> dict:
     closed-form condition polynomial; returns counts and the violators."""
     from itertools import product as iproduct
 
+    if n < 2:
+        raise ValueError(f"condition sweep needs n >= 2, not {n}")
     violations = []
     for y in iproduct((0, 1), repeat=n - 2):
         prof = runs(y)
@@ -434,18 +436,68 @@ def sweep_two_del_condition(n: int) -> dict:
     return {"n": n, "words": 2 ** (n - 2), "violations": violations}
 
 
-def _lcs_rows_vs_word(X: np.ndarray, c) -> np.ndarray:
-    """LCS lengths of every row of X (N x L, 0/1) against the binary word c
-    (|c| <= 31): the bit-parallel recurrence of words.lcs_bit_rows with one
-    uint32 bit vector per row, one numpy step per column of X."""
-    m1 = sum(1 << t for t, s in enumerate(c) if s)
-    full = (1 << len(c)) - 1
-    m0, m1, full = np.uint32(full ^ m1), np.uint32(m1), np.uint32(full)
-    v = np.full(X.shape[0], full)
-    for col in X.T:
-        u = v & np.where(col, m1, m0)
-        v = ((v + u) | (v - u)) & full
-    return len(c) - np.bitwise_count(v).astype(np.int16)
+WINDOW_BLOCK = 128  # codewords c whose candidate trie is walked at once
+
+
+def _window_distance_rows(n: int, cs) -> np.ndarray:
+    """int8 rows D[i, x] = d_L(x, cs[i]) for the length-n binary words cs
+    (integers, first symbol most significant) and every candidate x of
+    length n-2 .. n+1: the four length classes side by side, each in
+    lexicographic order.
+
+    In that order the candidates are the levels n-2 .. n+1 of the binary
+    trie of the length-(n+1) words, so one pass down the trie gives them
+    all: each level's LCS bit vectors against c (the recurrence of
+    words.lcs_bit_rows, one lane per trie node and per c) extend by one
+    symbol to the next level's, sum_j 2^j steps per c in all.  Then
+    d_L(x, c) = |x| + n - 2 LCS(x, c) with LCS(x, c) = n - popcount(v).
+    The lanes are uint16: v + u < 2^(n+1) for n <= 13.
+    """
+    cs = np.asarray(cs, dtype=np.uint16)[:, None]
+    full = np.uint16((1 << n) - 1)
+    # bit t of m1 is symbol t of c
+    m1 = ((cs >> np.arange(n - 1, -1, -1, dtype=np.uint16)) & 1
+          ) << np.arange(n, dtype=np.uint16)
+    m1 = m1.sum(axis=1, dtype=np.uint16)[:, None]
+    masks = (full ^ m1, m1)
+    rows = np.empty((len(cs), 15 << (n - 2)), dtype=np.int8)
+    v = np.full((len(cs), 1), full)
+    col = 0
+    for depth in range(1, n + 2):
+        child = np.empty((len(cs), v.shape[1], 2), dtype=np.uint16)
+        for s, m in enumerate(masks):
+            u = v & m
+            child[:, :, s] = ((v + u) | (v - u)) & full
+        v = child.reshape(len(cs), -1)
+        if depth >= n - 2:
+            rows[:, col:col + v.shape[1]] = (
+                2 * np.bitwise_count(v).astype(np.int8) + (depth - n))
+            col += v.shape[1]
+    return rows
+
+
+def _window_table(n: int) -> np.ndarray:
+    """D[c, x] = d_L(x, c) for every c in Sigma_2^n (row c is the word
+    whose integer is c) and every window candidate x, as
+    _window_distance_rows lays them out; built WINDOW_BLOCK rows at a
+    time so the trie's temporaries stay small."""
+    table = np.empty((1 << n, 15 << (n - 2)), dtype=np.int8)
+    for lo in range(0, 1 << n, WINDOW_BLOCK):
+        hi = min(lo + WINDOW_BLOCK, 1 << n)
+        table[lo:hi] = _window_distance_rows(n, np.arange(lo, hi))
+    return table
+
+
+def _window_scores(table: np.ndarray, y: Word) -> np.ndarray:
+    """objective_f(y, x, 2) of every window candidate x, in the table's
+    column order: the rows of y's insertion-ball words weighted by their
+    embedding numbers and summed."""
+    n = len(y) + 2
+    ball = insertion_ball_weights(y, 2, 2)
+    idx = np.array(list(ball), dtype=np.int64) @ (
+        1 << np.arange(n - 1, -1, -1, dtype=np.int64))
+    w = np.fromiter(ball.values(), dtype=np.int16, count=len(ball))
+    return (w[:, None] * table[idx]).sum(axis=0, dtype=np.int16)
 
 
 def sweep_brute_force_window(n: int) -> dict:
@@ -454,48 +506,39 @@ def sweep_brute_force_window(n: int) -> dict:
     (a) winners outside lengths {n-2, n-1} and (b) outputs of the
     closed-form 2-deletion decoder that differ from a unique brute winner.
 
-    Vectorized over candidates: distances to every c in Sigma_2^n are
-    precomputed per candidate length class, then each y scores candidates
-    with its insertion-ball embedding weights.
+    The distances d_L(x, c) to every c in Sigma_2^n come from one
+    bit-parallel pass over the trie of candidates (_window_distance_rows)
+    into one c-major int8 table, 15 * 2^(2n-2) bytes (60 MiB at n = 12,
+    240 MiB at n = 13).  Each y then gathers the rows of its insertion-ball
+    words and weights them by their embedding numbers (_window_scores).
+    The int8 distances and int16 products and sums are exact for n <= 13:
+    distances are at most 2n + 1, weights at most C(n, 2), and the weights
+    sum to 4 C(n, 2), so no score exceeds 4 C(n, 2) (2n + 1) = 8424.
     """
     if not 3 <= n <= 13:
         raise ValueError("sweep supports 3 <= n <= 13")
-    lengths = list(range(n - 2, n + 2))
-    classes = []
-    for L in lengths:
-        vals = np.arange(1 << L, dtype=np.uint32)
-        shifts = np.arange(L - 1, -1, -1, dtype=np.uint32)
-        classes.append(((vals[:, None] >> shifts[None, :]) & 1).astype(np.uint8))
-    # dist[class][cand, c_index], c running over the length-n class
-    dist = [np.empty((1 << L, 1 << n), dtype=np.int16) for L in lengths]
-    for ci, c in enumerate(classes[lengths.index(n)]):
-        for k, L in enumerate(lengths):
-            lcs = _lcs_rows_vs_word(classes[k], c)
-            dist[k][:, ci] = (L + n) - 2 * lcs
-    offsets = np.cumsum([0] + [1 << L for L in lengths])
-    len_of = np.concatenate([np.full(1 << L, L, dtype=np.int16) for L in lengths])
+    assert 4 * comb(n, 2) * (2 * n + 1) < 2 ** 15
+    table = _window_table(n)
+    offsets = np.cumsum([0] + [1 << L for L in range(n - 2, n + 2)])
 
     from itertools import product as iproduct
     length_violations = []
     mismatches = []
     for y in iproduct((0, 1), repeat=n - 2):
-        ball = insertion_ball_weights(y, 2, 2)
-        idx = np.array([int("".join(map(str, c)), 2) for c in ball], dtype=np.int64)
-        w = np.fromiter(ball.values(), dtype=np.int64, count=len(ball))
-        scores = np.concatenate(
-            [dist[k][:, idx].astype(np.int64) @ w for k in range(len(lengths))])
-        best_idx = int(np.argmin(scores))  # first minimum: shortest, then lex
-        best_len = int(len_of[best_idx])
-        unique = int((scores == scores[best_idx]).sum()) == 1
+        scores = _window_scores(table, y)
+        best = int(np.argmin(scores))  # first minimum: shortest, then lex
+        k = int(np.searchsorted(offsets, best, side="right")) - 1
+        best_len = n - 2 + k
         if best_len not in (n - 2, n - 1):
             length_violations.append({"y": y, "winner_len": best_len})
-        if unique:
-            k = int(np.searchsorted(offsets, best_idx, side="right")) - 1
-            row = classes[k][best_idx - offsets[k]]
-            winner = tuple(int(b) for b in row)
-            if winner != ml_star_2del(y):
+        if np.count_nonzero(scores == scores[best]) == 1:
+            v = best - int(offsets[k])
+            winner = tuple((v >> (best_len - 1 - i)) & 1
+                           for i in range(best_len))
+            closed_form = ml_star_2del(y)
+            if winner != closed_form:
                 mismatches.append({"y": y, "winner": winner,
-                                   "closed_form": ml_star_2del(y)})
+                                   "closed_form": closed_form})
     return {"n": n, "words": 2 ** (n - 2),
             "length_violations": length_violations,
             "mismatches": mismatches}

@@ -248,8 +248,10 @@ def test_criterion_08_brute_force_window():
 
 
 def test_criterion_08_companion_violations_pinned():
-    expected_len = {4: 2, 5: 2, 6: 6, 7: 8, 8: 16, 9: 20, 10: 24}
-    expected_mis = {4: 2, 5: 2, 6: 8, 7: 8, 8: 24, 9: 20, 10: 24}
+    expected_len = {4: 2, 5: 2, 6: 6, 7: 8, 8: 16, 9: 20, 10: 24, 11: 24,
+                    12: 38}
+    expected_mis = {4: 2, 5: 2, 6: 8, 7: 8, 8: 24, 9: 20, 10: 24, 11: 76,
+                    12: 38}
     for n in expected_len:
         res = sweep_brute_force_window(n)
         assert len(res["length_violations"]) == expected_len[n]

@@ -204,6 +204,16 @@ def test_oracle_check_2del_reports_known_violations(capsys):
     assert "18 closed-form sign violations" in out
 
 
+@pytest.mark.parametrize("n", ["1", "2", "14"])
+def test_oracle_check_2del_rejects_sizes_before_sweeping(n):
+    # the window sweep's range 3..13 is checked before the condition sweep
+    # runs, so nothing is printed and n = 14 fails at once
+    res = run_cli("oracle-check", "2del", "--n", n)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr.strip() == f"oracle-check 2del needs 3 <= --n <= 13, not {n}"
+
+
 def test_oracle_check_mld2(capsys):
     assert main(["oracle-check", "mld2", "--n", "5"]) == 0
     out = capsys.readouterr().out

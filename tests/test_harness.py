@@ -14,18 +14,24 @@ from indelkit.channels import (ChannelSpec, transmit_del, transmit_ins,
 from indelkit.codes import make_code
 from indelkit.decoders import DECODERS, get_decoder, ml_star_2del
 from indelkit.harness import (CSV_FIELDS, AggregateResult, ExperimentConfig,
-                              _lcs_rows_vs_word, _PresetSeed, _seed_states,
-                              _stream_rng, _trial_components, _trial_rngs,
+                              _PresetSeed, _seed_states, _stream_rng,
+                              _trial_components, _trial_rngs,
+                              _window_distance_rows, _window_scores,
+                              _window_table,
                               exact_expected_distance,
                               figure_config, reproduce_figure, run_experiment,
                               sweep_brute_force_window, sweep_two_del_condition,
                               worker_count, write_figure_csv, write_rows_csv)
-from indelkit.supersequences import lcs_length
-from indelkit.words import parse_word
+from indelkit.words import indel_distance, parse_word
 
 
 def pw(s):
     return parse_word(s)
+
+
+def window_candidates(n):
+    """The window sweep's candidates in its table's column order."""
+    return [x for L in range(n - 2, n + 2) for x in product((0, 1), repeat=L)]
 
 
 def small_cfg(**kw):
@@ -454,21 +460,46 @@ class TestSweeps:
         assert sweep_two_del_condition(5)["violations"] == []
         assert sweep_two_del_condition(7)["violations"] == []
 
-    def test_window_lcs_equals_oracle(self):
-        words = [w for m in range(9) for w in product((0, 1), repeat=m)]
-        for m in range(9):
-            X = np.array(list(product((0, 1), repeat=m)),
-                         dtype=np.uint8).reshape(2 ** m, m)
-            for c in words:
-                assert _lcs_rows_vs_word(X, c).tolist() == [
-                    lcs_length(tuple(x), c) for x in X.tolist()], (m, c)
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            X = rng.integers(0, 2, size=(32, rng.integers(9, 15)),
-                             dtype=np.uint8)
-            c = tuple(rng.integers(0, 2, size=rng.integers(9, 14)).tolist())
-            assert _lcs_rows_vs_word(X, c).tolist() == [
-                lcs_length(tuple(x), c) for x in X.tolist()]
+    def test_condition_sweep_rejects_n_below_2(self):
+        for n in (1, 0, -3):
+            with pytest.raises(ValueError, match="needs n >= 2"):
+                sweep_two_del_condition(n)
+        assert sweep_two_del_condition(2)["words"] == 1
+
+    def test_window_table_equals_oracle(self):
+        # every cell for n = 3..8 (from n = 8 on the table takes two
+        # WINDOW_BLOCKs), then sampled rows at n = 11 and 12, the all-0
+        # and all-1 words among them
+        for n in range(3, 9):
+            cands = window_candidates(n)
+            table = _window_table(n)
+            assert table.dtype == np.int8
+            assert table.shape == (2 ** n, len(cands))
+            for ci, c in enumerate(product((0, 1), repeat=n)):
+                assert table[ci].tolist() == [
+                    indel_distance(x, c) for x in cands], (n, c)
+        rng = np.random.default_rng(12)
+        for n in (11, 12):
+            cands = window_candidates(n)
+            cs = [0, 2 ** n - 1, *rng.choice(2 ** n, size=3, replace=False)]
+            for ci, row in zip(cs, _window_distance_rows(n, cs)):
+                c = tuple(int(b) for b in np.binary_repr(ci, n))
+                assert row.tolist() == [
+                    indel_distance(x, c) for x in cands], (n, c)
+
+    def test_window_scores_equal_the_objective(self):
+        # the literal objective for every y and candidate, and the first
+        # minimum is brute_force_ml_star's pick (shortest, then lex)
+        from indelkit.decoders import brute_force_ml_star, objective_f
+        for n in range(4, 8):
+            cands = window_candidates(n)
+            table = _window_table(n)
+            for y in product((0, 1), repeat=n - 2):
+                scores = _window_scores(table, y)
+                assert scores.tolist() == [
+                    objective_f(y, x, 2) for x in cands], y
+                assert cands[int(np.argmin(scores))] == brute_force_ml_star(
+                    y, 2), y
 
     def test_window_sweep_agrees_with_library_bruteforce(self):
         from indelkit.decoders import brute_force_ml_star
