@@ -10,8 +10,8 @@ traces equally well).
 
 import numpy as np
 
-from indelkit import (decode_mld_two_del, enumerate_scs, embedding_number,
-                      format_word, indel_distance, transmit_del)
+from indelkit import (enumerate_scs, embedding_number, format_word,
+                      indel_distance, mld_two_del_detailed, transmit_del)
 from indelkit.analysis import two_del_formulas
 
 rng = np.random.default_rng(7)
@@ -31,7 +31,7 @@ for x in res.candidates[:6]:
     print(f"  {format_word(x)}  product = "
           f"{embedding_number(x, y1) * embedding_number(x, y2)}")
 
-out = decode_mld_two_del(y1, y2)
+out, _ = mld_two_del_detailed(y1, y2)
 print(f"\ndecoded  {format_word(out)}")
 print(f"indel distance to the sent word: {indel_distance(out, c)}")
 
@@ -43,5 +43,5 @@ print(f"\nclosed-form per-symbol rates at q=2, p={p}: "
 # A canonical alternating ambiguity: the two traces below are explained
 # equally well by 01 and 10, so half of such events decode wrongly.
 print(f"\nalternating tie: traces 0 and 1 decode to "
-      f"{format_word(decode_mld_two_del((0,), (1,)))} "
+      f"{format_word(mld_two_del_detailed((0,), (1,))[0])} "
       f"(tie broken to the lexicographically smallest)")

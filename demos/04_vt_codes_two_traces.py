@@ -14,7 +14,7 @@ import numpy as np
 from indelkit import format_word, parse_word
 from indelkit.codes import SvtCode, VtCode
 from indelkit.combinatorics import deletion_ball
-from indelkit.decoders import decode_mld_two_del
+from indelkit.decoders import mld_two_del_detailed
 
 code = VtCode(8, 0)
 words = code.enumerate_words()
@@ -29,8 +29,8 @@ print(f"\nsent {format_word(c)}, received {format_word(y)}, "
 
 # Two traces, deletions in different runs (an alternating ambiguity):
 y1, y2 = c[1:], c[:7]
-plain = decode_mld_two_del(y1, y2)
-coded = decode_mld_two_del(y1, y2, code=code)
+plain, _ = mld_two_del_detailed(y1, y2)
+coded, _ = mld_two_del_detailed(y1, y2, code=code)
 print(f"\ntraces {format_word(y1)} / {format_word(y2)}:")
 print(f"  unrestricted decoder: {format_word(plain)} "
       f"({'ok' if plain == c else 'wrong'})")
@@ -39,7 +39,7 @@ print(f"  VT-aware decoder:     {format_word(coded)} "
 
 # Exhaustive check at this size: the VT-aware decoder corrects every
 # (single deletion, single deletion) trace pair.
-bad = sum(decode_mld_two_del(u, v, code=code) != w
+bad = sum(mld_two_del_detailed(u, v, code=code)[0] != w
           for w in words for u in deletion_ball(w, 1) for v in deletion_ball(w, 1))
 print(f"\nexhaustive n=8 sweep: {bad} failures over all single-deletion "
       f"trace pairs of all codewords")

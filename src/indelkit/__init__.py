@@ -13,9 +13,9 @@ from .channels import (ChannelSpec, ProbTerm, transmit_del, transmit_ins,
                        transmit_kdel, cond_prob_del, cond_prob_ins,
                        cond_prob_kdel, ins_channel_law)
 from .decoders import (decode_lazy, decode_en, decode_ml_code,
-                       decode_mld_two_del, decode_mld_two_ins, objective_f,
-                       brute_force_ml_star, ml_star_1del, ml_star_2del,
-                       two_del_condition_poly)
+                       mld_two_del_detailed, mld_two_ins_detailed,
+                       objective_f, brute_force_ml_star, ml_star_1del,
+                       ml_star_2del, two_del_condition_poly)
 from .codes import AllWordsCode, VtCode, SvtCode, DecodeFailure, make_code
 from .analysis import (TwoChannelFormulas, two_del_formulas, two_ins_formulas,
                        coded_success_bounds, lazy_and_en_1del_analysis,

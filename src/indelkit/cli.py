@@ -188,11 +188,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_decode(args) -> int:
     traces = [parse_word(t) for t in args.traces]
-    dec = get_decoder(args.decoder, len(traces))
-    if dec.traces == 1:
-        out, truncated = dec.fn(traces[0], args.k), False
-    else:
-        out, truncated = dec.fn(*traces)
+    out, truncated = get_decoder(args.decoder, len(traces)).decode(
+        traces, args.k)
     if truncated:
         print("warning: the cap on scored candidates was hit with unpruned "
               "candidates left; the output is the best of those scored",

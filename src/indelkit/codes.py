@@ -90,6 +90,7 @@ class VtCode:
     """VT_a(n): binary words with weighted checksum a mod (n+1)."""
 
     kind = "vt"
+    q = 2
     corrects_single_deletion = True
 
     def __init__(self, n: int, a: int = 0):
@@ -175,6 +176,7 @@ class SvtCode:
     """
 
     kind = "svt"
+    q = 2
     corrects_single_deletion = False
 
     def __init__(self, n: int, a: int = 0, P: int | None = None, b: int = 0):
@@ -191,6 +193,13 @@ class SvtCode:
         self.P = P
         self.b = b
         self._weights = np.arange(1, n + 1, dtype=np.int64)
+        # the prefix states reachable at each length (a 0 keeps the state)
+        states = {0}
+        for i in range(1, n + 1):
+            states |= {self.prefix_state(s, i, 1) for s in states}
+        if 2 * a + b not in states:
+            raise ValueError(f"SVT code n={n}, a={a}, P={P}, b={b} has no "
+                             "codewords")
 
     def is_member(self, w: Word) -> bool:
         if len(w) != self.n:

@@ -199,10 +199,11 @@ def _compositions_max_part(n: int, k: int) -> int:
     """Number of compositions of n into parts of size in [1, k]."""
     if k <= 0:
         return 1 if n == 0 else 0
-    counts = [0] * (n + 1)
-    counts[0] = 1
+    counts = [1] + [0] * n
+    window = 0  # counts[m - k] + ... + counts[m - 1], the last part j <= k
     for m in range(1, n + 1):
-        counts[m] = sum(counts[m - j] for j in range(1, min(k, m) + 1))
+        window += counts[m - 1] - (counts[m - k - 1] if m > k else 0)
+        counts[m] = window
     return counts[n]
 
 

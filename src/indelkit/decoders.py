@@ -190,38 +190,30 @@ def _best_leaf(length: int, walk, traces, deletion: bool, cap: int,
     return best, best_member, more and scored == cap
 
 
-def mld_two_del_detailed(y1: Word, y2: Word, band=None,
-                         cap: int = DEFAULT_CAP, code=None) -> tuple:
-    """Degraded two-trace decoder for deletions; returns (word, truncated).
-
-    argmax of Emb(x; y1) * Emb(x; y2) over all shortest common
-    supersequences of the traces (exact integer products, ties to the
-    lexicographically smallest word), scored in place along one
-    lexicographic walk of the SCS DAG that skips the subtrees no maximum
-    can lie in (see _best_leaf).  `cap` is a budget on the words scored;
-    truncated tells that it ran out with unpruned subtrees left, and the
-    output is then the best of the words scored.  `band` is accepted but
-    not needed (see supersequences).
-
-    With a `code`, the best candidate that is a codeword wins; if no
-    candidate is a codeword and the candidates are one symbol short of the
-    code length, a code that corrects one deletion at an unknown position
-    (VT) decodes the best unrestricted candidate.  Anything else falls back
-    to the unrestricted output, which cannot be the transmitted codeword and
-    is counted as a failure by the harness.
+def _mld_two(y1: Word, y2: Word, deletion: bool, cap: int,
+             code=None) -> tuple:
+    """(word, truncated) of the two-trace decoders: the first strict
+    maximum of the embedding-number product over the traces' shortest
+    common supersequences (deletion) or longest common subsequences, found
+    along one pruned walk of the DAG (_best_leaf); when one trace contains
+    the other, the longer (deletion) or shorter trace is the only candidate.
+    With a `code` (deletions only), the best candidate that is a codeword
+    wins; failing that, candidates one symbol short of the code length are
+    decoded by a code that corrects one deletion anywhere (VT), and
+    anything else falls back to the unrestricted output, which the harness
+    counts as a failure.
     """
     y1, y2 = tuple(y1), tuple(y2)
-    # If one trace contains the other, the unique SCS is the longer trace.
-    if is_subsequence(y2, y1) or is_subsequence(y1, y2):
-        best = y1 if len(y1) >= len(y2) else y2
-        length, truncated = len(best), False
-        member = (best if code is not None and length == code.n
-                  and code.is_member(best) else None)
+    short, long = (y1, y2) if len(y1) <= len(y2) else (y2, y1)
+    if is_subsequence(short, long):
+        best, truncated = (long if deletion else short), False
+        length = len(best)
+        member = best if code is not None and code.is_member(best) else None
     else:
-        length, walk = scs_dag(y1, y2, cap)
-        coded = code is not None and length == code.n
-        best, member, truncated = _best_leaf(
-            length, walk, (y1, y2), True, cap, code if coded else None)
+        length, walk = (scs_dag if deletion else lcs_dag)(y1, y2, cap)
+        coded = code if code is not None and length == code.n else None
+        best, member, truncated = _best_leaf(length, walk, (y1, y2),
+                                             deletion, cap, coded)
     if member is not None:
         return member, truncated
     if (code is not None and length == code.n - 1
@@ -230,9 +222,19 @@ def mld_two_del_detailed(y1: Word, y2: Word, band=None,
     return best, truncated
 
 
-def decode_mld_two_del(y1: Word, y2: Word, band=None,
-                       cap: int = DEFAULT_CAP, code=None) -> Word:
-    return mld_two_del_detailed(y1, y2, band=band, cap=cap, code=code)[0]
+def mld_two_del_detailed(y1: Word, y2: Word, band=None,
+                         cap: int = DEFAULT_CAP, code=None) -> tuple:
+    """Degraded two-trace decoder for deletions; returns (word, truncated).
+
+    argmax of Emb(x; y1) * Emb(x; y2) over all shortest common
+    supersequences of the traces (exact integer products, ties to the
+    lexicographically smallest word), decoded within `code` if one is given
+    (see _mld_two).  `cap` is a budget on the words scored; truncated tells
+    that it ran out with unpruned subtrees left, and the output is then the
+    best of the words scored.  `band` is accepted but not needed (see
+    supersequences).
+    """
+    return _mld_two(y1, y2, True, cap, code)
 
 
 def mld_two_ins_detailed(y1: Word, y2: Word, band=None,
@@ -240,23 +242,10 @@ def mld_two_ins_detailed(y1: Word, y2: Word, band=None,
     """Two-trace decoder for insertions; returns (word, truncated).
 
     argmax of Emb(y1; x) * Emb(y2; x) over all longest common subsequences
-    (likelihood maximization, symmetric to the deletion case), scored along
-    one pruned lexicographic walk of the next-occurrence LCS automaton; cap
-    and band as in mld_two_del_detailed.
+    (likelihood maximization, symmetric to the deletion case); cap and band
+    as in mld_two_del_detailed.
     """
-    y1, y2 = tuple(y1), tuple(y2)
-    if is_subsequence(y1, y2):
-        return y1, False
-    if is_subsequence(y2, y1):
-        return y2, False
-    length, walk = lcs_dag(y1, y2, cap)
-    best, _, truncated = _best_leaf(length, walk, (y1, y2), False, cap)
-    return best, truncated
-
-
-def decode_mld_two_ins(y1: Word, y2: Word, band=None,
-                       cap: int = DEFAULT_CAP) -> Word:
-    return mld_two_ins_detailed(y1, y2, band=band, cap=cap)[0]
+    return _mld_two(y1, y2, False, cap)
 
 
 def mld_two_oracle(y1: Word, y2: Word, deletion: bool = True,
@@ -397,15 +386,15 @@ def two_del_lazy_en_gap_fast(y: Word) -> int:
 @dataclass(frozen=True)
 class Decoder:
     """A named decoder: the number of traces it reads, the channel kinds it
-    decodes and its function, fn(y, k) -> word for one trace and
-    fn(y1, y2, band=None, cap=DEFAULT_CAP) -> (word, truncated) for two,
-    where cap is a budget on the candidates scored and truncated tells that
-    it ran out before the pruned search did.
-    A `coded` fn also takes code= (None for the whole space) and, with one
-    trace, the alphabet size q=; every other decoder ignores the code, so
-    configs give it code 'all'.  fast_1del(n), if set, is the decoder's
-    exact 1-deletion law from analysis: its expected normalized distance
-    over the whole binary space, a Fraction, for n >= 2.
+    decodes and its function fn, which callers reach only through
+    decode(traces, k=0, code=None, cap=DEFAULT_CAP) -> (word, truncated).
+    k is the deletion count of a k-deletion channel (one trace), cap a
+    budget on the candidates scored (two traces), and truncated tells that
+    it ran out before the pruned search did.  Only a `coded` fn reads the
+    code (None for an 'all' code) and, with one trace, its alphabet size q.
+    fast_1del(n), if set, is the decoder's exact 1-deletion law from
+    analysis: its expected normalized distance over the whole binary
+    space, a Fraction, for n >= 2.
     """
 
     traces: int
@@ -413,6 +402,17 @@ class Decoder:
     fn: Callable
     fast_1del: Callable | None = None
     coded: bool = False
+
+    def decode(self, traces, k: int = 0, code=None,
+               cap: int = DEFAULT_CAP) -> tuple:
+        kw = {}
+        if self.coded:
+            kw["code"] = None if code is None or code.kind == "all" else code
+            if self.traces == 1 and code is not None:
+                kw["q"] = code.q  # a one-trace decoder searches Sigma_q
+        if self.traces == 1:
+            return self.fn(traces[0], k, **kw), False
+        return self.fn(*traces, cap=cap, **kw)
 
 
 _DEL_KINDS = ("del", "kdel")

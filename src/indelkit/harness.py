@@ -297,18 +297,14 @@ def _trial_components(c: Word, output: Word, t: int, kind: str) -> tuple:
     return d, run_units, d - run_units
 
 
-def _run_chunk(config_json: str, point: int, p: float, lo: int, hi: int) -> tuple:
+def _run_chunk(cfg: ExperimentConfig, point: int, p: float, lo: int,
+               hi: int) -> tuple:
     """Run trials [lo, hi) of one grid point; returns exact integer sums
     (sum_d, sum_d2, failures, run_units, alt_units, truncated)."""
-    cfg = ExperimentConfig.from_json(config_json)
     code = make_code(cfg.code, cfg.n, cfg.q)
-    decode_code = code if cfg.code.get("code", "all") != "all" else None
     kind, k = cfg.channel.kind, cfg.channel.k
     dec = get_decoder(cfg.decoder, cfg.t, kind)
     q, t, seed, cap = cfg.q, cfg.t, cfg.master_seed, cfg.scs_cap
-    kw = {"code": decode_code} if dec.coded else {}
-    if dec.coded and t == 1:
-        kw["q"] = q  # a one-trace coded decoder searches Sigma_q itself
     sum_d = sum_d2 = fails = run_units = alt_units = truncated = 0
     for c_rng, *rngs in _trial_rngs(seed, point, lo, hi, t + 1):
         c = code.sample(c_rng)
@@ -318,10 +314,7 @@ def _run_chunk(config_json: str, point: int, p: float, lo: int, hi: int) -> tupl
             ys = [transmit_ins(c, p, q, rng) for rng in rngs]
         else:
             ys = [transmit_kdel(c, k, rng) for rng in rngs]
-        if t == 1:
-            out, trunc = dec.fn(ys[0], k, **kw), False
-        else:
-            out, trunc = dec.fn(*ys, cap=cap, **kw)
+        out, trunc = dec.decode(ys, k, code, cap)
         d, ru, au = _trial_components(c, out, t, kind)
         sum_d += d
         sum_d2 += d * d
@@ -336,13 +329,12 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Aggr
     """Monte Carlo sweep over the probability grid; deterministic for a
     given master seed regardless of the worker count."""
     workers = worker_count(workers)
-    cfg_json = config.to_json()
     points = []
     for point, p in enumerate(config.p_grid):
         start = time.perf_counter()
         trials = config.trials_per_point
         if workers == 1:
-            sums = _run_chunk(cfg_json, point, p, 0, trials)
+            sums = _run_chunk(config, point, p, 0, trials)
         else:
             chunk = max(1, ceil(trials / (workers * 4)))
             bounds = [(lo, min(lo + chunk, trials))
@@ -350,7 +342,7 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Aggr
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 parts = list(pool.map(
                     _run_chunk,
-                    *zip(*[(cfg_json, point, p, lo, hi) for lo, hi in bounds])))
+                    *zip(*[(config, point, p, lo, hi) for lo, hi in bounds])))
             sums = tuple(sum(col) for col in zip(*parts))
         sum_d, sum_d2, fails, run_u, alt_u, trunc = sums
         n, T = config.n, trials
@@ -397,10 +389,10 @@ def exact_expected_distance(decoder: str, n: int, k: int = 1,
     dec = get_decoder(decoder, 1, "kdel")
     if k == 1 and method == "auto" and dec.fast_1del is not None:
         return dec.fast_1del(n)
-    return _exact_enumerate(dec.fn, n, k)
+    return _exact_enumerate(dec, n, k)
 
 
-def _exact_enumerate(decode, n: int, k: int) -> Fraction:
+def _exact_enumerate(dec, n: int, k: int) -> Fraction:
     """Literal evaluator: the exact objective of every channel output's
     decoding, summed over all outputs."""
     from itertools import product as iproduct
@@ -409,7 +401,7 @@ def _exact_enumerate(decode, n: int, k: int) -> Fraction:
         raise ValueError("k cannot exceed n")
     if 2 ** (n - k) * 2 ** k * n > 2 ** 26:
         raise ValueError(f"enumeration infeasible for n = {n}, k = {k}")
-    total = sum(objective_f(y, decode(y, k), k)
+    total = sum(objective_f(y, dec.decode((y,), k)[0], k)
                 for y in iproduct((0, 1), repeat=n - k))
     return Fraction(total, (2 ** n) * n * comb(n, k))
 

@@ -184,6 +184,20 @@ def test_simulate_config_typos_exit_with_one_line(tmp_path, change, key):
     assert not (tmp_path / "results.csv").exists()
 
 
+def test_simulate_refuses_an_empty_svt_code(tmp_path):
+    # SVT(n=3, a=0, b=1) at the default P = 4 has no codeword to sample
+    cfg = {"channel": {"kind": "del"}, "t": 2, "n": 3, "q": 2,
+           "code": {"code": "svt", "a": 0, "b": 1}, "decoder": "mld2del",
+           "p_grid": [0.02], "trials_per_point": 10}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(cfg))
+    res = run_cli("simulate", "--config", str(path),
+                  "--out", str(tmp_path / "results.csv"))
+    assert res.returncode == 1
+    assert len(res.stderr.splitlines()) == 1 and "no codewords" in res.stderr
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_simulate_rejects_a_negative_seed(tmp_path):
     cfg = {"channel": {"kind": "del"}, "t": 2, "n": 30, "q": 2,
            "p_grid": [0.02], "trials_per_point": 10}

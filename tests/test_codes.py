@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,75 @@ class TestSvt:
             SvtCode(8, a=0, P=1)
         with pytest.raises(ValueError):
             SvtCode(8, a=0, b=2)
+
+    def test_refuses_exactly_the_empty_codes(self):
+        refused = set()
+        for n in range(1, 9):
+            words = list(product((0, 1), repeat=n))
+            for P in range(2, n + 2):
+                for a in range(P):
+                    for b in (0, 1):
+                        empty = not any(
+                            sum((i + 1) * s for i, s in enumerate(w)) % P == a
+                            and sum(w) % 2 == b for w in words)
+                        if empty:
+                            refused.add((n, a, P, b))
+                            with pytest.raises(ValueError) as err:
+                                SvtCode(n, a, P, b)
+                            assert (f"n={n}, a={a}, P={P}, b={b}"
+                                    in str(err.value))
+                        else:
+                            assert SvtCode(n, a, P, b).enumerate_words()
+        assert {(n, a, b) for n, a, P, b in refused
+                if P == default_svt_window_modulus(n)} == {
+            (1, 0, 1), (1, 1, 0), (2, 0, 1), (2, 1, 0), (2, 2, 0), (3, 0, 1),
+            (3, 2, 0)}
+        assert (4, 0, 5, 1) in refused
+
+    def test_vt_codes_are_never_empty(self):
+        for n in range(1, 11):
+            for a in range(n + 1):
+                assert VtCode(n, a).enumerate_words()
+
+
+def folded_words(code, symbols, max_len):
+    """(word, state) for every word over `symbols` of length <= max_len,
+    with state code.prefix_state folded over the word from state 0."""
+    level = [((), 0)]
+    yield from level
+    for i in range(1, max_len + 1):
+        level = [(w + (s,), code.prefix_state(state, i, s))
+                 for w, state in level for s in symbols]
+        yield from level
+
+
+class TestPrefixState:
+    # The coded DAG walk keys its pruning fronts by the prefix state, so two
+    # prefixes in one state must complete to codewords alike: a word is a
+    # member exactly when it has length n and its folded state accepts.
+
+    def _check(self, code, accept, symbols, max_len=10):
+        for w, state in folded_words(code, symbols, max_len):
+            assert code.is_member(w) == (len(w) == code.n
+                                         and state == accept), (w, state)
+
+    @pytest.mark.parametrize("q,max_len", [(2, 10), (3, 8)])
+    def test_all_words(self, q, max_len):
+        # the symbol q lies outside the alphabet
+        for n in (0, 3, max_len):
+            self._check(AllWordsCode(n, q), 0, range(q + 1), max_len)
+
+    @pytest.mark.parametrize("n", [1, 5, 10])
+    def test_vt_every_residue(self, n):
+        for a in range(n + 1):
+            self._check(VtCode(n, a), a, (0, 1))
+
+    @pytest.mark.parametrize("n", [4, 7, 10])
+    def test_svt_every_residue_and_parity(self, n):
+        P = default_svt_window_modulus(n)
+        for a in range(P):
+            for b in (0, 1):
+                self._check(SvtCode(n, a, P, b), 2 * a + b, (0, 1))
 
 
 class TestMakeCode:

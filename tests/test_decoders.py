@@ -9,9 +9,8 @@ from indelkit.codes import (AllWordsCode, SvtCode, VtCode,
                             default_svt_window_modulus)
 from indelkit.combinatorics import embedding_number, insertion_ball
 from indelkit.decoders import (_best_leaf, brute_force_ml_star, decode_en,
-                               decode_lazy, decode_ml_code, decode_mld_two_del,
-                               decode_mld_two_ins, mld_two_del_detailed,
-                               mld_two_ins_detailed,
+                               decode_lazy, decode_ml_code,
+                               mld_two_del_detailed, mld_two_ins_detailed,
                                ml_star_1del, ml_star_2del, mld_two_oracle,
                                objective_f,
                                two_del_condition_poly, two_del_lazy_en_gap,
@@ -103,24 +102,26 @@ class TestMlCode:
 
 class TestMldTwoDel:
     def test_reference_values(self):
-        assert decode_mld_two_del(pw("00"), pw("00")) == pw("00")
-        assert decode_mld_two_del(pw("0"), pw("1")) == pw("01")
-        assert decode_mld_two_del(pw("010"), pw("001")) == pw("0010")
+        assert mld_two_del_detailed(pw("00"), pw("00")) == (pw("00"), False)
+        assert mld_two_del_detailed(pw("0"), pw("1")) == (pw("01"), False)
+        assert mld_two_del_detailed(pw("010"), pw("001")) == (pw("0010"),
+                                                              False)
 
     def test_vs_bruteforce_exhaustive(self):
         for m1 in range(0, 6):
             for m2 in range(0, 6):
                 for y1 in product((0, 1), repeat=m1):
                     for y2 in product((0, 1), repeat=m2):
-                        assert decode_mld_two_del(y1, y2) == \
-                            mld_two_oracle(y1, y2)[0]
+                        assert mld_two_del_detailed(y1, y2) == (
+                            mld_two_oracle(y1, y2)[0], False)
 
     def test_vs_bruteforce_random(self):
         rnd = random.Random(8)
         for _ in range(200):
             y1 = tuple(rnd.randrange(2) for _ in range(rnd.randint(0, 8)))
             y2 = tuple(rnd.randrange(2) for _ in range(rnd.randint(0, 8)))
-            assert decode_mld_two_del(y1, y2) == mld_two_oracle(y1, y2)[0]
+            assert mld_two_del_detailed(y1, y2) == (
+                mld_two_oracle(y1, y2)[0], False)
 
     def test_output_is_common_supersequence(self):
         from indelkit.words import is_subsequence
@@ -130,7 +131,7 @@ class TestMldTwoDel:
             c = tuple(rnd.randrange(2) for _ in range(n))
             y1 = tuple(s for s in c if rnd.random() > 0.2)
             y2 = tuple(s for s in c if rnd.random() > 0.2)
-            out = decode_mld_two_del(y1, y2)
+            out, _ = mld_two_del_detailed(y1, y2)
             assert is_subsequence(y1, out) and is_subsequence(y2, out)
             assert len(out) <= n
 
@@ -302,25 +303,26 @@ class TestPrunedWalkVsOracle:
 
 class TestMldTwoIns:
     def test_reference_values(self):
-        assert decode_mld_two_ins(pw("00"), pw("00")) == pw("00")
-        assert decode_mld_two_ins(pw("010"), pw("01")) == pw("01")
-        assert decode_mld_two_ins(pw("0100"), pw("0010")) == pw("010")
+        assert mld_two_ins_detailed(pw("00"), pw("00")) == (pw("00"), False)
+        assert mld_two_ins_detailed(pw("010"), pw("01")) == (pw("01"), False)
+        assert mld_two_ins_detailed(pw("0100"), pw("0010")) == (pw("010"),
+                                                                False)
 
     def test_vs_bruteforce_exhaustive(self):
         for m1 in range(0, 6):
             for m2 in range(0, 6):
                 for y1 in product((0, 1), repeat=m1):
                     for y2 in product((0, 1), repeat=m2):
-                        assert decode_mld_two_ins(y1, y2) == \
-                            mld_two_oracle(y1, y2, False)[0]
+                        assert mld_two_ins_detailed(y1, y2) == (
+                            mld_two_oracle(y1, y2, False)[0], False)
 
     def test_vs_bruteforce_random(self):
         rnd = random.Random(10)
         for _ in range(200):
             y1 = tuple(rnd.randrange(2) for _ in range(rnd.randint(0, 8)))
             y2 = tuple(rnd.randrange(2) for _ in range(rnd.randint(0, 8)))
-            assert decode_mld_two_ins(y1, y2) == mld_two_oracle(
-                y1, y2, False)[0]
+            assert mld_two_ins_detailed(y1, y2) == (
+                mld_two_oracle(y1, y2, False)[0], False)
 
 
 class TestObjective:
@@ -457,8 +459,8 @@ class TestCodedMld:
             for c in code.enumerate_words():
                 for y1 in deletion_ball(c, 1):
                     for y2 in deletion_ball(c, 1):
-                        out = decode_mld_two_del(y1, y2, code=code)
-                        assert out == c, (c, y1, y2)
+                        out = mld_two_del_detailed(y1, y2, code=code)
+                        assert out == (c, False), (c, y1, y2)
 
     def test_svt_corrects_alternating_only(self):
         from indelkit.codes import SvtCode
@@ -469,7 +471,7 @@ class TestCodedMld:
         for c in code.enumerate_words():
             for y1 in deletion_ball(c, 1):
                 for y2 in deletion_ball(c, 1):
-                    out = decode_mld_two_del(y1, y2, code=code)
+                    out, _ = mld_two_del_detailed(y1, y2, code=code)
                     if out != c:
                         if y1 == y2:
                             failures_run += 1

@@ -296,12 +296,8 @@ def _literal_sums(cfg, point=0):
     """The exact sums of one grid point from a plain per-trial loop over
     `_stream_rng`: the harness's reference."""
     code = make_code(cfg.code, cfg.n, cfg.q)
-    coded = cfg.code.get("code", "all") != "all"
     kind, k, p, t = cfg.channel.kind, cfg.channel.k, cfg.p_grid[point], cfg.t
     dec = get_decoder(cfg.decoder, t, kind)
-    kw = {"code": code if coded else None} if dec.coded else {}
-    if dec.coded and t == 1:
-        kw["q"] = cfg.q
     sums = [0] * 5
     for trial in range(cfg.trials_per_point):
         c = code.sample(_stream_rng(cfg.master_seed, point, trial, 0))
@@ -311,8 +307,7 @@ def _literal_sums(cfg, point=0):
             ys.append(transmit_del(c, p, rng) if kind == "del"
                       else transmit_ins(c, p, cfg.q, rng) if kind == "ins"
                       else transmit_kdel(c, k, rng))
-        out, trunc = ((dec.fn(ys[0], k, **kw), False) if t == 1
-                      else dec.fn(*ys, cap=cfg.scs_cap, **kw))
+        out, trunc = dec.decode(ys, k, code, cfg.scs_cap)
         d, ru, au = _trial_components(c, out, t, kind)
         for i, v in enumerate((d, out != c, ru, au, trunc)):
             sums[i] += v
