@@ -14,6 +14,7 @@ import warnings
 from dataclasses import replace
 
 from .analysis import coded_success_bounds, two_del_formulas, two_ins_formulas
+from .codes import AllWordsCode
 from .decoders import DECODERS, get_decoder
 from .harness import (CSV_FIELDS, ExperimentConfig, exact_expected_distance,
                       reproduce_figure, run_experiment, sweep_brute_force_window,
@@ -188,8 +189,12 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_decode(args) -> int:
     traces = [parse_word(t) for t in args.traces]
+    # the whole space Sigma_q^(|y|+k) of the smallest alphabet (at least
+    # binary) holding the traces' symbols: the one a coded decoder searches
+    q = max(2, 1 + max(max(y, default=0) for y in traces))
+    code = AllWordsCode(len(traces[0]) + args.k, q)
     out, truncated = get_decoder(args.decoder, len(traces)).decode(
-        traces, args.k)
+        traces, args.k, code)
     if truncated:
         print("warning: the cap on scored candidates was hit with unpruned "
               "candidates left; the output is the best of those scored",

@@ -9,6 +9,21 @@ walk that takes the edges in symbol order reaches them once each, in
 lexicographic order, without recursion.  A cap stops the walk after the
 first `cap` words and reports whether more exist; a caller that scores the
 words may also skip subtrees at the branching nodes.
+
+Both walks read only the words' differing middles.  Affix lemma: when y1
+and y2 start with the same symbol a, every LCS and every SCS starts with a
+(a common subsequence that skips a fits in the two rests, whose LCS is one
+shorter; a supersequence's first symbol is the first symbol of a word it
+covers), so the LCSs (SCSs) of y1 = P.X.S and y2 = P.Y.S are P.w.S for w
+an LCS (SCS) of X and Y, in the same lexicographic order.  Reversal gives
+the suffix.  The walk's path starts as P (words.common_affixes) and each
+leaf ends with S.  Stretch rule (the "snakes" of Myers' O(ND) diff): the
+lemma holds at every node, so where the unread parts of the two middles
+start alike, both walks emit that common stretch without testing an edge.
+No other edge leaves such a node: in the LCS walk, an edge for a symbol
+c other than the stretch's head a either skips the common segment up to
+c's next occurrence in the stretch, or jumps past the whole stretch, and
+either way its target's LCS is at least 2 below the node's.
 """
 
 from __future__ import annotations
@@ -16,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .words import Word, lcs_bit_rows
+from .words import Word, common_affixes, lcs_bit_rows, symbol_masks
 
 DEFAULT_CAP = 10 ** 6
 
@@ -60,8 +75,9 @@ def scs_length(y1: Word, y2: Word) -> int:
     return len(y1) + len(y2) - lcs_length(y1, y2)
 
 
-def _walk(descend, start, cap: int, skip=None):
-    """Depth-first walk of a deterministic DAG, edges in symbol order.
+def _walk(descend, start, cap: int, prefix, suffix, skip=None):
+    """Depth-first walk of a deterministic DAG, edges in symbol order; each
+    path starts with `prefix` and each leaf ends with `suffix`.
 
     descend(path, *node) follows the node's chain of single out-edges,
     appending their symbols to `path`, and returns (node, out): the node it
@@ -74,13 +90,14 @@ def _walk(descend, start, cap: int, skip=None):
     of the prefix that the path kept since the previous branching node or
     leaf.
     """
-    path: list = []
+    path: list = list(prefix)
     stack: list = []  # (depth, symbol, node) of the edges not yet taken
     node, shared, leaves = start, 0, 0
     while True:
         node, out = descend(path, *node)
         if not out:
             leaves += 1
+            path.extend(suffix)
             yield path, shared, bool(stack)
             if leaves == cap:
                 return
@@ -103,6 +120,14 @@ def _check_cap(cap: int) -> None:
         raise ValueError("cap must be >= 1")
 
 
+def _trim(y1: Word, y2: Word) -> tuple:
+    """(prefix, x1, x2, suffix): the two words' common affixes and the
+    middles between them (words.common_affixes)."""
+    y1, y2 = tuple(y1), tuple(y2)
+    i, j = common_affixes(y1, y2)
+    return y1[:i], y1[i:len(y1) - j], y2[i:len(y2) - j], y1[len(y1) - j:]
+
+
 def scs_dag(y1: Word, y2: Word, cap: int = DEFAULT_CAP) -> tuple:
     """(length, walk): the SCS length of y1 and y2 and walk(skip=None), a
     `_walk` over their shortest common supersequences.
@@ -112,10 +137,11 @@ def scs_dag(y1: Word, y2: Word, cap: int = DEFAULT_CAP) -> tuple:
     words (exchange argument); otherwise a symbol may come from either word
     whenever doing so keeps the suffix LCS, read off lcs_bit_rows of the
     reversed words.  Once one word is used up, the rest of the other
-    follows.
+    follows.  Nodes and rows cover only the middles (see the module
+    docstring).
     """
     _check_cap(cap)
-    y1, y2 = tuple(y1), tuple(y2)
+    prefix, y1, y2, suffix = _trim(y1, y2)
     m1, m2 = len(y1), len(y2)
     r1, r2 = y1[::-1], y2[::-1]
     rows = lcs_bit_rows(r1, r2)  # LCS of the suffixes: rows[k1] & low k2 bits
@@ -146,30 +172,35 @@ def scs_dag(y1: Word, y2: Word, cap: int = DEFAULT_CAP) -> tuple:
         path.extend(y2[m2 - k2:])
         return (k1, k2), ()
 
-    return (m1 + m2 - rows[m1].bit_count(),
-            partial(_walk, descend, (m1, m2), cap))
+    return (len(prefix) + m1 + m2 - rows[m1].bit_count() + len(suffix),
+            partial(_walk, descend, (m1, m2), cap, prefix, suffix))
 
 
 def lcs_dag(y1: Word, y2: Word, cap: int = DEFAULT_CAP) -> tuple:
     """(length, walk): the LCS length of y1 and y2 and walk(skip=None), a
     `_walk` over their longest common subsequences.
 
-    A node is the pair (k1, k2) of unread suffix lengths.  Its edge for
-    symbol c jumps past the next occurrence of c in both suffixes, kept
-    only when the LCS of what remains is one shorter: each distinct LCS is
-    the label of exactly one path, its leftmost embedding.
+    A node is the pair (k1, k2) of unread suffix lengths of the middles.
+    Its edge for symbol c jumps past the next occurrence of c in both
+    suffixes, kept only when the LCS of what remains is one shorter: each
+    distinct LCS is the label of exactly one path, its leftmost embedding.
+    Where the unread suffixes start alike, the stretch rule (see the module
+    docstring) emits their common prefix without testing the edges.
     """
     _check_cap(cap)
-    r1, r2 = tuple(y1)[::-1], tuple(y2)[::-1]
+    prefix, x1, x2, suffix = _trim(y1, y2)
+    m1, m2 = len(x1), len(x2)
+    r1, r2 = x1[::-1], x2[::-1]
     rows = lcs_bit_rows(r1, r2)
-    occ1, occ2 = {}, {}  # symbol -> bit mask of its positions, reversed
-    for occ, r in ((occ1, r1), (occ2, r2)):
-        for pos, c in enumerate(r):
-            occ[c] = occ.get(c, 0) | (1 << pos)
+    occ1, occ2 = symbol_masks(r1), symbol_masks(r2)
     alphabet = sorted(occ1.keys() & occ2.keys())
 
     def descend(path, k1, k2):
         while True:
+            while k1 and k2 and r1[k1 - 1] == r2[k2 - 1]:  # forced steps
+                path.append(r1[k1 - 1])
+                k1 -= 1
+                k2 -= 1
             low1, low2 = (1 << k1) - 1, (1 << k2) - 1
             want = (rows[k1] & low2).bit_count() - 1
             if want < 0:
@@ -186,8 +217,8 @@ def lcs_dag(y1: Word, y2: Word, cap: int = DEFAULT_CAP) -> tuple:
             (c, (k1, k2)), = out
             path.append(c)
 
-    m1, m2 = len(r1), len(r2)
-    return rows[m1].bit_count(), partial(_walk, descend, (m1, m2), cap)
+    return (len(prefix) + rows[m1].bit_count() + len(suffix),
+            partial(_walk, descend, (m1, m2), cap, prefix, suffix))
 
 
 def _collect(length: int, walk) -> ScsResult:

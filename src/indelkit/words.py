@@ -8,6 +8,7 @@ stored on the word itself.  All functions here are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 Word = tuple  # tuple of ints in [0, q)
 
@@ -142,6 +143,31 @@ def is_two_symbol_alternating(w: Word) -> bool:
     return all(s == expected[i % 2] for i, s in enumerate(w))
 
 
+@lru_cache(maxsize=None)
+def _indicator(c: int) -> bytes:
+    """bytes.translate table sending byte c to b"1" and the rest to b"0"."""
+    return bytes(49 if b == c else 48 for b in range(256))
+
+
+def symbol_masks(w: Word) -> dict:
+    """{c: mask} over the symbols c of w, bit t of mask set iff w[t] == c.
+
+    Each mask of a longer word is one int(..., 2) of its reversed bytes
+    translated to "0"/"1" digits, at C speed.
+    """
+    if len(w) > 16:  # shorter words are quicker with the loop below
+        try:
+            b = bytes(w[::-1])
+        except ValueError:  # a symbol above 255
+            pass
+        else:
+            return {c: int(b.translate(_indicator(c)), 2) for c in set(b)}
+    masks: dict = {}
+    for t, c in enumerate(w):
+        masks[c] = masks.get(c, 0) | (1 << t)
+    return masks
+
+
 def lcs_bit_rows(x: Word, y: Word) -> list:
     """Bit-parallel LCS rows of x against y (Hyyro 2004).
 
@@ -150,25 +176,47 @@ def lcs_bit_rows(x: Word, y: Word) -> list:
     (rows[k] & ((1 << t) - 1)).bit_count() for every k and t.  One
     `V = (V + U) | (V - U)` update on a |y|-bit int per symbol of x.
     """
-    match: dict = {}
-    for t, c in enumerate(y):
-        match[c] = match.get(c, 0) | (1 << t)
+    match = symbol_masks(y)
     full = (1 << len(y)) - 1
     v = full  # zero bits mark where the LCS row steps up
     rows = [0]
+    get, ap = match.get, rows.append
     for a in x:
-        u = v & match.get(a, 0)
+        u = v & get(a, 0)
         v = ((v + u) | (v - u)) & full
-        rows.append(v ^ full)
+        ap(v ^ full)
     return rows
+
+
+def common_affixes(x: Word, y: Word) -> tuple:
+    """(i, j): the length i of the longest common prefix of x and y, and
+    the length j of the longest common suffix of what remains, so that
+    i + j <= min(|x|, |y|).
+
+    The affixes P and S are exact to strip: the LCSs (SCSs) of P.X.S and
+    P.Y.S are the words P.w.S for w an LCS (SCS) of the middles X and Y
+    (see supersequences).
+    """
+    n = min(len(x), len(y))
+    i = 0
+    while i < n and x[i] == y[i]:
+        i += 1
+    j, n = 0, n - i
+    while j < n and x[-1 - j] == y[-1 - j]:
+        j += 1
+    return i, j
 
 
 def indel_distance(x: Word, y: Word) -> int:
     """Minimum number of insertions plus deletions transforming x into y.
 
     Substitutions are not allowed moves, so this equals
-    |x| + |y| - 2*LCS(x, y), with the LCS from lcs_bit_rows.
+    |x| + |y| - 2*LCS(x, y), with the LCS from lcs_bit_rows run over the
+    middles that common_affixes leaves (the affixes add to |x|, |y| and
+    the LCS alike, and cancel).
     """
     if x == y:
         return 0
+    i, j = common_affixes(x, y)
+    x, y = x[i:len(x) - j], y[i:len(y) - j]
     return len(x) + len(y) - 2 * lcs_bit_rows(x, y)[-1].bit_count()

@@ -10,7 +10,8 @@ import pytest
 
 import indelkit
 from indelkit.cli import main
-from indelkit.decoders import DECODERS
+from indelkit.decoders import DECODERS, brute_force_ml_star
+from indelkit.words import parse_word
 
 
 def run_cli(*argv):
@@ -36,11 +37,19 @@ def test_decode_subcommand(capsys):
 
 
 def test_decode_rejects_bad_traces_without_traceback():
-    # a symbol outside the brute decoder's binary alphabet, a non-digit
-    with pytest.raises(SystemExit, match="out of range"):
-        main(["decode", "--decoder", "brute", "--k", "1", "0212"])
+    # one trace for a two-trace decoder, a non-digit
+    with pytest.raises(SystemExit, match="reads 2 trace"):
+        main(["decode", "--decoder", "mld2del", "0212"])
     with pytest.raises(SystemExit, match="invalid literal"):
         main(["decode", "--decoder", "en:1", "01a"])
+
+
+def test_decode_brute_searches_the_traces_alphabet(capsys):
+    # a ternary trace decodes over Sigma_3, as a q = 3 config would
+    y = parse_word("0120")
+    assert main(["decode", "--decoder", "brute", "--k", "1", "0120"]) == 0
+    assert parse_word(capsys.readouterr().out.strip()) == (
+        brute_force_ml_star(y, 1, q=3))
 
 
 def test_decode_warns_when_truncated(capsys, monkeypatch):

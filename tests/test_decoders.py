@@ -210,6 +210,20 @@ def channel_pair(rnd, c, p):
     return tuple(tuple(s for s in c if rnd.random() >= p) for _ in range(2))
 
 
+def insertion_pair(rnd, c, p, q):
+    """Two Ins(p) traces of c: one uniform symbol at each gap w.p. p."""
+    def trace():
+        out = []
+        for s in c:
+            if rnd.random() < p:
+                out.append(rnd.randrange(q))
+            out.append(s)
+        if rnd.random() < p:
+            out.append(rnd.randrange(q))
+        return tuple(out)
+    return trace(), trace()
+
+
 class TestPrunedWalkVsOracle:
     # The pruned walk against mld_two_oracle, the literal first strict
     # maximum of the embedding-number product over the full enumeration.
@@ -230,6 +244,13 @@ class TestPrunedWalkVsOracle:
             y1, y2 = channel_pair(rnd, c, rnd.uniform(0.0, 0.2))
             assert mld_two_del_detailed(y1, y2) == (
                 mld_two_oracle(y1, y2)[0], False), (c, y1, y2)
+        rnd = random.Random(17)
+        for trial in range(300):
+            q = (2, 4)[trial % 2]
+            c = tuple(rnd.randrange(q) for _ in range(rnd.randint(1, 150)))
+            z1, z2 = insertion_pair(rnd, c, rnd.uniform(0.0, 0.05), q)
+            assert mld_two_ins_detailed(z1, z2) == (
+                mld_two_oracle(z1, z2, deletion=False)[0], False), (c, z1, z2)
 
     @pytest.mark.parametrize("kind", ["vt", "svt"])
     def test_coded(self, kind):

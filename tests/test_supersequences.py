@@ -5,7 +5,8 @@ import pytest
 
 from indelkit.supersequences import (enumerate_lcs, enumerate_scs, lcs_length,
                                      scs_length)
-from indelkit.words import indel_distance, is_subsequence, parse_word
+from indelkit.words import (common_affixes, indel_distance, is_subsequence,
+                            parse_word)
 
 
 def brute_scs_set(y1, y2, q=2):
@@ -18,6 +19,25 @@ def brute_lcs_set(y1, y2, q=2):
     ell = lcs_length(y1, y2)
     return {x for x in product(range(q), repeat=ell)
             if is_subsequence(x, y1) and is_subsequence(x, y2)}
+
+
+def edited(rnd, c, q, deletion, edits):
+    """c through `edits` random deletions (or insertions of random symbols)."""
+    y = list(c)
+    for _ in range(edits):
+        if deletion and y:
+            del y[rnd.randrange(len(y))]
+        elif not deletion:
+            y.insert(rnd.randrange(len(y) + 1), rnd.randrange(q))
+    return tuple(y)
+
+
+def edited_pairs(rnd, count, q, length, deletion):
+    """Pairs of traces of one random word, each through up to two edits."""
+    for _ in range(count):
+        c = tuple(rnd.randrange(q) for _ in range(rnd.randint(1, length)))
+        yield (edited(rnd, c, q, deletion, rnd.randint(0, 2)),
+               edited(rnd, c, q, deletion, rnd.randint(0, 2)))
 
 
 class TestLengths:
@@ -167,6 +187,65 @@ class TestCap:
         for enumerate_ in (enumerate_scs, enumerate_lcs):
             with pytest.raises(ValueError):
                 enumerate_((0,), (1,), cap=0)
+
+
+class TestTrimmedWalks:
+    # Pairs of traces of one word share long affixes and agreeing stretches,
+    # so the walks run over the middles and the LCS walk skips stretches.
+    SIZES = {2: 9, 3: 7, 4: 6}  # longest word per alphabet, for the brute sets
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_vs_bruteforce(self, q):
+        rnd = random.Random(20 + q)
+        trimmed = 0
+        for deletion, enumerate_, brute in ((True, enumerate_scs, brute_scs_set),
+                                            (False, enumerate_lcs, brute_lcs_set)):
+            for y1, y2 in edited_pairs(rnd, 60, q, self.SIZES[q], deletion):
+                trimmed += sum(common_affixes(y1, y2)) > 0
+                res = enumerate_(y1, y2)
+                assert set(res.candidates) == brute(y1, y2, q), (y1, y2)
+                assert list(res.candidates) == sorted(res.candidates)
+                assert not res.truncated
+                for cap in (1, 2, 3, 5):
+                    capped = enumerate_(y1, y2, cap=cap)
+                    assert capped.length == res.length
+                    assert capped.candidates == res.candidates[:cap]
+                    assert capped.truncated == (len(res.candidates) > cap)
+        assert trimmed > 60
+
+    @pytest.mark.parametrize("deletion", [True, False])
+    def test_affixes_wrap_every_word(self, deletion):
+        # enumerate(P+X+S, P+Y+S) is P . enumerate(X, Y) . S, in order and
+        # under every cap, at n near 150
+        enumerate_ = enumerate_scs if deletion else enumerate_lcs
+        rnd = random.Random(24 + deletion)
+        for trial in range(12):
+            q = (2, 4)[trial % 2]
+            pre, mid, suf = (tuple(rnd.randrange(q) for _ in range(m))
+                             for m in (rnd.randint(30, 60), rnd.randint(20, 50),
+                                       rnd.randint(30, 60)))
+            x = edited(rnd, mid, q, deletion, rnd.randint(1, 3))
+            y = edited(rnd, mid, q, deletion, rnd.randint(1, 3))
+            inner = enumerate_(x, y)
+            for cap in (1, 4, 10 ** 6):
+                outer = enumerate_(pre + x + suf, pre + y + suf, cap=cap)
+                assert outer.length == len(pre) + inner.length + len(suf)
+                assert outer.candidates == tuple(
+                    pre + w + suf for w in inner.candidates[:cap])
+                assert outer.truncated == (len(inner.candidates) > cap)
+
+    def test_symbols_above_a_byte(self):
+        # no bytes copy holds symbol 300: the walks fall back symbol by
+        # symbol, and relabelling 1 -> 300 relabels every word alike
+        rnd = random.Random(26)
+        up = {0: 0, 1: 300}
+        for deletion, enumerate_ in ((True, enumerate_scs),
+                                     (False, enumerate_lcs)):
+            for y1, y2 in edited_pairs(rnd, 40, 2, 30, deletion):
+                wide = enumerate_(*(tuple(up[s] for s in y) for y in (y1, y2)))
+                assert wide.candidates == tuple(
+                    tuple(up[s] for s in w)
+                    for w in enumerate_(y1, y2).candidates)
 
 
 class TestLongTraces:

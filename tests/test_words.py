@@ -4,9 +4,10 @@ from itertools import product
 import pytest
 
 from indelkit.supersequences import lcs_length
-from indelkit.words import (format_word, indel_distance, is_alternating,
-                            is_subsequence, is_two_symbol_alternating,
-                            lcs_bit_rows, parse_word, reconstruct, runs)
+from indelkit.words import (common_affixes, format_word, indel_distance,
+                            is_alternating, is_subsequence,
+                            is_two_symbol_alternating, lcs_bit_rows,
+                            parse_word, reconstruct, runs, symbol_masks)
 
 
 def brute_lcs(x, y):
@@ -105,6 +106,69 @@ class TestIndelDistance:
             r = rnd.randint(0, len(x))
             for y in deletion_ball(x, r):
                 assert indel_distance(x, y) == r
+
+
+    def test_long_channel_pairs_with_shared_affixes(self):
+        # traces of one word share a long prefix and suffix, which
+        # indel_distance strips before the LCS kernel
+        rnd = random.Random(43)
+        for trial in range(120):
+            q = (2, 3, 4)[trial % 3]
+            c = tuple(rnd.randrange(q) for _ in range(rnd.randint(100, 200)))
+            x, y = list(c), list(c)
+            for z in (x, y):
+                for _ in range(rnd.randint(0, 3)):
+                    if rnd.random() < 0.5:
+                        del z[rnd.randrange(len(z))]
+                    else:
+                        z.insert(rnd.randrange(len(z) + 1), rnd.randrange(q))
+            x, y = tuple(x), tuple(y)
+            assert indel_distance(x, y) == len(x) + len(y) - 2 * lcs_length(x, y)
+
+    def test_edge_cases(self):
+        rnd = random.Random(44)
+        w = tuple(rnd.randrange(2) for _ in range(150))
+        for x, y in ((w, ()), ((), w), (w[:90], w), (w, w[:90]), (w[60:], w),
+                     (w, w), (w + (300,), w), ((300, 301) + w, w)):
+            assert indel_distance(x, y) == len(x) + len(y) - 2 * lcs_length(x, y)
+        assert indel_distance(w, w[:90]) == 60 and indel_distance(w, w) == 0
+
+
+class TestCommonAffixes:
+    def test_examples(self):
+        assert common_affixes(parse_word("0110"), parse_word("0100")) == (2, 1)
+        assert common_affixes(parse_word("010"), parse_word("010")) == (3, 0)
+        assert common_affixes(parse_word("01"), parse_word("0101")) == (2, 0)
+        assert common_affixes(parse_word("01"), parse_word("1101")) == (0, 2)
+        assert common_affixes((), parse_word("1")) == (0, 0)
+
+    def test_longest_and_disjoint(self):
+        # i is the longest common prefix; j the longest common suffix of
+        # what remains, and the two never overlap
+        rnd = random.Random(45)
+        for _ in range(500):
+            q = rnd.choice((2, 3, 300))
+            c = tuple(rnd.randrange(q) for _ in range(rnd.randint(0, 12)))
+            x = c[:rnd.randint(0, len(c))] + c[rnd.randint(0, len(c)):]
+            y = tuple(rnd.randrange(q) for _ in range(rnd.randint(0, 3))) + c
+            for a, b in ((x, y), (y, x), (c, c)):
+                i, j = common_affixes(a, b)
+                n = min(len(a), len(b))
+                assert i + j <= n and a[:i] == b[:i]
+                assert i == n or a[i] != b[i]
+                assert a[len(a) - j:] == b[len(b) - j:]
+                assert i + j == n or a[len(a) - j - 1] != b[len(b) - j - 1]
+
+
+class TestSymbolMasks:
+    def test_equals_definition(self):
+        rnd = random.Random(46)
+        for _ in range(300):
+            q = rnd.choice((2, 4, 300))  # 300: no bytes copy holds it
+            w = tuple(rnd.randrange(q) for _ in range(rnd.randint(0, 40)))
+            assert symbol_masks(w) == {
+                c: sum(1 << t for t, s in enumerate(w) if s == c)
+                for c in set(w)}
 
 
 class TestLcsBitRows:
