@@ -6,6 +6,9 @@ The shifted variant keeps the weighted checksum only mod P plus an overall
 parity bit, and corrects one deletion whose position is known up to a window
 of consecutive locations.
 
+Each code is one prefix automaton (_PrefixCode): membership and the coded
+decoders' codeword test both read its states.
+
 Word positions in the API are 0-based; the checksum weights are the classic
 1-based ones.
 """
@@ -41,9 +44,7 @@ def _enumerate_members(n: int, member_mask_fn) -> tuple:
         stop = min(start + chunk, 1 << n)
         vals = np.arange(start, stop, dtype=np.uint32)
         bits = ((vals[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-        mask = member_mask_fn(bits)
-        for row in bits[mask]:
-            out.append(tuple(int(b) for b in row))
+        out.extend(map(tuple, bits[member_mask_fn(bits)].tolist()))
     return tuple(out)
 
 
@@ -57,8 +58,48 @@ def _sample_member(n: int, rng: np.random.Generator, member_mask_fn) -> Word:
             return tuple(batch[idx[0]].tolist())
 
 
-class AllWordsCode:
-    """The whole space Sigma_q^n (no redundancy)."""
+DEAD = -1  # the absorbing prefix state of a symbol outside the alphabet
+
+
+class _PrefixCode:
+    """A code of length-n words over [0, q), read by a prefix automaton.
+
+    Each code states its step, _step(state, i, sym): the state of a prefix
+    in `state` (0 for the empty prefix) after appending the in-alphabet sym
+    at 1-based position i.  Two prefixes of one length in the same state
+    complete to members alike, and a word is a member exactly when it has
+    length n and its folded state is `accept`.  The binary codes enumerate
+    and sample their members through a numpy form of the same rule, _mask.
+    """
+
+    q = 2
+    accept = 0
+    corrects_single_deletion = False
+
+    def prefix_state(self, state: int, i: int, sym: int) -> int:
+        """The automaton's step; a symbol outside the alphabet leads to the
+        absorbing state DEAD."""
+        if state == DEAD or not 0 <= sym < self.q:
+            return DEAD
+        return self._step(state, i, sym)
+
+    def is_member(self, w: Word) -> bool:
+        if len(w) != self.n:
+            return False
+        state = 0
+        for i, sym in enumerate(w, 1):
+            state = self.prefix_state(state, i, sym)
+        return state == self.accept
+
+    def enumerate_words(self) -> tuple:
+        return _enumerate_members(self.n, self._mask)
+
+    def sample(self, rng: np.random.Generator) -> Word:
+        return _sample_member(self.n, rng, self._mask)
+
+
+class AllWordsCode(_PrefixCode):
+    """The whole space Sigma_q^n (no redundancy): one live state."""
 
     kind = "all"
 
@@ -66,15 +107,8 @@ class AllWordsCode:
         self.n = n
         self.q = q
 
-    def is_member(self, w: Word) -> bool:
-        return len(w) == self.n and all(0 <= s < self.q for s in w)
-
-    def prefix_state(self, state: int, i: int, sym: int) -> int:
-        """State of a prefix after appending sym at 1-based position i to a
-        prefix in `state` (0 for the empty prefix).  Two prefixes of one
-        length in the same state complete to members alike: here, whether a
-        symbol fell outside the alphabet."""
-        return state if 0 <= sym < self.q else 1
+    def _step(self, state: int, i: int, sym: int) -> int:
+        return 0
 
     def enumerate_words(self) -> tuple:
         if self.n * log2(self.q) > _ENUM_LIMIT:
@@ -86,73 +120,45 @@ class AllWordsCode:
         return tuple(rng.integers(0, self.q, size=self.n).tolist())
 
 
-class VtCode:
-    """VT_a(n): binary words with weighted checksum a mod (n+1)."""
+class VtCode(_PrefixCode):
+    """VT_a(n): binary words with weighted checksum a mod (n+1); the state
+    of a prefix is its checksum."""
 
     kind = "vt"
-    q = 2
     corrects_single_deletion = True
 
     def __init__(self, n: int, a: int = 0):
         if not 0 <= a <= n:
             raise ValueError("residue a must be in [0, n]")
         self.n = n
-        self.a = a
+        self.a = self.accept = a
         self._weights = np.arange(1, n + 1, dtype=np.int64)
 
     def checksum(self, w: Word) -> int:
         return sum((i + 1) * s for i, s in enumerate(w)) % (self.n + 1)
 
-    def is_member(self, w: Word) -> bool:
-        return len(w) == self.n and self.checksum(w) == self.a
-
-    def prefix_state(self, state: int, i: int, sym: int) -> int:
-        """As AllWordsCode.prefix_state: the checksum of the prefix."""
+    def _step(self, state: int, i: int, sym: int) -> int:
         return (state + i * sym) % (self.n + 1)
 
     def _mask(self, bits: np.ndarray) -> np.ndarray:
         return (bits @ self._weights) % (self.n + 1) == self.a
 
-    def enumerate_words(self) -> tuple:
-        return _enumerate_members(self.n, self._mask)
-
-    def sample(self, rng: np.random.Generator) -> Word:
-        return _sample_member(self.n, rng, self._mask)
-
     def decode_1del(self, y: Word) -> Word:
         """The unique codeword whose single-deletion ball contains y.
 
-        Classic weight rule: with deficiency D = (a - checksum(y)) mod (n+1)
-        and w ones in y, a deleted 0 satisfies D = #ones right of it and a
-        deleted 1 satisfies D = w + 1 + #zeros left of it.
+        One insertion rule (Levenshtein, 1966): with deficiency
+        d = (a - checksum(y)) mod (n+1) and w ones in y, put a 0 right after
+        the (w-d)-th 1 when d <= w, else a 1 right after the (d-w-1)-th 0
+        (the 0-th of either is the start of the word).
         """
         if len(y) != self.n - 1:
             raise ValueError(f"expected length {self.n - 1}, got {len(y)}")
-        s = sum((i + 1) * b for i, b in enumerate(y))
+        y = tuple(y)
         w = sum(y)
-        d = (self.a - s) % (self.n + 1)
-        if d <= w:
-            # A 0 was deleted with exactly d ones to its right.
-            if d == 0:
-                return tuple(y) + (0,)
-            count = 0
-            for i in range(len(y) - 1, -1, -1):
-                if y[i] == 1:
-                    count += 1
-                    if count == d:
-                        return y[:i] + (0,) + y[i:]
-            raise DecodeFailure("inconsistent checksum")  # unreachable: d <= w
-        # A 1 was deleted with exactly d - w - 1 zeros to its left.
-        zeros_left = d - w - 1
-        if zeros_left == 0:
-            return (1,) + tuple(y)
-        count = 0
-        for i in range(len(y)):
-            if y[i] == 0:
-                count += 1
-                if count == zeros_left:
-                    return y[:i + 1] + (1,) + y[i + 1:]
-        raise DecodeFailure("inconsistent checksum")
+        d = (self.a - self.checksum(y)) % (self.n + 1)
+        sym, count = (0, w - d) if d <= w else (1, d - w - 1)
+        cut = ([0] + [i + 1 for i, s in enumerate(y) if s != sym])[count]
+        return y[:cut] + (sym,) + y[cut:]
 
     def decode_1del_search(self, y: Word) -> Word:
         """Oracle decoder: the unique member of I_1(y) in the code."""
@@ -168,16 +174,15 @@ def default_svt_window_modulus(n: int) -> int:
     return ceil(log2(n)) + 2
 
 
-class SvtCode:
-    """Shifted VT code: weighted checksum mod P plus an overall parity bit.
+class SvtCode(_PrefixCode):
+    """Shifted VT code: weighted checksum mod P plus an overall parity bit;
+    the state of a prefix is twice its weighted sum mod P, plus its parity.
 
     Corrects one deletion whose position (0-based, in the transmitted word)
     is known to lie within a window of P - 1 consecutive locations.
     """
 
     kind = "svt"
-    q = 2
-    corrects_single_deletion = False
 
     def __init__(self, n: int, a: int = 0, P: int | None = None, b: int = 0):
         if P is None:
@@ -192,35 +197,22 @@ class SvtCode:
         self.a = a
         self.P = P
         self.b = b
+        self.accept = 2 * a + b
         self._weights = np.arange(1, n + 1, dtype=np.int64)
         # the prefix states reachable at each length (a 0 keeps the state)
         states = {0}
         for i in range(1, n + 1):
-            states |= {self.prefix_state(s, i, 1) for s in states}
-        if 2 * a + b not in states:
+            states |= {self._step(s, i, 1) for s in states}
+        if self.accept not in states:
             raise ValueError(f"SVT code n={n}, a={a}, P={P}, b={b} has no "
                              "codewords")
 
-    def is_member(self, w: Word) -> bool:
-        if len(w) != self.n:
-            return False
-        total = sum((i + 1) * s for i, s in enumerate(w))
-        return total % self.P == self.a and sum(w) % 2 == self.b
-
-    def prefix_state(self, state: int, i: int, sym: int) -> int:
-        """As AllWordsCode.prefix_state: twice the prefix's weighted sum mod
-        P, plus its parity."""
+    def _step(self, state: int, i: int, sym: int) -> int:
         return 2 * ((state // 2 + i * sym) % self.P) + (state + sym) % 2
 
     def _mask(self, bits: np.ndarray) -> np.ndarray:
         return (((bits @ self._weights) % self.P == self.a)
                 & (bits.sum(axis=1) % 2 == self.b))
-
-    def enumerate_words(self) -> tuple:
-        return _enumerate_members(self.n, self._mask)
-
-    def sample(self, rng: np.random.Generator) -> Word:
-        return _sample_member(self.n, rng, self._mask)
 
     def decode_1del(self, y: Word, window_start: int) -> Word:
         """Reinsert the deleted symbol, known to have sat at a 0-based

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from math import comb
 from typing import Callable
 
@@ -141,6 +141,15 @@ def _best_leaf(length: int, walk, traces, deletion: bool, cap: int,
     states = [0]  # the code's prefix state per depth; 0 without a code
     fronts: dict = {}  # (node, state) -> non-dominated (row1, row2) pairs
 
+    def track(path, shared):
+        # bring the code's states from depth `shared` to len(path)
+        if code is not None:
+            del states[shared + 1:]
+            state = states[-1]
+            for i in range(shared + 1, len(path) + 1):
+                state = code.prefix_state(state, i, path[i - 1])
+                states.append(state)
+
     def extend(path, shared):
         # bring the rows (and states) from depth `shared` to len(path)
         if not lanes:
@@ -149,12 +158,7 @@ def _best_leaf(length: int, walk, traces, deletion: bool, cap: int,
                 rows.append(lanes[-1].first)
         lanes[0].extend(rows1, path, shared)
         lanes[1].extend(rows2, path, shared)
-        if code is not None:
-            del states[shared + 1:]
-            state = states[-1]
-            for i in range(shared + 1, len(path) + 1):
-                state = code.prefix_state(state, i, path[i - 1])
-                states.append(state)
+        track(path, shared)
 
     def skip(path, shared, node):
         extend(path, shared)
@@ -177,7 +181,8 @@ def _best_leaf(length: int, walk, traces, deletion: bool, cap: int,
     for path, shared, more in walk(skip):
         if best is None and not more:
             word = tuple(path)
-            member = code is not None and code.is_member(word)
+            track(path, shared)
+            member = code is not None and states[-1] == code.accept
             return word, word if member else None, False
         extend(path, shared)
         scored += 1
@@ -185,7 +190,7 @@ def _best_leaf(length: int, walk, traces, deletion: bool, cap: int,
         if score > top:
             best, top = tuple(path), score
         if (code is not None and score > top_member
-                and code.is_member(tuple(path))):
+                and states[-1] == code.accept):
             best_member, top_member = tuple(path), score
     return best, best_member, more and scored == cap
 
@@ -217,7 +222,7 @@ def _mld_two(y1: Word, y2: Word, deletion: bool, cap: int,
     if member is not None:
         return member, truncated
     if (code is not None and length == code.n - 1
-            and getattr(code, "corrects_single_deletion", False)):
+            and code.corrects_single_deletion):
         return code.decode_1del(best), truncated
     return best, truncated
 
@@ -300,16 +305,10 @@ def brute_force_ml_star(y: Word, k: int, q: int = 2, code=None) -> Word:
                          f"{BRUTE_MAX_CANDIDATES}")
     ball = [(c, w) for c, w in insertion_ball_weights(y, k, q).items()
             if code is None or code.is_member(c)]
-    best = None
-    best_score = None
-    for L in lengths:
-        for x in product(range(q), repeat=L):
-            s = 0
-            for c, w in ball:
-                s += indel_distance(x, c) * w
-            if best_score is None or s < best_score:
-                best, best_score = x, s
-    return best
+    window = chain.from_iterable(product(range(q), repeat=L) for L in lengths)
+    # min keeps the first minimum: the shortest, then smallest, word
+    return min(window, key=lambda x: sum(indel_distance(x, c) * w
+                                         for c, w in ball))
 
 
 def ml_star_1del(y: Word) -> Word:
@@ -352,14 +351,12 @@ def two_del_lazy_en_gap(y: Word) -> int:
 
     Nonnegative iff keeping the output unchanged beats (or ties) prolonging
     the first longest run, since the unchanged output sits at distance
-    exactly 2 from every candidate c.  Literal enumeration; the oracle
-    against which the closed-form sign condition is checked.
+    exactly 2 from every candidate c.  Literal enumeration (objective_f,
+    less twice the ball's total weight 4*C(n, 2)); the oracle against
+    which the closed-form sign condition is checked.
     """
-    y = tuple(y)
     n = len(y) + 2
-    xh = decode_en(y, n - 1)
-    return sum(e * (indel_distance(xh, c) - 2)
-               for c, e in insertion_ball_weights(y, 2, 2).items())
+    return objective_f(y, decode_en(y, n - 1), 2) - 8 * comb(n, 2)
 
 
 def two_del_lazy_en_gap_fast(y: Word) -> int:

@@ -64,10 +64,11 @@ class TestVtDecoding:
                         assert code.decode_1del(y) == c
 
     def test_algebraic_equals_search(self):
-        for n in (4, 6, 9):
+        # every n <= 12, every residue a (0 and n included) and every y:
+        # the empty y at n = 1, the all-zero and all-one y
+        for n in range(1, 13):
             for a in range(n + 1):
                 code = VtCode(n, a)
-                from itertools import product
                 for y in product((0, 1), repeat=n - 1):
                     assert code.decode_1del(y) == code.decode_1del_search(y)
 
@@ -186,11 +187,15 @@ class TestPrefixState:
     # The coded DAG walk keys its pruning fronts by the prefix state, so two
     # prefixes in one state must complete to codewords alike: a word is a
     # member exactly when it has length n and its folded state accepts.
+    # A symbol outside the alphabet makes no word a member.
 
     def _check(self, code, accept, symbols, max_len=10):
+        assert code.accept == accept
         for w, state in folded_words(code, symbols, max_len):
             assert code.is_member(w) == (len(w) == code.n
                                          and state == accept), (w, state)
+            if any(s >= code.q for s in w):
+                assert not code.is_member(w), w
 
     @pytest.mark.parametrize("q,max_len", [(2, 10), (3, 8)])
     def test_all_words(self, q, max_len):
@@ -209,6 +214,19 @@ class TestPrefixState:
         for a in range(P):
             for b in (0, 1):
                 self._check(SvtCode(n, a, P, b), 2 * a + b, (0, 1))
+
+    # the symbol 2 lies outside the binary alphabet
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_vt_outside_alphabet(self, n):
+        for a in range(n + 1):
+            self._check(VtCode(n, a), a, (0, 1, 2), max_len=7)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_svt_outside_alphabet(self, n):
+        P = default_svt_window_modulus(n)
+        for a in range(P):
+            for b in (0, 1):
+                self._check(SvtCode(n, a, P, b), 2 * a + b, (0, 1, 2), 7)
 
 
 class TestMakeCode:

@@ -278,6 +278,32 @@ class TestPrunedWalkVsOracle:
                     picks_differ += member != best
         assert picks_differ > 0
 
+    @pytest.mark.parametrize("kind", ["vt", "svt"])
+    def test_coded_ternary_trace(self, kind):
+        # A trace symbol outside the binary alphabet lies in every SCS, so
+        # no SCS is a codeword: the walk and the oracle find none, and the
+        # decoder keeps the unrestricted best.  Every fourth pair is equal,
+        # which the containment shortcut decodes.
+        rnd = random.Random(18)
+        for trial in range(40):
+            c = tuple(rnd.randrange(2) for _ in range(rnd.randint(4, 20)))
+            y1, y2 = channel_pair(rnd, c, rnd.uniform(0.05, 0.3))
+            i = rnd.randrange(len(y2) + 1)
+            y2 = y2[:i] + (2,) + y2[i:]
+            if trial % 4 == 0:
+                y1 = y2
+            n = scs_length(y1, y2)
+            if kind == "vt":
+                codes = [VtCode(n, a) for a in range(n + 1)]
+            else:
+                P = default_svt_window_modulus(n)
+                codes = [SvtCode(n, a, P, b) for a in range(P) for b in (0, 1)]
+            for code in codes:
+                best, member = mld_two_oracle(y1, y2, code=code)
+                assert member is None, (y1, y2, code.a)
+                assert walk_pick(y1, y2, code=code) == (best, None)
+                assert mld_two_del_detailed(y1, y2, code=code) == (best, False)
+
     def test_cap_budgets_scored_words(self):
         # a budget smaller than the number of SCS words truncates only
         # when it runs out before the pruned walk does
