@@ -28,30 +28,30 @@ class TwoChannelFormulas:
     p_fail_bound: float  # lower bound on the uncoded success probability
 
 
-def two_del_formulas(q: int, p: float, n: int) -> TwoChannelFormulas:
-    """Two deletion channels: p_run = (q+1)/(q-1) p^2, p_alt = 2 p^2,
-    total (3q-1)/(q-1) p^2, success bound exp(-(3q-1)/(q-1) p^2 n)."""
+def _two_channel_formulas(q: int, p: float, n: int, denom, alt
+                          ) -> TwoChannelFormulas:
+    """p_run = (q+1)/denom p^2, p_alt = alt p^2, total (3q-1)/denom p^2,
+    success bound exp(-total n)."""
     if q < 2:
         raise ValueError("alphabet size must be >= 2")
     if not 0 < p < 1:
         raise ValueError("p must be in (0, 1)")
-    p_run = (q + 1) / (q - 1) * p * p
-    p_alt = 2 * p * p
-    p_err = (3 * q - 1) / (q - 1) * p * p
+    p_run = (q + 1) / denom * p * p
+    p_alt = alt * p * p
+    p_err = (3 * q - 1) / denom * p * p
     return TwoChannelFormulas(q, p, n, p_run, p_alt, p_err, exp(-p_err * n))
+
+
+def two_del_formulas(q: int, p: float, n: int) -> TwoChannelFormulas:
+    """Two deletion channels: p_run = (q+1)/(q-1) p^2, p_alt = 2 p^2,
+    total (3q-1)/(q-1) p^2, success bound exp(-(3q-1)/(q-1) p^2 n)."""
+    return _two_channel_formulas(q, p, n, q - 1, 2)
 
 
 def two_ins_formulas(q: int, p: float, n: int) -> TwoChannelFormulas:
     """Two insertion channels: p_run = (q+1)/(q(q-1)) p^2, p_alt = (2/q) p^2,
     total (3q-1)/(q(q-1)) p^2."""
-    if q < 2:
-        raise ValueError("alphabet size must be >= 2")
-    if not 0 < p < 1:
-        raise ValueError("p must be in (0, 1)")
-    p_run = (q + 1) / (q * (q - 1)) * p * p
-    p_alt = 2 / q * p * p
-    p_err = (3 * q - 1) / (q * (q - 1)) * p * p
-    return TwoChannelFormulas(q, p, n, p_run, p_alt, p_err, exp(-p_err * n))
+    return _two_channel_formulas(q, p, n, q * (q - 1), 2 / q)
 
 
 def coded_success_bounds(q: int, p: float, n: int) -> dict:

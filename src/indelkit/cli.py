@@ -16,8 +16,9 @@ from dataclasses import replace
 from .analysis import coded_success_bounds, two_del_formulas, two_ins_formulas
 from .codes import AllWordsCode
 from .decoders import DECODERS, get_decoder
-from .harness import (CSV_FIELDS, ExperimentConfig, exact_expected_distance,
-                      reproduce_figure, run_experiment, sweep_brute_force_window,
+from .harness import (CSV_FIELDS, WINDOW_N, ExperimentConfig,
+                      exact_expected_distance, reproduce_figure,
+                      run_experiment, sweep_brute_force_window,
                       sweep_two_del_condition, write_figure_csv,
                       write_figure_svg, write_rows_csv)
 from .words import format_word, parse_word
@@ -73,9 +74,9 @@ def _cmd_oracle_check(args) -> int:
                 ok &= law == enum
     elif args.which == "2del":
         # check the window sweep's range before the condition sweep runs
-        if not 3 <= n <= 13:
-            raise ValueError(f"oracle-check 2del needs 3 <= --n <= 13, "
-                             f"not {n}")
+        if n not in WINDOW_N:
+            raise ValueError(f"oracle-check 2del needs {WINDOW_N[0]} <= --n "
+                             f"<= {WINDOW_N[-1]}, not {n}")
         res = sweep_two_del_condition(n)
         print(f"n={n}: {len(res['violations'])} closed-form sign violations "
               f"over {res['words']} outputs")
@@ -123,7 +124,7 @@ def _cmd_oracle_check(args) -> int:
         from itertools import product
         from .supersequences import enumerate_scs, scs_length
         from .words import is_subsequence
-        bad = 0
+        bad = pairs = 0
         for m1 in range(0, n + 1):
             for y1 in product((0, 1), repeat=m1):
                 for y2 in product((0, 1), repeat=min(n, m1 + 2)):
@@ -131,9 +132,11 @@ def _cmd_oracle_check(args) -> int:
                     s = scs_length(y1, y2)
                     brute = {x for x in product((0, 1), repeat=s)
                              if is_subsequence(y1, x) and is_subsequence(y2, x)}
+                    pairs += 1
                     if set(res.candidates) != brute:
                         bad += 1
-        print(f"SCS enumeration vs brute filter, |y1| <= {n}: {bad} mismatches")
+        print(f"SCS enumeration vs brute filter, {pairs} binary pairs with "
+              f"|y1| <= {n} and |y2| = min({n}, |y1| + 2): {bad} mismatches")
         ok &= bad == 0
     elif args.which == "mld2":
         from itertools import product

@@ -6,8 +6,9 @@ The shifted variant keeps the weighted checksum only mod P plus an overall
 parity bit, and corrects one deletion whose position is known up to a window
 of consecutive locations.
 
-Each code is one prefix automaton (_PrefixCode): membership and the coded
-decoders' codeword test both read its states.
+Each code is one prefix automaton (_PrefixCode): membership, the coded
+decoders' codeword test and VT's deficiency read its states, so a word with
+a symbol outside the alphabet is no member and no VT decoder input.
 
 Word positions in the API are 0-based; the checksum weights are the classic
 1-based ones.
@@ -19,7 +20,6 @@ from math import ceil, log2
 
 import numpy as np
 
-from .combinatorics import insertion_ball
 from .words import Word
 
 _ENUM_LIMIT = 24
@@ -27,35 +27,6 @@ _ENUM_LIMIT = 24
 
 class DecodeFailure(Exception):
     """No codeword is consistent with the received word (decoder misuse)."""
-
-
-def _enumerate_members(n: int, member_mask_fn) -> tuple:
-    """All length-n binary member words in lexicographic order.
-
-    member_mask_fn maps a (chunk, n) 0/1 uint8 matrix to a boolean mask.
-    MSB-first encoding makes numeric order equal lexicographic order.
-    """
-    if n > _ENUM_LIMIT:
-        raise ValueError(f"exhaustive enumeration limited to n <= {_ENUM_LIMIT}")
-    out = []
-    chunk = 1 << 16
-    shifts = np.arange(n - 1, -1, -1, dtype=np.uint32)
-    for start in range(0, 1 << n, chunk):
-        stop = min(start + chunk, 1 << n)
-        vals = np.arange(start, stop, dtype=np.uint32)
-        bits = ((vals[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-        out.extend(map(tuple, bits[member_mask_fn(bits)].tolist()))
-    return tuple(out)
-
-
-def _sample_member(n: int, rng: np.random.Generator, member_mask_fn) -> Word:
-    """Uniform member via rejection sampling in fixed-size batches."""
-    while True:
-        batch = rng.integers(0, 2, size=(64, n), dtype=np.uint8)
-        mask = member_mask_fn(batch)
-        idx = np.flatnonzero(mask)
-        if idx.size:
-            return tuple(batch[idx[0]].tolist())
 
 
 DEAD = -1  # the absorbing prefix state of a symbol outside the alphabet
@@ -83,19 +54,53 @@ class _PrefixCode:
             return DEAD
         return self._step(state, i, sym)
 
-    def is_member(self, w: Word) -> bool:
-        if len(w) != self.n:
-            return False
+    def fold(self, w: Word) -> int:
+        """The state of the word w: prefix_state folded over w from 0."""
         state = 0
         for i, sym in enumerate(w, 1):
             state = self.prefix_state(state, i, sym)
-        return state == self.accept
+        return state
+
+    def is_member(self, w: Word) -> bool:
+        return len(w) == self.n and self.fold(w) == self.accept
+
+    def _search_1del(self, y: Word, lo: int, hi: int) -> Word:
+        """The one member among the words that insert one symbol into y at
+        a 0-based position in [lo, hi]; a DecodeFailure when there is none
+        or more than one."""
+        y = tuple(y)
+        hits = set(filter(self.is_member, (y[:t] + (s,) + y[t:]
+                                           for t in range(lo, hi + 1)
+                                           for s in range(self.q))))
+        if len(hits) != 1:
+            raise DecodeFailure(f"expected exactly one consistent codeword "
+                                f"in positions {lo}..{hi}, found {len(hits)}")
+        return hits.pop()
 
     def enumerate_words(self) -> tuple:
-        return _enumerate_members(self.n, self._mask)
+        """All members in lexicographic order: _mask over MSB-first chunks
+        of the 2^n binary words, whose numeric order is lexicographic."""
+        n = self.n
+        if n > _ENUM_LIMIT:
+            raise ValueError(f"exhaustive enumeration limited to n <= "
+                             f"{_ENUM_LIMIT}")
+        out = []
+        chunk = 1 << 16
+        shifts = np.arange(n - 1, -1, -1, dtype=np.uint32)
+        for start in range(0, 1 << n, chunk):
+            vals = np.arange(start, min(start + chunk, 1 << n),
+                             dtype=np.uint32)
+            bits = ((vals[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+            out.extend(map(tuple, bits[self._mask(bits)].tolist()))
+        return tuple(out)
 
     def sample(self, rng: np.random.Generator) -> Word:
-        return _sample_member(self.n, rng, self._mask)
+        """A uniform member, by rejection in batches of 64 binary words."""
+        while True:
+            batch = rng.integers(0, 2, size=(64, self.n), dtype=np.uint8)
+            idx = np.flatnonzero(self._mask(batch))
+            if idx.size:
+                return tuple(batch[idx[0]].tolist())
 
 
 class AllWordsCode(_PrefixCode):
@@ -134,9 +139,6 @@ class VtCode(_PrefixCode):
         self.a = self.accept = a
         self._weights = np.arange(1, n + 1, dtype=np.int64)
 
-    def checksum(self, w: Word) -> int:
-        return sum((i + 1) * s for i, s in enumerate(w)) % (self.n + 1)
-
     def _step(self, state: int, i: int, sym: int) -> int:
         return (state + i * sym) % (self.n + 1)
 
@@ -147,26 +149,26 @@ class VtCode(_PrefixCode):
         """The unique codeword whose single-deletion ball contains y.
 
         One insertion rule (Levenshtein, 1966): with deficiency
-        d = (a - checksum(y)) mod (n+1) and w ones in y, put a 0 right after
-        the (w-d)-th 1 when d <= w, else a 1 right after the (d-w-1)-th 0
-        (the 0-th of either is the start of the word).
+        d = (a - fold(y)) mod (n+1), fold(y) being y's weighted checksum,
+        and w ones in y, put a 0 right after the (w-d)-th 1 when d <= w,
+        else a 1 right after the (d-w-1)-th 0 (the 0-th of either is the
+        start of the word).  A word that is not binary is refused.
         """
         if len(y) != self.n - 1:
             raise ValueError(f"expected length {self.n - 1}, got {len(y)}")
         y = tuple(y)
+        state = self.fold(y)
+        if state == DEAD:
+            raise ValueError("VT decoding needs a binary word")
         w = sum(y)
-        d = (self.a - self.checksum(y)) % (self.n + 1)
+        d = (self.a - state) % (self.n + 1)
         sym, count = (0, w - d) if d <= w else (1, d - w - 1)
         cut = ([0] + [i + 1 for i, s in enumerate(y) if s != sym])[count]
         return y[:cut] + (sym,) + y[cut:]
 
     def decode_1del_search(self, y: Word) -> Word:
         """Oracle decoder: the unique member of I_1(y) in the code."""
-        hits = [c for c in insertion_ball(y, 1, 2) if self.is_member(c)]
-        if len(hits) != 1:
-            raise DecodeFailure(f"expected exactly one consistent codeword, "
-                                f"found {len(hits)}")
-        return hits[0]
+        return self._search_1del(y, 0, len(y))
 
 
 def default_svt_window_modulus(n: int) -> int:
@@ -224,18 +226,8 @@ class SvtCode(_PrefixCode):
         """
         if len(y) != self.n - 1:
             raise ValueError(f"expected length {self.n - 1}, got {len(y)}")
-        lo = max(0, window_start)
-        hi = min(self.n - 1, window_start + self.P - 2)
-        hits = set()
-        for t in range(lo, hi + 1):
-            for s in (0, 1):
-                c = y[:t] + (s,) + y[t:]
-                if self.is_member(c):
-                    hits.add(c)
-        if len(hits) != 1:
-            raise DecodeFailure(f"expected exactly one consistent codeword in "
-                                f"the window, found {len(hits)}")
-        return hits.pop()
+        return self._search_1del(y, max(0, window_start),
+                                 min(self.n - 1, window_start + self.P - 2))
 
 
 _CODE_KEYS = {"all": (), "vt": ("a",), "svt": ("a", "P", "b")}

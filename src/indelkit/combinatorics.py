@@ -222,8 +222,6 @@ def max_run_length_counts(n: int) -> list:
 
 def tau_of_space(n: int) -> Fraction:
     """Exact average maximal-run length over all 2^n binary words."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     counts = max_run_length_counts(n)
     total = sum(r * counts[r] for r in range(1, n + 1))
     return Fraction(total, 2 ** n)

@@ -22,6 +22,7 @@ from math import comb
 from typing import Callable
 
 from .analysis import en1_1del_law, lazy_1del_law
+from .codes import DEAD
 from .combinatorics import (EmbeddingLanes, embedding_number, insertion_ball,
                             insertion_ball_weights)
 from .supersequences import (DEFAULT_CAP, enumerate_lcs, enumerate_scs,
@@ -203,10 +204,10 @@ def _mld_two(y1: Word, y2: Word, deletion: bool, cap: int,
     along one pruned walk of the DAG (_best_leaf); when one trace contains
     the other, the longer (deletion) or shorter trace is the only candidate.
     With a `code` (deletions only), the best candidate that is a codeword
-    wins; failing that, candidates one symbol short of the code length are
-    decoded by a code that corrects one deletion anywhere (VT), and
-    anything else falls back to the unrestricted output, which the harness
-    counts as a failure.
+    wins; failing that, a candidate one symbol short of the code length
+    whose symbols the code's alphabet holds is decoded by a code that
+    corrects one deletion anywhere (VT), and anything else falls back to
+    the unrestricted output, which the harness counts as a failure.
     """
     y1, y2 = tuple(y1), tuple(y2)
     short, long = (y1, y2) if len(y1) <= len(y2) else (y2, y1)
@@ -222,7 +223,7 @@ def _mld_two(y1: Word, y2: Word, deletion: bool, cap: int,
     if member is not None:
         return member, truncated
     if (code is not None and length == code.n - 1
-            and code.corrects_single_deletion):
+            and code.corrects_single_deletion and code.fold(best) != DEAD):
         return code.decode_1del(best), truncated
     return best, truncated
 

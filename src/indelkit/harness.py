@@ -429,6 +429,7 @@ def sweep_two_del_condition(n: int) -> dict:
 
 
 WINDOW_BLOCK = 128  # codewords c whose candidate trie is walked at once
+WINDOW_N = range(3, 14)  # the code lengths n the window sweep supports
 
 
 def _window_distance_rows(n: int, cs) -> np.ndarray:
@@ -507,8 +508,9 @@ def sweep_brute_force_window(n: int) -> dict:
     distances are at most 2n + 1, weights at most C(n, 2), and the weights
     sum to 4 C(n, 2), so no score exceeds 4 C(n, 2) (2n + 1) = 8424.
     """
-    if not 3 <= n <= 13:
-        raise ValueError("sweep supports 3 <= n <= 13")
+    if n not in WINDOW_N:
+        raise ValueError(f"sweep supports {WINDOW_N[0]} <= n <= "
+                         f"{WINDOW_N[-1]}")
     assert 4 * comb(n, 2) * (2 * n + 1) < 2 ** 15
     table = _window_table(n)
     offsets = np.cumsum([0] + [1 << L for L in range(n - 2, n + 2)])

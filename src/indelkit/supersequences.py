@@ -17,9 +17,12 @@ shorter; a supersequence's first symbol is the first symbol of a word it
 covers), so the LCSs (SCSs) of y1 = P.X.S and y2 = P.Y.S are P.w.S for w
 an LCS (SCS) of X and Y, in the same lexicographic order.  Reversal gives
 the suffix.  The walk's path starts as P (words.common_affixes) and each
-leaf ends with S.  Stretch rule (the "snakes" of Myers' O(ND) diff): the
-lemma holds at every node, so where the unread parts of the two middles
-start alike, both walks emit that common stretch without testing an edge.
+leaf ends with S.  Both walks share one set-up (_setup): the cap check,
+the affix trim, the reversed middles, the second middle's symbol masks and
+the bit-parallel LCS rows built from those same masks.  Stretch rule (the
+"snakes" of Myers' O(ND) diff): the lemma holds at every node, so where
+the unread parts of the two middles start alike, both walks emit that
+common stretch without testing an edge.
 No other edge leaves such a node: in the LCS walk, an edge for a symbol
 c other than the stretch's head a either skips the common segment up to
 c's next occurrence in the stretch, or jumps past the whole stretch, and
@@ -115,17 +118,20 @@ def _walk(descend, start, cap: int, prefix, suffix, skip=None):
         path.append(sym)
 
 
-def _check_cap(cap: int) -> None:
+def _setup(y1: Word, y2: Word, cap: int) -> tuple:
+    """(prefix, suffix, r1, r2, occ2, rows), the set-up of both walks: the
+    words' common affixes (words.common_affixes), the reversed middles r1
+    and r2 between them, r2's symbol_masks, and the lcs_bit_rows of r1
+    against r2, so that (rows[k1] & ((1 << k2) - 1)).bit_count() is the
+    LCS of the middles' last k1 and k2 symbols."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-
-
-def _trim(y1: Word, y2: Word) -> tuple:
-    """(prefix, x1, x2, suffix): the two words' common affixes and the
-    middles between them (words.common_affixes)."""
     y1, y2 = tuple(y1), tuple(y2)
     i, j = common_affixes(y1, y2)
-    return y1[:i], y1[i:len(y1) - j], y2[i:len(y2) - j], y1[len(y1) - j:]
+    r1, r2 = y1[i:len(y1) - j][::-1], y2[i:len(y2) - j][::-1]
+    occ2 = symbol_masks(r2)
+    return (y1[:i], y1[len(y1) - j:], r1, r2, occ2,
+            lcs_bit_rows(r1, occ2, len(r2)))
 
 
 def scs_dag(y1: Word, y2: Word, cap: int = DEFAULT_CAP) -> tuple:
@@ -135,16 +141,12 @@ def scs_dag(y1: Word, y2: Word, cap: int = DEFAULT_CAP) -> tuple:
     A node is the pair (k1, k2) of unread suffix lengths.  When the next
     symbols agree, every shortest supersequence emits that symbol from both
     words (exchange argument); otherwise a symbol may come from either word
-    whenever doing so keeps the suffix LCS, read off lcs_bit_rows of the
-    reversed words.  Once one word is used up, the rest of the other
-    follows.  Nodes and rows cover only the middles (see the module
-    docstring).
+    whenever doing so keeps the suffix LCS, read off the rows of _setup.
+    Once one word is used up, the rest of the other follows.  Nodes and
+    rows cover only the middles (see the module docstring).
     """
-    _check_cap(cap)
-    prefix, y1, y2, suffix = _trim(y1, y2)
-    m1, m2 = len(y1), len(y2)
-    r1, r2 = y1[::-1], y2[::-1]
-    rows = lcs_bit_rows(r1, r2)  # LCS of the suffixes: rows[k1] & low k2 bits
+    prefix, suffix, r1, r2, _, rows = _setup(y1, y2, cap)
+    m1, m2 = len(r1), len(r2)
 
     def descend(path, k1, k2):
         ap = path.append
@@ -168,8 +170,8 @@ def scs_dag(y1: Word, y2: Word, cap: int = DEFAULT_CAP) -> tuple:
             if a < b:
                 return (k1, k2), ((a, (k1 - 1, k2)), (b, (k1, k2 - 1)))
             return (k1, k2), ((b, (k1, k2 - 1)), (a, (k1 - 1, k2)))
-        path.extend(y1[m1 - k1:])
-        path.extend(y2[m2 - k2:])
+        path.extend(reversed(r1[:k1]))
+        path.extend(reversed(r2[:k2]))
         return (k1, k2), ()
 
     return (len(prefix) + m1 + m2 - rows[m1].bit_count() + len(suffix),
@@ -187,12 +189,9 @@ def lcs_dag(y1: Word, y2: Word, cap: int = DEFAULT_CAP) -> tuple:
     Where the unread suffixes start alike, the stretch rule (see the module
     docstring) emits their common prefix without testing the edges.
     """
-    _check_cap(cap)
-    prefix, x1, x2, suffix = _trim(y1, y2)
-    m1, m2 = len(x1), len(x2)
-    r1, r2 = x1[::-1], x2[::-1]
-    rows = lcs_bit_rows(r1, r2)
-    occ1, occ2 = symbol_masks(r1), symbol_masks(r2)
+    prefix, suffix, r1, r2, occ2, rows = _setup(y1, y2, cap)
+    m1, m2 = len(r1), len(r2)
+    occ1 = symbol_masks(r1)
     alphabet = sorted(occ1.keys() & occ2.keys())
 
     def descend(path, k1, k2):

@@ -168,16 +168,17 @@ def symbol_masks(w: Word) -> dict:
     return masks
 
 
-def lcs_bit_rows(x: Word, y: Word) -> list:
-    """Bit-parallel LCS rows of x against y (Hyyro 2004).
+def lcs_bit_rows(x: Word, match: dict, m: int) -> list:
+    """Bit-parallel LCS rows of x against the length-m word y whose
+    symbol_masks are `match` (Hyyro 2004).
 
     rows[k] has bit t - 1 set iff LCS(x[:k], y[:t]) exceeds
     LCS(x[:k], y[:t - 1]), so LCS(x[:k], y[:t]) is
     (rows[k] & ((1 << t) - 1)).bit_count() for every k and t.  One
-    `V = (V + U) | (V - U)` update on a |y|-bit int per symbol of x.
+    `V = (V + U) | (V - U)` update on an m-bit int per symbol of x.  The
+    caller passes y's masks, which its own walk reads too.
     """
-    match = symbol_masks(y)
-    full = (1 << len(y)) - 1
+    full = (1 << m) - 1
     v = full  # zero bits mark where the LCS row steps up
     rows = [0]
     get, ap = match.get, rows.append
@@ -219,4 +220,5 @@ def indel_distance(x: Word, y: Word) -> int:
         return 0
     i, j = common_affixes(x, y)
     x, y = x[i:len(x) - j], y[i:len(y) - j]
-    return len(x) + len(y) - 2 * lcs_bit_rows(x, y)[-1].bit_count()
+    lcs = lcs_bit_rows(x, symbol_masks(y), len(y))[-1].bit_count()
+    return len(x) + len(y) - 2 * lcs

@@ -237,6 +237,29 @@ def test_oracle_check_2del_rejects_sizes_before_sweeping(n):
     assert res.stderr.strip() == f"oracle-check 2del needs 3 <= --n <= 13, not {n}"
 
 
+def test_oracle_check_scs(capsys):
+    assert main(["oracle-check", "scs", "--n", "4"]) == 0
+    out = capsys.readouterr().out
+    assert ("468 binary pairs with |y1| <= 4 and |y2| = min(4, |y1| + 2): "
+            "0 mismatches") in out
+
+
+def test_oracle_check_scs_reports_a_mismatch(capsys, monkeypatch):
+    import indelkit.supersequences as supersequences
+    enumerate_scs = supersequences.enumerate_scs
+
+    def drop_first(y1, y2):
+        res = enumerate_scs(y1, y2)
+        return replace(res, candidates=res.candidates[1:])
+
+    # every pair has an SCS, so each of the 28 pairs at n = 2 loses one
+    monkeypatch.setattr(supersequences, "enumerate_scs", drop_first)
+    assert main(["oracle-check", "scs", "--n", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "28 binary pairs" in out and "28 mismatches" in out
+    assert "VIOLATIONS FOUND" in out
+
+
 def test_oracle_check_mld2(capsys):
     assert main(["oracle-check", "mld2", "--n", "5"]) == 0
     out = capsys.readouterr().out

@@ -84,6 +84,11 @@ class TestVtDecoding:
         with pytest.raises(ValueError):
             VtCode(5, 0).decode_1del(pw("01"))
 
+    def test_refuses_a_non_binary_word(self):
+        # the 2 folds to the automaton's DEAD state: no deficiency to read
+        with pytest.raises(ValueError, match="binary"):
+            VtCode(5, 0).decode_1del((2, 1, 0, 0))
+
     def test_sampling_uniform_members(self):
         code = VtCode(10, 0)
         members = set(code.enumerate_words())
@@ -271,7 +276,8 @@ def _all_words_sample_loop(code, rng):
 
 
 def _sample_member_loop(n, rng, member_mask_fn):
-    """Reference form of codes._sample_member: one int() per symbol."""
+    """Reference form of the binary codes' sample (_PrefixCode.sample):
+    one int() per symbol."""
     while True:
         batch = rng.integers(0, 2, size=(64, n), dtype=np.uint8)
         idx = np.flatnonzero(member_mask_fn(batch))

@@ -528,3 +528,9 @@ class TestCodedMld:
         # alternating ambiguities (y1 != y2) are
         assert failures_run == 115
         assert failures_other == 0
+
+    def test_vt_fallback_skips_a_non_binary_candidate(self):
+        # the SCS length 4 is one short of n = 5, but the best candidate
+        # holds a 2, which VT refuses: the unrestricted best is returned
+        assert mld_two_del_detailed(pw("120"), pw("200"),
+                                    code=VtCode(5, 0)) == (pw("1200"), False)

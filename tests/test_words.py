@@ -176,13 +176,14 @@ class TestLcsBitRows:
         words = [w for m in range(9) for w in all_words(2, m)]
         for x in words:
             for y in words:
-                assert lcs_bit_rows(x, y)[-1].bit_count() == lcs_length(x, y)
+                rows = lcs_bit_rows(x, symbol_masks(y), len(y))
+                assert rows[-1].bit_count() == lcs_length(x, y)
 
     def test_every_prefix_cell(self):
         # LCS(x[:k], y[:t]) is the popcount of the low t bits of rows[k]
         for x in all_words(2, 5):
             for y in all_words(2, 5):
-                rows = lcs_bit_rows(x, y)
+                rows = lcs_bit_rows(x, symbol_masks(y), len(y))
                 for k in range(6):
                     for t in range(6):
                         assert ((rows[k] & ((1 << t) - 1)).bit_count()
@@ -194,7 +195,8 @@ class TestLcsBitRows:
             for _ in range(6):
                 x = tuple(rnd.randrange(q) for _ in range(rnd.randint(0, 500)))
                 y = tuple(rnd.randrange(q) for _ in range(rnd.randint(0, 500)))
-                assert lcs_bit_rows(x, y)[-1].bit_count() == lcs_length(x, y)
+                rows = lcs_bit_rows(x, symbol_masks(y), len(y))
+                assert rows[-1].bit_count() == lcs_length(x, y)
                 assert indel_distance(x, y) == (len(x) + len(y)
                                                 - 2 * lcs_length(x, y))
 
