@@ -4,38 +4,28 @@ The real desk-scale runs (n = 150, 20k trials per point) live behind the
 CLI: `indelkit reproduce-figure fig1 --scale desk --plot`.  This demo runs
 a miniature version of the deletion-side experiment so it finishes in
 seconds, then prints measured-versus-closed-form per grid point and writes
-the CSV/SVG next to this script.
+the CSV/SVG to the current directory.
 """
 
-import os
-
-from indelkit.analysis import two_del_formulas
 from indelkit.channels import ChannelSpec
-from indelkit.harness import (ExperimentConfig, run_experiment,
+from indelkit.harness import (ExperimentConfig, figure_rows, run_experiment,
                               write_figure_csv, write_figure_svg)
 
-here = os.path.dirname(os.path.abspath(__file__))
 n, q, trials = 80, 2, 3000
 
 cfg = ExperimentConfig(channel=ChannelSpec("del"), t=2, n=n, q=q,
                        decoder="mld2del", p_grid=(0.01, 0.02, 0.03, 0.05),
                        trials_per_point=trials, master_seed=2024)
-res = run_experiment(cfg)
+rows = figure_rows("fig1", run_experiment(cfg))
 
-rows = []
 print(f"two deletion traces, q={q}, n={n}, {trials} trials per point")
 print(f"{'p':>6} {'measured':>12} {'closed form':>12} {'ratio':>7}")
-for pt in res.points:
-    f = two_del_formulas(q, pt.p, n)
-    print(f"{pt.p:>6} {pt.levenshtein_rate:>12.3e} "
-          f"{f.p_err_approx:>12.3e} {pt.levenshtein_rate / f.p_err_approx:>7.3f}")
-    rows.append({"metric": "levenshtein_rate", "q": q, "n": n, "p": pt.p,
-                 "code": "all", "measured_rate": pt.levenshtein_rate,
-                 "stderr": pt.stderr_ler, "formula_rate": f.p_err_approx,
-                 "trials": pt.trials, "seed": cfg.master_seed})
+for r in rows:
+    print(f"{r['p']:>6} {r['measured_rate']:>12.3e} "
+          f"{r['formula_rate']:>12.3e} "
+          f"{r['measured_rate'] / r['formula_rate']:>7.3f}")
 
-csv_path = os.path.join(here, "mini_fig1.csv")
-svg_path = os.path.join(here, "mini_fig1.svg")
+csv_path, svg_path = "mini_fig1.csv", "mini_fig1.svg"
 write_figure_csv(rows, csv_path)
 write_figure_svg(rows, svg_path, title="two-deletion error rate (mini)")
 print(f"\nwrote {csv_path} and {svg_path}")

@@ -12,11 +12,12 @@ import csv
 import sys
 import warnings
 from dataclasses import replace
+from itertools import product
 
 from .analysis import coded_success_bounds, two_del_formulas, two_ins_formulas
 from .codes import AllWordsCode
 from .decoders import DECODERS, get_decoder
-from .harness import (CSV_FIELDS, WINDOW_N, ExperimentConfig,
+from .harness import (CSV_FIELDS, FIGURES, WINDOW_N, ExperimentConfig,
                       exact_expected_distance, reproduce_figure,
                       run_experiment, sweep_brute_force_window,
                       sweep_two_del_condition, write_figure_csv,
@@ -90,7 +91,6 @@ def _cmd_oracle_check(args) -> int:
               f"mismatches")
         ok &= not win["length_violations"] and not win["mismatches"]
     elif args.which == "emb":
-        from itertools import product
         from .combinatorics import (EmbeddingLanes, embedding_number,
                                     embedding_number_bruteforce,
                                     insertion_ball_weights)
@@ -121,7 +121,6 @@ def _cmd_oracle_check(args) -> int:
               f"{bad} mismatches")
         ok &= bad == 0
     elif args.which == "scs":
-        from itertools import product
         from .supersequences import enumerate_scs, scs_length
         from .words import is_subsequence
         bad = pairs = 0
@@ -139,7 +138,6 @@ def _cmd_oracle_check(args) -> int:
               f"|y1| <= {n} and |y2| = min({n}, |y1| + 2): {bad} mismatches")
         ok &= bad == 0
     elif args.which == "mld2":
-        from itertools import product
         from .decoders import (mld_two_del_detailed, mld_two_ins_detailed,
                                mld_two_oracle)
         words = [w for m in range(n + 1) for w in product((0, 1), repeat=m)]
@@ -220,7 +218,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("reproduce-figure", help="rebuild one figure's data")
-    p.add_argument("figure", choices=["fig1", "fig2", "fig3", "fig5"])
+    p.add_argument("figure", choices=list(FIGURES))
     p.add_argument("--scale", choices=["desk", "paper"], default="desk")
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=2024)

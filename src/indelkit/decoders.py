@@ -37,8 +37,8 @@ def decode_lazy(y: Word) -> Word:
     return tuple(y)
 
 
-def _prolong(y: Word, profile, amounts: dict) -> Word:
-    """Rebuild y with run i lengthened by amounts[i] extra symbols."""
+def _prolong(profile, amounts: dict) -> Word:
+    """The profile's word with run i lengthened by amounts[i] symbols."""
     out = []
     for i, (sym, length) in enumerate(zip(profile.run_symbols, profile.run_lengths)):
         out.extend([sym] * (length + amounts.get(i, 0)))
@@ -77,9 +77,9 @@ def decode_en(y: Word, m: int) -> Word:
     prof = runs(y)
     i = prof.longest_idx
     if delta == 1:
-        return _prolong(y, prof, {i: 1})
+        return _prolong(prof, {i: 1})
     if prof.r == 1:
-        return _prolong(y, prof, {i: 2})
+        return _prolong(prof, {i: 2})
     a = prof.r_max
     b = -1
     j = -1
@@ -87,8 +87,8 @@ def decode_en(y: Word, m: int) -> Word:
         if idx != i and length > b:
             b, j = length, idx
     if a >= 2 * b:
-        return _prolong(y, prof, {i: 2})
-    return _prolong(y, prof, {i: 1, j: 1})
+        return _prolong(prof, {i: 2})
+    return _prolong(prof, {i: 1, j: 1})
 
 
 def decode_ml_code(y: Word, code) -> Word:

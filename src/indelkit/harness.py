@@ -22,13 +22,16 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
+from itertools import product
 from math import ceil, comb, sqrt
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from .analysis import coded_success_bounds, two_del_formulas, two_ins_formulas
 from .channels import (ChannelSpec, json_fields, transmit_del, transmit_ins,
                        transmit_kdel)
 from .codes import make_code
@@ -47,14 +50,21 @@ FIGURE_CSV_FIELDS = ["metric", "q", "n", "p", "code", "measured_rate",
 
 
 def worker_count(explicit: int | None = None) -> int:
-    """Workers from the INDELKIT_WORKERS env var, an explicit argument, or
-    the CPU count capped at 8."""
-    if explicit is not None:
-        return max(1, explicit)
-    env = os.environ.get("INDELKIT_WORKERS")
-    if env:
-        return max(1, int(env))
-    return max(1, min(8, os.cpu_count() or 1))
+    """Workers from an explicit argument (--workers), else the
+    INDELKIT_WORKERS env var, else the CPU count capped at 8.  A count
+    below 1, or an env value that is no integer, is refused by name."""
+    source, count = "--workers", explicit
+    if count is None:
+        source, env = "INDELKIT_WORKERS", os.environ.get("INDELKIT_WORKERS")
+        if not env:
+            return max(1, min(8, os.cpu_count() or 1))
+        try:
+            count = int(env)
+        except ValueError:
+            raise ValueError(f"{source} must be an integer, not {env!r}") from None
+    if count < 1:
+        raise ValueError(f"{source} must be >= 1, not {count}")
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +82,6 @@ class ExperimentConfig:
     p_grid: tuple = (0.01, 0.02, 0.03, 0.05)
     trials_per_point: int = 20_000
     master_seed: int = 2024
-    metrics: tuple = METRICS
     scs_cap: int = DEFAULT_TRIAL_CAP
 
     def __post_init__(self):
@@ -108,25 +117,19 @@ class ExperimentConfig:
                 raise ValueError(f"grid probabilities must be in [0, 1), not {p!r}")
         if self.scs_cap < 1:
             raise ValueError("scs_cap must be >= 1")
-        unknown = [m for m in self.metrics if m not in METRICS]
-        if unknown:
-            raise ValueError(f"unknown metrics {unknown}; expected some of "
-                             f"{', '.join(METRICS)}")
 
     def to_json(self) -> str:
         d = asdict(self)
         d["channel"] = self.channel.to_dict()
         d["p_grid"] = list(self.p_grid)
-        d["metrics"] = list(self.metrics)
         return json.dumps(d, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         d = json_fields(cls, json.loads(text), "config")
         d["channel"] = ChannelSpec.from_dict(d["channel"])
-        for key in ("p_grid", "metrics"):
-            if key in d:
-                d[key] = tuple(d[key])
+        if "p_grid" in d:
+            d["p_grid"] = tuple(d["p_grid"])
         return cls(**d)
 
 
@@ -143,6 +146,16 @@ class PointResult:
     truncated_trials: int
     wall_time: float
 
+    @property
+    def success_rate(self) -> float:
+        return 1.0 - self.failure_rate
+
+    def stderr(self, metric: str):
+        """The standard error that goes with a metric; "" for a component."""
+        return {"levenshtein_rate": self.stderr_ler,
+                "failure_rate": self.stderr_fail,
+                "success_rate": self.stderr_fail}.get(metric, "")
+
 
 @dataclass(frozen=True)
 class AggregateResult:
@@ -151,22 +164,14 @@ class AggregateResult:
 
     def rows(self) -> list:
         """Flatten to the fixed CSV schema, one row per metric per point."""
-        out = []
         cfg = self.config
-        code = cfg.code.get("code", "all")
-        for pt in self.points:
-            for metric in cfg.metrics:
-                value = getattr(pt, metric)
-                stderr = (pt.stderr_ler if metric == "levenshtein_rate"
-                          else pt.stderr_fail if metric == "failure_rate"
-                          else "")
-                out.append({"metric": metric, "q": cfg.q, "n": cfg.n,
-                            "p": pt.p, "t": cfg.t, "code": code,
-                            "decoder": cfg.decoder, "value": value,
-                            "stderr": stderr, "trials": pt.trials,
-                            "truncated_trials": pt.truncated_trials,
-                            "seed": cfg.master_seed})
-        return out
+        return [{"metric": metric, "q": cfg.q, "n": cfg.n, "p": pt.p,
+                 "t": cfg.t, "code": cfg.code.get("code", "all"),
+                 "decoder": cfg.decoder, "value": getattr(pt, metric),
+                 "stderr": pt.stderr(metric), "trials": pt.trials,
+                 "truncated_trials": pt.truncated_trials,
+                 "seed": cfg.master_seed}
+                for pt in self.points for metric in METRICS]
 
 
 # ---------------------------------------------------------------------------
@@ -327,38 +332,39 @@ def _run_chunk(cfg: ExperimentConfig, point: int, p: float, lo: int,
 
 def run_experiment(config: ExperimentConfig, workers: int | None = None) -> AggregateResult:
     """Monte Carlo sweep over the probability grid; deterministic for a
-    given master seed regardless of the worker count."""
+    given master seed regardless of the worker count.
+
+    Each grid point's trials run in chunks, [0, T) whole for one worker and
+    about four per worker otherwise, mapped through `_run_chunk` in this
+    process or in the run's one process pool; the chunks' sums add up."""
     workers = worker_count(workers)
+    n, T = config.n, config.trials_per_point
+    chunk = T if workers == 1 else ceil(T / (4 * workers))
+    bounds = [(lo, min(lo + chunk, T)) for lo in range(0, T, chunk)]
     points = []
-    for point, p in enumerate(config.p_grid):
-        start = time.perf_counter()
-        trials = config.trials_per_point
-        if workers == 1:
-            sums = _run_chunk(config, point, p, 0, trials)
-        else:
-            chunk = max(1, ceil(trials / (workers * 4)))
-            bounds = [(lo, min(lo + chunk, trials))
-                      for lo in range(0, trials, chunk)]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(
-                    _run_chunk,
-                    *zip(*[(config, point, p, lo, hi) for lo, hi in bounds])))
-            sums = tuple(sum(col) for col in zip(*parts))
-        sum_d, sum_d2, fails, run_u, alt_u, trunc = sums
-        n, T = config.n, trials
-        mean_d = sum_d / T
-        var_d = max(0.0, sum_d2 / T - mean_d * mean_d)
-        fail_rate = fails / T
-        points.append(PointResult(
-            p=p, trials=T,
-            levenshtein_rate=mean_d / n,
-            failure_rate=fail_rate,
-            run_component=run_u / (n * T),
-            alt_component=alt_u / (n * T),
-            stderr_ler=sqrt(var_d / T) / n,
-            stderr_fail=sqrt(fail_rate * (1 - fail_rate) / T),
-            truncated_trials=trunc,
-            wall_time=time.perf_counter() - start))
+    with (ProcessPoolExecutor(workers) if workers > 1
+          else nullcontext()) as pool:
+        run = pool.map if pool else map
+        for point, p in enumerate(config.p_grid):
+            start = time.perf_counter()
+            parts = run(
+                _run_chunk,
+                *zip(*[(config, point, p, lo, hi) for lo, hi in bounds]))
+            sum_d, sum_d2, fails, run_u, alt_u, trunc = (
+                sum(col) for col in zip(*parts))
+            mean_d = sum_d / T
+            var_d = max(0.0, sum_d2 / T - mean_d * mean_d)
+            fail_rate = fails / T
+            points.append(PointResult(
+                p=p, trials=T,
+                levenshtein_rate=mean_d / n,
+                failure_rate=fail_rate,
+                run_component=run_u / (n * T),
+                alt_component=alt_u / (n * T),
+                stderr_ler=sqrt(var_d / T) / n,
+                stderr_fail=sqrt(fail_rate * (1 - fail_rate) / T),
+                truncated_trials=trunc,
+                wall_time=time.perf_counter() - start))
     return AggregateResult(config=config, points=tuple(points))
 
 
@@ -395,14 +401,12 @@ def exact_expected_distance(decoder: str, n: int, k: int = 1,
 def _exact_enumerate(dec, n: int, k: int) -> Fraction:
     """Literal evaluator: the exact objective of every channel output's
     decoding, summed over all outputs."""
-    from itertools import product as iproduct
-
     if n - k < 0:
         raise ValueError("k cannot exceed n")
     if 2 ** (n - k) * 2 ** k * n > 2 ** 26:
         raise ValueError(f"enumeration infeasible for n = {n}, k = {k}")
     total = sum(objective_f(y, dec.decode((y,), k)[0], k)
-                for y in iproduct((0, 1), repeat=n - k))
+                for y in product((0, 1), repeat=n - k))
     return Fraction(total, (2 ** n) * n * comb(n, k))
 
 
@@ -414,12 +418,10 @@ def sweep_two_del_condition(n: int) -> dict:
     """Compare, for every y in Sigma_2^(n-2), the sign of the exact
     lazy-versus-prolong gap (two_del_lazy_en_gap_fast) against the
     closed-form condition polynomial; returns counts and the violators."""
-    from itertools import product as iproduct
-
     if n < 2:
         raise ValueError(f"condition sweep needs n >= 2, not {n}")
     violations = []
-    for y in iproduct((0, 1), repeat=n - 2):
+    for y in product((0, 1), repeat=n - 2):
         prof = runs(y)
         poly = two_del_condition_poly(n, prof.r_max, prof.r)
         gap = two_del_lazy_en_gap_fast(y)
@@ -514,11 +516,9 @@ def sweep_brute_force_window(n: int) -> dict:
     assert 4 * comb(n, 2) * (2 * n + 1) < 2 ** 15
     table = _window_table(n)
     offsets = np.cumsum([0] + [1 << L for L in range(n - 2, n + 2)])
-
-    from itertools import product as iproduct
     length_violations = []
     mismatches = []
-    for y in iproduct((0, 1), repeat=n - 2):
+    for y in product((0, 1), repeat=n - 2):
         scores = _window_scores(table, y)
         best = int(np.argmin(scores))  # first minimum: shortest, then lex
         k = int(np.searchsorted(offsets, best, side="right")) - 1
@@ -542,76 +542,79 @@ def sweep_brute_force_window(n: int) -> dict:
 # figure reproduction
 
 
+_Q_RUNS = ({"q": 2}, {"q": 4})
+_COMPONENTS = ("run_component", "alt_component")
+# figure -> (the channel kind of its two traces, the figure_config keywords
+# of each of its runs, the PointResult metrics it plots)
+FIGURES = {
+    "fig1": ("del", _Q_RUNS, ("levenshtein_rate",)),
+    "fig2": ("del", _Q_RUNS, _COMPONENTS),
+    "fig3": ("del", ({"code": {"code": "all"}},
+                     {"code": {"code": "vt", "a": 0}},
+                     {"code": {"code": "svt", "a": 0}}), ("success_rate",)),
+    "fig5": ("ins", ({},), ("levenshtein_rate", *_COMPONENTS)),
+}
+
+
+def _figure(fig: str) -> tuple:
+    if fig not in FIGURES:
+        raise ValueError(f"unknown figure {fig!r} (expected "
+                         f"{', '.join(FIGURES)})")
+    return FIGURES[fig]
+
+
+def _closed_form(cfg: ExperimentConfig, metric: str, p: float) -> float:
+    """The paper's closed form of a figure metric for a two-trace config at
+    p: the coded success bound of the config's code, or the deletion or
+    insertion formula of the Levenshtein rate or a component."""
+    if metric == "success_rate":
+        code = cfg.code.get("code", "all")
+        return coded_success_bounds(cfg.q, p, cfg.n)[
+            "uncoded" if code == "all" else code]
+    f = (two_del_formulas if cfg.channel.kind == "del"
+         else two_ins_formulas)(cfg.q, p, cfg.n)
+    return {"levenshtein_rate": f.p_err_approx, "run_component": f.p_run,
+            "alt_component": f.p_alt}[metric]
+
+
 def figure_config(fig: str, scale: str = "desk", master_seed: int = 2024,
                   code: dict | None = None, q: int = 2) -> ExperimentConfig:
     """Experiment configuration backing each reproduced figure; q and code
     pass through, and the config rejects what does not fit."""
     if scale not in ("desk", "paper"):
         raise ValueError("scale must be 'desk' or 'paper'")
+    kind = _figure(fig)[0]
     desk = scale == "desk"
-    trials = 20_000 if desk else 200_000
-    grid = ((0.01, 0.02, 0.03, 0.05) if desk
-            else tuple(round(0.005 * i, 3) for i in range(1, 11)))
-    if fig not in ("fig1", "fig2", "fig3", "fig5"):
-        raise ValueError(f"unknown figure {fig!r} (expected fig1, fig2, fig3, fig5)")
-    if fig == "fig5":
-        n, channel, decoder = 150 if desk else 500, ChannelSpec("ins", q=q), "mld2ins"
-    else:
-        n, channel, decoder = 150 if desk else 450, ChannelSpec("del"), "mld2del"
-    return ExperimentConfig(channel=channel, t=2, n=n, q=q,
-                            code=code or {"code": "all"}, decoder=decoder,
-                            p_grid=grid, trials_per_point=trials,
-                            master_seed=master_seed)
+    return ExperimentConfig(
+        channel=ChannelSpec("ins", q=q) if kind == "ins" else ChannelSpec(kind),
+        t=2, n=150 if desk else {"del": 450, "ins": 500}[kind], q=q,
+        code=code or {"code": "all"}, decoder="mld2" + kind,
+        p_grid=((0.01, 0.02, 0.03, 0.05) if desk
+                else tuple(round(0.005 * i, 3) for i in range(1, 11))),
+        trials_per_point=20_000 if desk else 200_000, master_seed=master_seed)
+
+
+def figure_rows(fig: str, result: AggregateResult) -> list:
+    """Figure CSV rows of one run, one per point and per metric of the
+    figure: the measured rate, its stderr and its closed form."""
+    cfg = result.config
+    return [{"metric": metric, "q": cfg.q, "n": cfg.n, "p": pt.p,
+             "code": cfg.code.get("code", "all"),
+             "measured_rate": getattr(pt, metric),
+             "stderr": pt.stderr(metric),
+             "formula_rate": _closed_form(cfg, metric, pt.p),
+             "trials": pt.trials, "seed": cfg.master_seed}
+            for pt in result.points for metric in _figure(fig)[2]]
 
 
 def reproduce_figure(fig: str, scale: str = "desk", workers: int | None = None,
                      master_seed: int = 2024) -> list:
     """Run the experiments behind one figure; returns figure CSV rows with
     measured and closed-form columns."""
-    from .analysis import coded_success_bounds, two_del_formulas, two_ins_formulas
-
     rows = []
-
-    def add(metric, cfg, pt, measured, stderr, formula, code="all"):
-        rows.append({"metric": metric, "q": cfg.q, "n": cfg.n, "p": pt.p,
-                     "code": code, "measured_rate": measured,
-                     "stderr": stderr, "formula_rate": formula,
-                     "trials": pt.trials, "seed": cfg.master_seed})
-
-    if fig in ("fig1", "fig2"):
-        for q in (2, 4):
-            cfg = figure_config(fig, scale, master_seed, q=q)
-            res = run_experiment(cfg, workers)
-            for pt in res.points:
-                f = two_del_formulas(q, pt.p, cfg.n)
-                if fig == "fig1":
-                    add("levenshtein_rate", cfg, pt, pt.levenshtein_rate,
-                        pt.stderr_ler, f.p_err_approx)
-                else:
-                    add("run_component", cfg, pt, pt.run_component, "", f.p_run)
-                    add("alt_component", cfg, pt, pt.alt_component, "", f.p_alt)
-    elif fig == "fig3":
-        for code in ({"code": "all"}, {"code": "vt", "a": 0},
-                     {"code": "svt", "a": 0}):
-            cfg = figure_config(fig, scale, master_seed, code=code)
-            res = run_experiment(cfg, workers)
-            for pt in res.points:
-                bounds = coded_success_bounds(2, pt.p, cfg.n)
-                name = code["code"]
-                key = {"all": "uncoded", "vt": "vt", "svt": "svt"}[name]
-                add("success_rate", cfg, pt, 1.0 - pt.failure_rate,
-                    pt.stderr_fail, bounds[key], code=name)
-    elif fig == "fig5":
-        cfg = figure_config(fig, scale, master_seed)
-        res = run_experiment(cfg, workers)
-        for pt in res.points:
-            f = two_ins_formulas(2, pt.p, cfg.n)
-            add("levenshtein_rate", cfg, pt, pt.levenshtein_rate,
-                pt.stderr_ler, f.p_err_approx)
-            add("run_component", cfg, pt, pt.run_component, "", f.p_run)
-            add("alt_component", cfg, pt, pt.alt_component, "", f.p_alt)
-    else:
-        raise ValueError(f"unknown figure {fig!r}")
+    for kw in _figure(fig)[1]:
+        cfg = figure_config(fig, scale, master_seed, **kw)
+        rows += figure_rows(fig, run_experiment(cfg, workers))
     return rows
 
 

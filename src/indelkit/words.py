@@ -88,44 +88,21 @@ def is_subsequence(y: Word, x: Word) -> bool:
     return all(s in it for s in y)
 
 
+def _alternates(w: Word, q: int) -> bool:
+    """True iff w has period q and its first min(q, |w|) symbols differ."""
+    return (len(set(w[:q])) == min(q, len(w))
+            and all(a == b for a, b in zip(w, w[q:])))
+
+
 def is_alternating(w: Word, q: int) -> bool:
     """True iff w reads off consecutive symbols of some cyclic order on all q symbols.
 
-    Equivalent for q = 2 to "all runs have length 1".  Adjacent pairs of w
-    define a partial successor map; w is alternating iff that map is
-    functional, fixed-point free, and extendable to a single q-cycle, which
-    for a partial injection means its edges form disjoint paths or one cycle
-    through all q symbols.
+    Equivalent for q = 2 to "all runs have length 1".  Following a q-cycle
+    means exactly: period q, and any q consecutive symbols distinct (so the
+    first q, when w is that long, are all q symbols in the cycle's order).
     """
     check_word(w, q)
-    succ: dict = {}
-    pred: dict = {}
-    for a, b in zip(w, w[1:]):
-        if a == b:
-            return False
-        if succ.get(a, b) != b or pred.get(b, a) != a:
-            return False
-        succ[a] = b
-        pred[b] = a
-    # Reject any cycle shorter than q; a q-cycle is fine.
-    seen = set()
-    for start in succ:
-        if start in seen:
-            continue
-        length = 1
-        node = start
-        seen.add(node)
-        while node in succ:
-            node = succ[node]
-            if node == start:
-                if length != q:
-                    return False
-                break
-            if node in seen:
-                break
-            seen.add(node)
-            length += 1
-    return True
+    return _alternates(w, q)
 
 
 def is_two_symbol_alternating(w: Word) -> bool:
@@ -134,13 +111,7 @@ def is_two_symbol_alternating(w: Word) -> bool:
     This is the pattern behind the alternating-ambiguity error events of the
     two-trace decoders; for q = 2 it coincides with is_alternating.
     """
-    if len(w) < 2:
-        return len(w) == 1
-    a, b = w[0], w[1]
-    if a == b:
-        return False
-    expected = (a, b)
-    return all(s == expected[i % 2] for i, s in enumerate(w))
+    return len(w) > 0 and _alternates(w, 2)
 
 
 @lru_cache(maxsize=None)

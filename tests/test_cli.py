@@ -11,6 +11,7 @@ import pytest
 import indelkit
 from indelkit.cli import main
 from indelkit.decoders import DECODERS, brute_force_ml_star
+from indelkit.harness import FIGURES, METRICS
 from indelkit.words import parse_word
 
 
@@ -73,7 +74,6 @@ def test_simulate_subcommand(tmp_path, capsys):
         "p_grid": [0.02],
         "trials_per_point": 60,
         "master_seed": 11,
-        "metrics": ["levenshtein_rate", "failure_rate"],
     }
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -82,7 +82,7 @@ def test_simulate_subcommand(tmp_path, capsys):
                  "--workers", "1"]) == 0
     with open(out_path) as fh:
         rows = list(csv.DictReader(fh))
-    assert {r["metric"] for r in rows} == {"levenshtein_rate", "failure_rate"}
+    assert [r["metric"] for r in rows] == list(METRICS)
     assert all(r["decoder"] == "mld2del" for r in rows)
     # --seed overrides the config's master seed, and nothing else
     seeded = tmp_path / "seeded.csv"
@@ -94,6 +94,35 @@ def test_simulate_subcommand(tmp_path, capsys):
     assert seeded.read_text() == out_path.read_text()
     assert all(r["seed"] == "12"
                for r in csv.DictReader(seeded.read_text().splitlines()))
+
+
+def test_bad_worker_counts_are_refused(tmp_path, monkeypatch):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"channel": {"kind": "del"}, "t": 2,
+                                    "n": 10, "q": 2, "p_grid": [0.02],
+                                    "trials_per_point": 4}))
+    simulate = ["simulate", "--config", str(cfg_path),
+                "--out", str(tmp_path / "out.csv")]
+    for count in ("0", "-3"):
+        with pytest.raises(SystemExit, match=f"--workers must be >= 1, not {count}"):
+            main(simulate + ["--workers", count])
+        with pytest.raises(SystemExit, match="--workers must be >= 1"):
+            main(["reproduce-figure", "fig1", "--workers", count,
+                  "--out", str(tmp_path / "fig.csv")])
+    monkeypatch.setenv("INDELKIT_WORKERS", "0")
+    with pytest.raises(SystemExit, match="INDELKIT_WORKERS must be >= 1"):
+        main(simulate)
+    monkeypatch.setenv("INDELKIT_WORKERS", "abc")
+    with pytest.raises(SystemExit, match="INDELKIT_WORKERS must be an integer"):
+        main(simulate)
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_reproduce_figure_names_come_from_the_table(capsys):
+    with pytest.raises(SystemExit):  # argparse: exit code 2
+        main(["reproduce-figure", "fig4"])
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and all(fig in err for fig in FIGURES)
 
 
 def test_analyze_subcommand(tmp_path):

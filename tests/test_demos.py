@@ -17,9 +17,10 @@ def test_demos_are_found():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(demo):
+def test_demo_runs(demo, tmp_path):
+    # run from a scratch directory: what a demo writes stays out of the tree
     src = os.path.dirname(os.path.dirname(indelkit.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     res = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                         text=True, env=env, timeout=300)
+                         text=True, env=env, timeout=300, cwd=tmp_path)
     assert res.returncode == 0, res.stderr

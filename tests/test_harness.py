@@ -13,7 +13,8 @@ from indelkit.channels import (ChannelSpec, transmit_del, transmit_ins,
                                transmit_kdel)
 from indelkit.codes import make_code
 from indelkit.decoders import DECODERS, get_decoder, ml_star_2del
-from indelkit.harness import (CSV_FIELDS, AggregateResult, ExperimentConfig,
+from indelkit.harness import (CSV_FIELDS, METRICS, AggregateResult,
+                              ExperimentConfig,
                               _PresetSeed, _seed_states, _stream_rng,
                               _trial_components, _trial_rngs,
                               _window_distance_rows, _window_scores,
@@ -54,8 +55,6 @@ class TestConfig:
             small_cfg(trials_per_point=0)
         with pytest.raises(ValueError):
             small_cfg(scs_cap=0)
-        with pytest.raises(ValueError):
-            small_cfg(metrics=("levenshtein_rate", "no_such_metric"))
         with pytest.raises(ValueError):
             small_cfg(channel=ChannelSpec("kdel", k=2))  # no two-trace kdel decoder
         with pytest.raises(ValueError):
@@ -102,7 +101,7 @@ class TestConfig:
         ({"p_grid": ["0.05"]}, "grid probabilities"),
         ({"n": "40"}, "config key 'n'"),
         ({"trials_per_point": True}, "config key 'trials_per_point'"),
-        ({"metrics": "failure_rate"}, "config key 'metrics'"),
+        ({"metrics": ["failure_rate"]}, r"config key\(s\) 'metrics'"),
         ({"code": {"code": "vt", "a": "1"}}, "code 'vt' key 'a' must be an int"),
         ({"code": {"code": "svt", "P": "5"}}, "key 'P' must be an int or null"),
         ({"master_seed": -1}, "master_seed must be >= 0"),
@@ -151,6 +150,21 @@ class TestRunExperiment:
             assert (a.levenshtein_rate, a.failure_rate, a.run_component,
                     a.alt_component) == (b.levenshtein_rate, b.failure_rate,
                                          b.run_component, b.alt_component)
+
+    def test_one_pool_per_run(self, monkeypatch):
+        pools = []
+
+        class CountingPool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kw):
+                pools.append(self)
+                super().__init__(*args, **kw)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        cfg = small_cfg(p_grid=(0.02, 0.05, 0.1), trials_per_point=30)
+        rows = run_experiment(cfg, workers=2).rows()
+        assert len(pools) == 1  # one pool serves every grid point
+        assert run_experiment(cfg, workers=1).rows() == rows
+        assert len(pools) == 1  # one worker runs in this process
 
     def test_deterministic_across_runs(self):
         cfg = small_cfg(trials_per_point=150)
@@ -219,7 +233,7 @@ class TestRunExperiment:
     def test_csv_rows_schema(self, tmp_path):
         res = run_experiment(small_cfg(trials_per_point=50), workers=1)
         rows = res.rows()
-        assert {r["metric"] for r in rows} == set(small_cfg().metrics)
+        assert [r["metric"] for r in rows] == list(METRICS)
         path = tmp_path / "out.csv"
         write_rows_csv(rows, str(path), CSV_FIELDS)
         with open(path) as fh:
@@ -564,3 +578,23 @@ class TestWorkerCount:
 
     def test_explicit_wins(self):
         assert worker_count(2) == 2
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_refuses_a_count_below_one(self, count, monkeypatch):
+        monkeypatch.delenv("INDELKIT_WORKERS", raising=False)
+        with pytest.raises(ValueError, match=f"--workers must be >= 1, not {count}"):
+            worker_count(count)
+        monkeypatch.setenv("INDELKIT_WORKERS", str(count))
+        with pytest.raises(ValueError,
+                           match=f"INDELKIT_WORKERS must be >= 1, not {count}"):
+            worker_count()
+        with pytest.raises(ValueError, match="--workers"):
+            run_experiment(small_cfg(trials_per_point=1), workers=count)
+
+    @pytest.mark.parametrize("env", ["abc", "2.5", "3x"])
+    def test_refuses_an_env_value_that_is_no_integer(self, env, monkeypatch):
+        monkeypatch.setenv("INDELKIT_WORKERS", env)
+        with pytest.raises(ValueError,
+                           match=f"INDELKIT_WORKERS must be an integer, not '{env}'"):
+            worker_count()
+        assert worker_count(1) == 1  # an explicit count wins over the env

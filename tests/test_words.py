@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -244,6 +244,33 @@ class TestAlternating:
         assert not is_two_symbol_alternating((0, 1, 2))
         assert not is_two_symbol_alternating(parse_word("00"))
         assert not is_two_symbol_alternating(())
+
+
+class TestAlternatingVsCyclicOrders:
+    # the literal definition: w alternates when one cyclic order of all q
+    # symbols, (q-1)! of them with 0 first, sends each w[i] to w[i+1]
+    @staticmethod
+    def follows_a_cycle(w, q):
+        for rest in permutations(range(1, q)):
+            order = (0, *rest)
+            succ = {a: order[(j + 1) % q] for j, a in enumerate(order)}
+            if all(succ[a] == b for a, b in zip(w, w[1:])):
+                return True
+        return False
+
+    @pytest.mark.parametrize("q,max_len", [(2, 9), (3, 7), (4, 6), (5, 5)])
+    def test_equals_the_oracle(self, q, max_len):
+        for n in range(max_len + 1):
+            for w in all_words(q, n):
+                assert is_alternating(w, q) == self.follows_a_cycle(w, q), w
+                two = n > 0 and any(
+                    all(s == (a, b)[i % 2] for i, s in enumerate(w))
+                    for a in range(q) for b in range(q) if a != b)
+                assert is_two_symbol_alternating(w) == two, w
+
+    def test_symbols_outside_the_alphabet_are_refused(self):
+        with pytest.raises(ValueError, match="out of range"):
+            is_alternating((0, 1, 2), 2)
 
 
 class TestSerialization:
