@@ -23,7 +23,7 @@ from typing import Callable
 
 from .analysis import en1_1del_law, lazy_1del_law
 from .codes import DEAD
-from .combinatorics import (EmbeddingLanes, embedding_number, insertion_ball,
+from .combinatorics import (EmbeddingLanes, _embedding_rows, embedding_number,
                             insertion_ball_weights)
 from .supersequences import (DEFAULT_CAP, enumerate_lcs, enumerate_scs,
                              lcs_dag, scs_dag)
@@ -354,27 +354,49 @@ def two_del_lazy_en_gap(y: Word) -> int:
     the first longest run, since the unchanged output sits at distance
     exactly 2 from every candidate c.  Literal enumeration (objective_f,
     less twice the ball's total weight 4*C(n, 2)); the oracle against
-    which the closed-form sign condition is checked.
+    which the closed-form sign condition is checked.  Binary y only.
     """
+    y = tuple(y)
+    check_word(y, 2)
     n = len(y) + 2
     return objective_f(y, decode_en(y, n - 1), 2) - 8 * comb(n, 2)
 
 
 def two_del_lazy_en_gap_fast(y: Word) -> int:
-    """Same integer as two_del_lazy_en_gap via an exact identity.
+    """Same integer as two_del_lazy_en_gap in O(|y|) time.  Binary y only.
 
     Every c in I_2(y) is at distance 1 or 3 from the prolonged word x
     (both contain y; lengths differ by 1), distance 1 exactly on I_1(x),
-    and sum of Emb(c; y) over I_2(y) is C(n, 2) * 4.  Hence the gap equals
-    4*C(n, 2) - 2 * sum_{c in I_1(x)} Emb(c; y).
+    and sum of Emb(c; y) over I_2(y) is 4*C(n, 2).  Hence the gap equals
+    4*C(n, 2) - 2*s1 with s1 = sum_{c in I_1(x)} Emb(c; y).
+
+    With L = |x| = |y| + 1, the L + 2 words of I_1(x) are each written
+    once as c = x[:i] s x[i:] with s != x[i] or i = L.  An embedding of y
+    in c either skips the inserted s, so it is an embedding in x, or maps
+    some y_j onto it, with y[:j] in x[:i] (so j <= i) and y[j+1:] in x[i:]
+    (so |y| - 1 - j <= L - i, i.e. j >= i - 2).  Hence
+    s1 = (L + 2) Emb(x; y) + sum over i, s and j in {i-2, i-1, i} with
+    y_j = s of Emb(x[:i]; y[:j]) * Emb(x[i:]; y[j+1:]).  The forward
+    factors are the band-2 rows of the embedding DP, the backward ones the
+    same rows of the reversed words: two O(|y|) passes.
     """
     y = tuple(y)
-    n = len(y) + 2
-    xh = decode_en(y, n - 1)
-    s1 = 0
-    for c in insertion_ball(xh, 1, 2):
-        s1 += embedding_number(c, y)
-    return 4 * comb(n, 2) - 2 * s1
+    check_word(y, 2)
+    m = len(y)
+    x = decode_en(y, m + 1)
+    fwd = list(_embedding_rows(x, y, 2))
+    bwd = list(_embedding_rows(x[::-1], y[::-1], 2))
+    s1 = (m + 3) * fwd[-1][-1]  # (L + 2) Emb(x; y)
+    # row i of fwd holds column j at j - lo, the reversed row of x[i:] holds
+    # Emb(x[i:]; y[j+1:]) at hi - j; past x's end both symbols are inserted
+    # (xi = -1), so every y_j counts once
+    for i, (f, b, xi) in enumerate(zip(fwd, reversed(bwd), x + (-1,))):
+        lo = i - 2 if i > 2 else 0
+        hi = i if i < m else m - 1
+        for j in range(lo, hi + 1):
+            if y[j] != xi:  # binary: y_j = s iff y_j != x[i]
+                s1 += f[j - lo] * b[hi - j]
+    return 4 * comb(m + 2, 2) - 2 * s1
 
 
 # ---------------------------------------------------------------------------

@@ -416,8 +416,10 @@ def _exact_enumerate(dec, n: int, k: int) -> Fraction:
 
 def sweep_two_del_condition(n: int) -> dict:
     """Compare, for every y in Sigma_2^(n-2), the sign of the exact
-    lazy-versus-prolong gap (two_del_lazy_en_gap_fast) against the
-    closed-form condition polynomial; returns counts and the violators."""
+    lazy-versus-prolong gap against the closed-form condition polynomial
+    two_del_condition_poly; returns the word count and the violators, each
+    {"y", "gap", "poly"}.  The gap is two_del_lazy_en_gap_fast, O(n) per y,
+    so the sweep takes O(n 2^n) time."""
     if n < 2:
         raise ValueError(f"condition sweep needs n >= 2, not {n}")
     violations = []

@@ -226,6 +226,17 @@ def test_criterion_07_companion_violations_pinned():
             assert v["poly"] >= 0 and v["gap"] < 0
 
 
+def test_condition_sweep_violations_pinned_past_14():
+    # The exact violation counts beyond criterion 7's range, where the
+    # linear-time gap makes the sweep cheap: 14 violations at n = 16, with
+    # the same sign pattern as below 15.
+    for n, want in {15: 0, 16: 14, 17: 0}.items():
+        res = sweep_two_del_condition(n)
+        assert len(res["violations"]) == want, n
+        for v in res["violations"]:
+            assert v["poly"] >= 0 and v["gap"] < 0
+
+
 def test_criterion_08_brute_force_window():
     start = time.perf_counter()
     length_bad = {}

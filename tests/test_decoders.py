@@ -1,6 +1,7 @@
 import random
 import warnings
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -479,6 +480,31 @@ class TestLazyEnGap:
         for m in range(0, 10):
             for y in product((0, 1), repeat=m):
                 assert two_del_lazy_en_gap(y) == two_del_lazy_en_gap_fast(y)
+
+    @staticmethod
+    def _ball_gap(y):
+        # the identity's plain form: 4*C(n, 2) - 2 * sum of Emb(c; y) over
+        # the single insertions c of the prolonged word
+        xh = decode_en(y, len(y) + 1)
+        s1 = sum(embedding_number(c, y) for c in insertion_ball(xh, 1, 2))
+        return 4 * comb(len(y) + 2, 2) - 2 * s1
+
+    def test_fast_equals_ball_identity_exhaustive(self):
+        for m in range(0, 13):
+            for y in product((0, 1), repeat=m):
+                assert two_del_lazy_en_gap_fast(y) == self._ball_gap(y), y
+
+    def test_fast_equals_literal_on_long_random_words(self):
+        rng = random.Random(18)
+        for _ in range(36):
+            y = tuple(rng.randrange(2) for _ in range(rng.randint(20, 40)))
+            assert two_del_lazy_en_gap_fast(y) == two_del_lazy_en_gap(y), y
+
+    def test_non_binary_refused(self):
+        for gap in (two_del_lazy_en_gap, two_del_lazy_en_gap_fast):
+            for y in ((0, 2, 1), (-1,), (1, 0, 3, 0)):
+                with pytest.raises(ValueError, match="out of range"):
+                    gap(y)
 
     def test_known_polynomial_agreements(self):
         # regular cases where the closed form matches the exact sign
