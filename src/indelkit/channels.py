@@ -52,9 +52,14 @@ def json_fields(cls, d, what: str) -> dict:
     return d
 
 
+# the ChannelSpec fields each channel kind reads, in its sampler's order
+KIND_FIELDS = {"del": ("p",), "ins": ("p", "q"), "kdel": ("k",)}
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
-    """One of Del(p), Ins(p) over alphabet size q, or exact-k deletion."""
+    """One of Del(p), Ins(p) over alphabet size q, or exact-k deletion; it
+    reads and serializes only the fields KIND_FIELDS names for its kind."""
 
     kind: str  # "del" | "ins" | "kdel"
     p: float = 0.0
@@ -62,7 +67,8 @@ class ChannelSpec:
     q: int = 2
 
     def __post_init__(self):
-        if self.kind not in ("del", "ins", "kdel"):
+        reads = KIND_FIELDS.get(self.kind)
+        if reads is None:
             raise ValueError(f"unknown channel kind {self.kind!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must be in [0, 1]")
@@ -71,19 +77,17 @@ class ChannelSpec:
         if self.q < 2:
             raise ValueError("q must be >= 2")
         # fields the kind does not read would be dropped by to_dict
-        if self.kind != "kdel" and self.k != 0:
-            raise ValueError(f"{self.kind} channels take no k")
-        if self.kind == "kdel" and self.p != 0.0:
-            raise ValueError("kdel channels take no p")
-        if self.kind != "ins" and self.q != 2:
-            raise ValueError(f"{self.kind} channels take no q")
+        for f in fields(self)[1:]:
+            if f.name not in reads and getattr(self, f.name) != f.default:
+                raise ValueError(f"{self.kind} channels take no {f.name}")
 
     def to_dict(self) -> dict:
-        if self.kind == "kdel":
-            return {"kind": "kdel", "k": self.k}
-        if self.kind == "ins":
-            return {"kind": "ins", "p": self.p, "q": self.q}
-        return {"kind": "del", "p": self.p}
+        return {f: getattr(self, f) for f in ("kind", *KIND_FIELDS[self.kind])}
+
+    def transmit(self, x: Word, p: float, rng) -> Word:
+        """x through this channel, with p from the grid and q or k from the spec."""
+        reads = {"p": p, "k": self.k, "q": self.q}
+        return _SAMPLERS[self.kind](x, *map(reads.get, KIND_FIELDS[self.kind]), rng)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ChannelSpec":
@@ -137,6 +141,9 @@ def transmit_kdel(x: Word, k: int, rng) -> Word:
     rng = _as_rng(rng)
     drop = set(rng.choice(len(x), size=k, replace=False).tolist()) if k else set()
     return tuple(s for i, s in enumerate(x) if i not in drop)
+
+
+_SAMPLERS = {"del": transmit_del, "ins": transmit_ins, "kdel": transmit_kdel}
 
 
 def cond_prob_del_term(x: Word, y: Word) -> ProbTerm:

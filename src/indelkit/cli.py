@@ -61,7 +61,7 @@ def _cmd_oracle_check(args) -> int:
     if args.which == "1del":
         for name, dec in DECODERS.items():
             if dec.fast_1del is not None:
-                law = exact_expected_distance(name, n, 1)
+                law = dec.fast_1del(n)  # defined for n >= 2 only
                 with warnings.catch_warnings():
                     # mlstar1 warns below its proven range n >= 17, once
                     # per output word; the enumeration checks it anyway

@@ -32,8 +32,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .analysis import coded_success_bounds, two_del_formulas, two_ins_formulas
-from .channels import (ChannelSpec, json_fields, transmit_del, transmit_ins,
-                       transmit_kdel)
+from .channels import KIND_FIELDS, ChannelSpec, json_fields
 from .codes import make_code
 from .combinatorics import insertion_ball_weights
 from .decoders import (get_decoder, ml_star_2del, objective_f,
@@ -85,24 +84,22 @@ class ExperimentConfig:
     scs_cap: int = DEFAULT_TRIAL_CAP
 
     def __post_init__(self):
-        if self.t not in (1, 2):
-            raise ValueError("t must be 1 or 2")
         if self.n < 1 or self.q < 2:
             raise ValueError(f"need n >= 1 and q >= 2, not n={self.n}, q={self.q}")
         if not self.p_grid:
             raise ValueError("p_grid must hold at least one probability")
-        ch = self.channel
+        ch, reads = self.channel, KIND_FIELDS[self.channel.kind]
         dec = get_decoder(self.decoder, self.t, ch.kind)
-        # p_grid alone sets the transmission probability of del/ins
-        if ch.kind in ("del", "ins") and ch.p != 0.0:
+        # p_grid alone sets p, for a kind that reads it (p is 0 where unread)
+        if ch.p != 0.0:
             raise ValueError("channel p must be 0; p_grid sets it")
-        if ch.kind == "ins" and ch.q != self.q:
-            raise ValueError(f"ins channel q={ch.q} differs from q={self.q}")
-        if ch.kind == "kdel" and ch.k > self.n:
-            raise ValueError(f"kdel channel deletes k={ch.k} > n={self.n} symbols")
-        # a kdel channel reads no p: a second grid point reruns the same law
-        if ch.kind == "kdel" and len(self.p_grid) != 1:
-            raise ValueError("a kdel channel takes a single p_grid point")
+        if "q" in reads and ch.q != self.q:
+            raise ValueError(f"{ch.kind} channel q={ch.q} differs from q={self.q}")
+        if ch.k > self.n:  # k is 0 where unread
+            raise ValueError(f"{ch.kind} channel deletes k={ch.k} > n={self.n} symbols")
+        # a kind that reads no p reruns the same law at a second grid point
+        if "p" not in reads and len(self.p_grid) != 1:
+            raise ValueError(f"a {ch.kind} channel takes a single p_grid point")
         make_code(self.code, self.n, self.q)  # rejects bad code params
         if not dec.coded and self.code.get("code", "all") != "all":
             raise ValueError(f"{self.decoder} decodes without a code; "
@@ -113,7 +110,7 @@ class ExperimentConfig:
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, not {self.master_seed}")
         for p in self.p_grid:
-            if not (isinstance(p, (int, float)) and 0.0 <= p < 1.0):
+            if isinstance(p, bool) or not (isinstance(p, (int, float)) and 0 <= p < 1):
                 raise ValueError(f"grid probabilities must be in [0, 1), not {p!r}")
         if self.scs_cap < 1:
             raise ValueError("scs_cap must be >= 1")
@@ -306,21 +303,14 @@ def _run_chunk(cfg: ExperimentConfig, point: int, p: float, lo: int,
                hi: int) -> tuple:
     """Run trials [lo, hi) of one grid point; returns exact integer sums
     (sum_d, sum_d2, failures, run_units, alt_units, truncated)."""
-    code = make_code(cfg.code, cfg.n, cfg.q)
-    kind, k = cfg.channel.kind, cfg.channel.k
-    dec = get_decoder(cfg.decoder, cfg.t, kind)
-    q, t, seed, cap = cfg.q, cfg.t, cfg.master_seed, cfg.scs_cap
+    code, ch = make_code(cfg.code, cfg.n, cfg.q), cfg.channel
+    dec = get_decoder(cfg.decoder, cfg.t, ch.kind)
     sum_d = sum_d2 = fails = run_units = alt_units = truncated = 0
-    for c_rng, *rngs in _trial_rngs(seed, point, lo, hi, t + 1):
+    for c_rng, *rngs in _trial_rngs(cfg.master_seed, point, lo, hi, cfg.t + 1):
         c = code.sample(c_rng)
-        if kind == "del":
-            ys = [transmit_del(c, p, rng) for rng in rngs]
-        elif kind == "ins":
-            ys = [transmit_ins(c, p, q, rng) for rng in rngs]
-        else:
-            ys = [transmit_kdel(c, k, rng) for rng in rngs]
-        out, trunc = dec.decode(ys, k, code, cap)
-        d, ru, au = _trial_components(c, out, t, kind)
+        ys = [ch.transmit(c, p, rng) for rng in rngs]
+        out, trunc = dec.decode(ys, ch.k, code, cfg.scs_cap)
+        d, ru, au = _trial_components(c, out, cfg.t, ch.kind)
         sum_d += d
         sum_d2 += d * d
         fails += out != tuple(c)
@@ -334,12 +324,12 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Aggr
     """Monte Carlo sweep over the probability grid; deterministic for a
     given master seed regardless of the worker count.
 
-    Each grid point's trials run in chunks, [0, T) whole for one worker and
-    about four per worker otherwise, mapped through `_run_chunk` in this
-    process or in the run's one process pool; the chunks' sums add up."""
+    Each grid point's trials run in one chunk per worker, [0, T) whole for
+    one worker, mapped through `_run_chunk` in this process or in the run's
+    one process pool; the chunks' sums add up."""
     workers = worker_count(workers)
     n, T = config.n, config.trials_per_point
-    chunk = T if workers == 1 else ceil(T / (4 * workers))
+    chunk = ceil(T / workers)
     bounds = [(lo, min(lo + chunk, T)) for lo in range(0, T, chunk)]
     points = []
     with (ProcessPoolExecutor(workers) if workers > 1
@@ -387,13 +377,13 @@ def exact_expected_distance(decoder: str, n: int, k: int = 1,
     Averages d_L(decoder(y), c) / n over all codewords c and channel
     outputs y, weighted by Emb(c; y) / C(n, k).  For k = 1 with a decoder
     that has an exact 1-deletion law in analysis (lazy, mlstar1, en:1) it
-    returns the law, for any n >= 2; `method="enumerate"` forces the
-    literal double loop used to validate it.
+    returns the law where the law is defined, n >= 2; below that, and with
+    `method="enumerate"`, it runs the literal double loop.
     """
     if method not in ("auto", "enumerate"):
         raise ValueError(f"method must be 'auto' or 'enumerate', not {method!r}")
     dec = get_decoder(decoder, 1, "kdel")
-    if k == 1 and method == "auto" and dec.fast_1del is not None:
+    if k == 1 and n >= 2 and method == "auto" and dec.fast_1del is not None:
         return dec.fast_1del(n)
     return _exact_enumerate(dec, n, k)
 

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 from itertools import product
@@ -32,6 +33,24 @@ class TestChannelSpec:
                    dict(kind="del", q=4)):
             with pytest.raises(ValueError):
                 ChannelSpec.from_dict(kw)
+
+    def test_serialized_forms(self):
+        # the bytes a config writes for each kind; from_dict(to_dict())
+        # cannot see a format that changes on both sides
+        for spec, text in [
+                (ChannelSpec("del", p=0.02), '{"kind": "del", "p": 0.02}'),
+                (ChannelSpec("ins", p=0.03, q=4),
+                 '{"kind": "ins", "p": 0.03, "q": 4}'),
+                (ChannelSpec("kdel", k=2), '{"kind": "kdel", "k": 2}')]:
+            assert json.dumps(spec.to_dict()) == text
+
+    def test_transmit_calls_the_kind_sampler(self):
+        x = parse_word("0110101101")
+        for spec, y in [
+                (ChannelSpec("del"), transmit_del(x, 0.3, 7)),
+                (ChannelSpec("ins", q=4), transmit_ins(x, 0.3, 4, 7)),
+                (ChannelSpec("kdel", k=3), transmit_kdel(x, 3, 7))]:
+            assert spec.transmit(x, 0.3, 7) == y
 
 
 class TestTransmitDel:

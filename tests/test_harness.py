@@ -99,6 +99,7 @@ class TestConfig:
         ({"channel": [0.1]}, "config key 'channel'"),
         ({"p_grid": 0.05}, "config key 'p_grid'"),
         ({"p_grid": ["0.05"]}, "grid probabilities"),
+        ({"p_grid": [False, 0.05]}, "grid probabilities"),
         ({"n": "40"}, "config key 'n'"),
         ({"trials_per_point": True}, "config key 'trials_per_point'"),
         ({"metrics": ["failure_rate"]}, r"config key\(s\) 'metrics'"),
@@ -133,6 +134,29 @@ class TestConfig:
         assert ExperimentConfig.from_json(json.dumps(d)) == ExperimentConfig(
             channel=ChannelSpec("del"), t=2, n=40, q=2)
 
+    TAIL = ('  "trials_per_point": 300,\n  "master_seed": 5,\n'
+            '  "scs_cap": 50000\n}')
+
+    @pytest.mark.parametrize("kw,text", [
+        ({}, '{\n  "channel": {\n    "kind": "del",\n    "p": 0.0\n  },\n'
+             '  "t": 2,\n  "n": 40,\n  "q": 2,\n  "code": {\n    "code": "all"'
+             '\n  },\n  "decoder": "mld2del",\n  "p_grid": [\n    0.03\n  ],\n'),
+        (dict(channel=ChannelSpec("ins", q=4), q=4, decoder="mld2ins"),
+         '{\n  "channel": {\n    "kind": "ins",\n    "p": 0.0,\n    "q": 4\n'
+         '  },\n  "t": 2,\n  "n": 40,\n  "q": 4,\n  "code": {\n'
+         '    "code": "all"\n  },\n  "decoder": "mld2ins",\n'
+         '  "p_grid": [\n    0.03\n  ],\n'),
+        (dict(channel=ChannelSpec("kdel", k=1), t=1, n=7, decoder="brute",
+              code={"code": "vt", "a": 0}, p_grid=(0.0,)),
+         '{\n  "channel": {\n    "kind": "kdel",\n    "k": 1\n  },\n'
+         '  "t": 1,\n  "n": 7,\n  "q": 2,\n  "code": {\n    "code": "vt",\n'
+         '    "a": 0\n  },\n  "decoder": "brute",\n  "p_grid": [\n    0.0\n'
+         '  ],\n'),
+    ])
+    def test_serialized_forms(self, kw, text):
+        # the bytes a config file holds for each channel kind
+        assert small_cfg(**kw).to_json() == text + self.TAIL
+
 
 class TestRunExperiment:
     def test_p_zero_is_perfect(self):
@@ -165,6 +189,21 @@ class TestRunExperiment:
         assert len(pools) == 1  # one pool serves every grid point
         assert run_experiment(cfg, workers=1).rows() == rows
         assert len(pools) == 1  # one worker runs in this process
+
+    def test_one_chunk_per_worker(self, monkeypatch):
+        chunks = []
+
+        class RecordingPool(harness.ProcessPoolExecutor):
+            def map(self, fn, *args, **kw):
+                _, _, _, los, his = args  # _run_chunk(cfg, point, p, lo, hi)
+                chunks.append(list(zip(los, his)))
+                return super().map(fn, *args, **kw)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        cfg = small_cfg(p_grid=(0.02, 0.05), trials_per_point=30)
+        rows = run_experiment(cfg, workers=2).rows()
+        assert chunks == [[(0, 15), (15, 30)]] * 2  # one list per grid point
+        assert run_experiment(cfg, workers=1).rows() == rows
 
     def test_deterministic_across_runs(self):
         cfg = small_cfg(trials_per_point=150)
@@ -422,7 +461,7 @@ class TestExactExpectedDistance:
         laws = [name for name, dec in DECODERS.items()
                 if dec.fast_1del is not None]
         assert laws == ["lazy", "en:1", "mlstar1"]
-        for n in range(2, 13):
+        for n in range(1, 13):
             for dec in laws:
                 assert (exact_expected_distance(dec, n, 1)
                         == exact_expected_distance(dec, n, 1, method="enumerate"))
