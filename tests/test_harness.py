@@ -99,7 +99,6 @@ class TestConfig:
         ({"channel": [0.1]}, "config key 'channel'"),
         ({"p_grid": 0.05}, "config key 'p_grid'"),
         ({"p_grid": ["0.05"]}, "grid probabilities"),
-        ({"p_grid": [False, 0.05]}, "grid probabilities"),
         ({"n": "40"}, "config key 'n'"),
         ({"trials_per_point": True}, "config key 'trials_per_point'"),
         ({"metrics": ["failure_rate"]}, r"config key\(s\) 'metrics'"),
@@ -107,6 +106,7 @@ class TestConfig:
         ({"code": {"code": "svt", "P": "5"}}, "key 'P' must be an int or null"),
         ({"master_seed": -1}, "master_seed must be >= 0"),
         ({"trials_per_point": 2 ** 32 + 1}, "trials_per_point must be in"),
+        ({"p_grid": [False, 0.05]}, "grid probabilities"),
     ])
     def test_from_json_names_the_bad_key(self, change, match):
         d = {**json.loads(small_cfg().to_json()), **change}
