@@ -2,16 +2,23 @@
 
 Counts are exact Python ints (arbitrary precision); the average maximal-run
 statistic is an exact Fraction.  Ball enumerations return sorted tuples of
-distinct words (insertion_ball_weights also counts embeddings).
+distinct words (insertion_ball_weights also counts embeddings);
+insertion_ball_table holds the binary insertion balls of many words at
+once, as int64 rows.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement, islice
 from math import comb
 
+import numpy as np
+
 from .words import Word, runs
+
+BALL_LANES = 1 << 14  # pattern words insertion_ball_table builds at once
 
 
 def embedding_number(x: Word, y: Word) -> int:
@@ -193,6 +200,65 @@ def insertion_ball_weights(y: Word, t: int, q: int) -> Counter:
         grown = [(w + y[a:b] + s, b) for w, a in grown
                  for b in range(a, m + 1) for s in syms]
     return Counter(w + y[a:] for w, a in grown)
+
+
+def insertion_ball_table(m: int, t: int, ys) -> tuple:
+    """(words, weights), int64 arrays of shape (len(ys),
+    insertion_ball_size(m, t, 2)): row i is insertion_ball_weights(y, t, 2)
+    for the binary length-m word y whose integer is ys[i] (first symbol
+    most significant), its words as sorted integers.
+
+    The same gap rule, listed once for (m, t): inserting s_1..s_t at gaps
+    b_1 <= ... <= b_t puts s_j on position b_j + j - 1 of c and moves y's
+    segment between gaps b_r and b_(r+1) up t - r places, t + 1 masks and
+    shifts of every y's integer at once.  Each row is then sorted and its
+    equal words counted.  At most about BALL_LANES pattern words exist at
+    a time: ys go in row blocks, and a y with more patterns than that
+    takes them in chunks whose counts are merged.
+    """
+    if t < 0:
+        raise ValueError("insertion radius must be non-negative")
+    n = m + t
+    ys = np.asarray(ys, dtype=np.int64).reshape(-1, 1, 1)
+    if m < 0 or n > 40 or ys.size and (ys.min() < 0 or ys.max() >> m):
+        raise ValueError(f"need m + t <= 40 and ys of {m}-bit words")
+    per = 1 << t  # symbol choices per gap pattern
+    rows = max(1, BALL_LANES // (comb(n, t) * per))
+    chunk = max(1, BALL_LANES // (rows * per))
+    sym = (np.arange(per)[:, None] >> np.arange(t)) & 1  # row: s_1..s_t
+    blocks = [None] * -(-len(ys) // rows)  # per row block: (keys, counts)
+    gap_iter = combinations_with_replacement(range(m + 1), t)
+    while gaps := list(islice(gap_iter, chunk)):
+        b = np.array(gaps, dtype=np.int64).reshape(len(gaps), t)
+        ends = np.pad(b, ((0, 0), (1, 1)), constant_values=(0, m))
+        seg = (1 << m - ends[:, :-1]) - (1 << m - ends[:, 1:])
+        const = (sym << n - b[:, None] - np.arange(1, t + 1)).sum(axis=-1)
+        for i, lo in enumerate(range(0, len(ys), rows)):
+            blk = ys[lo:lo + rows]
+            c = ((blk & seg) << np.arange(t, -1, -1)).sum(axis=-1)
+            c = (c[:, :, None] + const).reshape(len(blk), -1)
+            c.sort(axis=1)
+            # with the rows sorted, row << n | c is sorted throughout
+            keys = (c | np.arange(len(blk))[:, None] << n).ravel()
+            starts = np.flatnonzero(np.diff(keys, prepend=-1))
+            found = keys[starts], np.diff(starts, append=len(keys))
+            blocks[i] = found if blocks[i] is None else _add_counts(
+                *blocks[i], *found)
+    size, empty = insertion_ball_size(m, t, 2), np.empty(0, dtype=np.int64)
+    keys = np.concatenate([empty] + [k for k, _ in blocks])
+    weights = np.concatenate([empty] + [w for _, w in blocks])
+    return ((keys & (1 << n) - 1).reshape(-1, size),
+            weights.reshape(-1, size))
+
+
+def _add_counts(keys_a, counts_a, keys_b, counts_b) -> tuple:
+    """The sorted union of two sorted unique key arrays, with the counts
+    of a key in both added."""
+    keys = np.union1d(keys_a, keys_b)
+    counts = np.zeros(len(keys), dtype=np.int64)
+    counts[np.searchsorted(keys, keys_a)] += counts_a
+    counts[np.searchsorted(keys, keys_b)] += counts_b
+    return keys, counts
 
 
 def insertion_ball(x: Word, t: int, q: int) -> tuple:

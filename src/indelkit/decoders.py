@@ -72,9 +72,14 @@ def decode_en(y: Word, m: int) -> Word:
         raise ValueError("only target lengths up to len(y) + 2 are supported")
     if delta == 0:
         return y
-    if not y:
-        return (0,) * m
-    prof = runs(y)
+    return _grow_runs(runs(y), delta)
+
+
+def _grow_runs(prof, delta: int) -> Word:
+    """decode_en(y, |y| + delta) for delta in (1, 2), from y's run
+    profile, for the callers that hold it already."""
+    if not prof.r:
+        return (0,) * delta
     i = prof.longest_idx
     if delta == 1:
         return _prolong(prof, {i: 1})
@@ -344,7 +349,7 @@ def ml_star_2del(y: Word) -> Word:
     prof = runs(y)
     if two_del_condition_poly(n, prof.r_max, prof.r) >= 0:
         return y
-    return decode_en(y, n - 1)
+    return _grow_runs(prof, 1)
 
 
 def two_del_lazy_en_gap(y: Word) -> int:
@@ -382,8 +387,14 @@ def two_del_lazy_en_gap_fast(y: Word) -> int:
     """
     y = tuple(y)
     check_word(y, 2)
+    return _two_del_gap(y, runs(y))
+
+
+def _two_del_gap(y: Word, prof) -> int:
+    """two_del_lazy_en_gap_fast(y) for a binary tuple y whose run profile
+    is prof."""
     m = len(y)
-    x = decode_en(y, m + 1)
+    x = _grow_runs(prof, 1)
     fwd = list(_embedding_rows(x, y, 2))
     bwd = list(_embedding_rows(x[::-1], y[::-1], 2))
     s1 = (m + 3) * fwd[-1][-1]  # (L + 2) Emb(x; y)

@@ -5,14 +5,17 @@ from itertools import product
 from math import comb, log2
 from operator import ge
 
+import numpy as np
 import pytest
 
+import indelkit.combinatorics as combinatorics
 from indelkit.combinatorics import (EmbeddingLanes, _embedding_rows,
                                     deletion_ball,
                                     embedding_number,
                                     embedding_number_banded,
                                     embedding_number_bruteforce, insertion_ball,
-                                    insertion_ball_size, insertion_ball_weights,
+                                    insertion_ball_size, insertion_ball_table,
+                                    insertion_ball_weights,
                                     max_run_length_counts, tau_of_space,
                                     tau_of_space_bruteforce)
 from indelkit.words import is_subsequence, parse_word
@@ -321,6 +324,59 @@ class TestInsertionBallWeights:
             insertion_ball_weights(parse_word("01"), -1, 2)
         with pytest.raises(ValueError):
             insertion_ball(parse_word("01"), -1, 2)
+
+
+def ball_rows(m, t):
+    """insertion_ball_weights of every binary length-m y, in the integer
+    order of y, as (sorted word integers, weights) rows."""
+    rows = []
+    for y in product((0, 1), repeat=m):
+        ball = sorted(insertion_ball_weights(y, t, 2).items())
+        rows.append(([int("0" + "".join(map(str, c)), 2) for c, _ in ball],
+                     [w for _, w in ball]))
+    return rows
+
+
+class TestInsertionBallTable:
+    def test_rows_equal_insertion_ball_weights(self):
+        # every binary y with |y| <= 8, the empty word among them, and t <= 3
+        for m in range(9):
+            for t in range(4):
+                words, weights = insertion_ball_table(m, t, range(2 ** m))
+                shape = (2 ** m, insertion_ball_size(m, t, 2))
+                assert words.shape == weights.shape == shape, (m, t)
+                assert words.dtype == weights.dtype == np.int64
+                assert [(w.tolist(), e.tolist()) for w, e in zip(
+                    words, weights)] == ball_rows(m, t), (m, t)
+
+    def test_ys_in_any_order(self):
+        ys = [5, 0, 31, 5, 18]
+        words, weights = insertion_ball_table(5, 2, np.array(ys))
+        rows = ball_rows(5, 2)
+        assert [(w.tolist(), e.tolist()) for w, e in zip(words, weights)] == [
+            rows[y] for y in ys]
+        words, weights = insertion_ball_table(5, 2, [])
+        assert words.shape == weights.shape == (0, insertion_ball_size(5, 2, 2))
+
+    @pytest.mark.parametrize("lanes", [1, 7, 40])
+    def test_small_lane_budget(self, lanes, monkeypatch):
+        # ragged row blocks, and pattern chunks whose counts are merged,
+        # give the same rows
+        monkeypatch.setattr(combinatorics, "BALL_LANES", lanes)
+        for m in range(6):
+            for t in range(4):
+                words, weights = insertion_ball_table(m, t, range(2 ** m))
+                assert [(w.tolist(), e.tolist()) for w, e in zip(
+                    words, weights)] == ball_rows(m, t), (m, t, lanes)
+
+    def test_refuses_bad_arguments(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            insertion_ball_table(3, -1, [0])
+        for ys in ([8], [-1], [0, 9]):
+            with pytest.raises(ValueError, match="3-bit words"):
+                insertion_ball_table(3, 1, ys)
+        with pytest.raises(ValueError, match="m \\+ t <= 40"):
+            insertion_ball_table(39, 2, [0])
 
 
 class TestTau:

@@ -1,21 +1,27 @@
 import csv
 import dataclasses
+import functools
 import json
 import os
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import numpy as np
 import pytest
 
+import indelkit.combinatorics as combinatorics
 import indelkit.harness as harness
 from indelkit.channels import (ChannelSpec, transmit_del, transmit_ins,
                                transmit_kdel)
 from indelkit.codes import make_code
-from indelkit.decoders import DECODERS, get_decoder, ml_star_2del
+from indelkit.combinatorics import (insertion_ball_size, insertion_ball_table,
+                                    insertion_ball_weights)
+from indelkit.decoders import DECODERS, get_decoder, ml_star_2del, objective_f
 from indelkit.harness import (CSV_FIELDS, METRICS, AggregateResult,
                               ExperimentConfig,
                               _PresetSeed, _seed_states, _stream_rng,
+                              _exact_enumerate,
                               _trial_components, _trial_rngs,
                               _window_distance_rows, _window_scores,
                               _window_table,
@@ -33,6 +39,38 @@ def pw(s):
 def window_candidates(n):
     """The window sweep's candidates in its table's column order."""
     return [x for L in range(n - 2, n + 2) for x in product((0, 1), repeat=L)]
+
+
+def literal_exact(dec, n, k):
+    """The exact expected distance as the literal sum of objective_f over
+    every channel output's decoding."""
+    total = sum(objective_f(y, dec.decode((y,), k)[0], k)
+                for y in product((0, 1), repeat=n - k))
+    return Fraction(total, 2 ** n * n * comb(n, k))
+
+
+ONE_TRACE_KDEL = [name for name, dec in DECODERS.items()
+                  if dec.traces == 1 and "kdel" in dec.kinds]
+
+
+def literal_window_sweep(n):
+    """sweep_brute_force_window(n) with each y's scores summed over its
+    insertion_ball_weights, one ball word at a time."""
+    table, cands = _window_table(n), window_candidates(n)
+    res = {"n": n, "words": 2 ** (n - 2), "length_violations": [],
+           "mismatches": []}
+    for y in product((0, 1), repeat=n - 2):
+        scores = sum(w * table[int("".join(map(str, c)), 2)].astype(np.int64)
+                     for c, w in insertion_ball_weights(y, 2, 2).items())
+        best = int(np.argmin(scores))
+        winner = cands[best]
+        if len(winner) not in (n - 2, n - 1):
+            res["length_violations"].append({"y": y, "winner_len": len(winner)})
+        if (np.count_nonzero(scores == scores[best]) == 1
+                and winner != ml_star_2del(y)):
+            res["mismatches"].append({"y": y, "winner": winner,
+                                      "closed_form": ml_star_2del(y)})
+    return res
 
 
 def small_cfg(**kw):
@@ -502,6 +540,46 @@ class TestExactExpectedDistance:
         with pytest.raises(ValueError):
             exact_expected_distance("lazy", 25, 1, method="enumerate")
 
+    def test_refuses_bad_n_and_k(self):
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                exact_expected_distance("lazy", n, 0, method="enumerate")
+        for method in ("auto", "enumerate"):
+            with pytest.raises(ValueError, match="k must be >= 0"):
+                exact_expected_distance("lazy", 5, -1, method=method)
+        with pytest.raises(ValueError, match="k cannot exceed n"):
+            exact_expected_distance("lazy", 3, 4)
+
+    @pytest.mark.filterwarnings("ignore:lazy decoding is only proven optimal")
+    @pytest.mark.parametrize("name", ONE_TRACE_KDEL)
+    def test_enumerate_equals_literal_objective(self, name):
+        # every feasible n <= 9 and k <= 3, k = 0 and n = k (one empty
+        # output) among them; brute to n = 6, where its windows stay small
+        dec = get_decoder(name, 1, "kdel")
+        decode = functools.lru_cache(dec.decode)  # one decode per y for both
+        dec = dataclasses.replace(dec, fn=lambda y, k: decode((y,), k)[0],
+                                  coded=False)
+        for n in range(1, 7 if name == "brute" else 10):
+            for k in range(min(n, 3) + 1):
+                assert _exact_enumerate(dec, n, k) == literal_exact(
+                    dec, n, k), (name, n, k)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_small_lane_budgets(self, rows, monkeypatch):
+        # blocks of `rows` outputs (32 = 3 * 10 + 2 leaves a ragged last
+        # block), and ball tables merged one gap pattern at a time
+        monkeypatch.setattr(combinatorics, "BALL_LANES", 1)
+        for name, n, k in (("mlstar2", 7, 2), ("en:2", 8, 3), ("lazy", 5, 0),
+                           ("en:1", 3, 3)):
+            monkeypatch.setattr(harness, "EXACT_LANES",
+                                rows * insertion_ball_size(n - k, k, 2))
+            dec = get_decoder(name, 1, "kdel")
+            assert _exact_enumerate(dec, n, k) == literal_exact(dec, n, k)
+
+    def test_mlstar2_pinned(self):
+        assert exact_expected_distance(
+            "mlstar2", 12, k=2, method="enumerate") == Fraction(1355, 8192)
+
 
 class TestSweeps:
     def test_condition_sweep_clean_at_small_n(self):
@@ -542,12 +620,17 @@ class TestSweeps:
         for n in range(4, 8):
             cands = window_candidates(n)
             table = _window_table(n)
-            for y in product((0, 1), repeat=n - 2):
-                scores = _window_scores(table, y)
+            balls = insertion_ball_table(n - 2, 2, range(2 ** (n - 2)))
+            for y, words, w in zip(product((0, 1), repeat=n - 2), *balls):
+                scores = _window_scores(table, words, w.astype(np.int16))
                 assert scores.tolist() == [
                     objective_f(y, x, 2) for x in cands], y
                 assert cands[int(np.argmin(scores))] == brute_force_ml_star(
                     y, 2), y
+
+    def test_window_sweep_equals_literal_scorer(self):
+        for n in range(3, 10):
+            assert sweep_brute_force_window(n) == literal_window_sweep(n), n
 
     def test_window_sweep_agrees_with_library_bruteforce(self):
         from indelkit.decoders import brute_force_ml_star
