@@ -17,7 +17,7 @@ from fractions import Fraction
 from indelkit import format_word, parse_word
 from indelkit.decoders import (brute_force_ml_star, ml_star_2del,
                                two_del_condition_poly, two_del_lazy_en_gap)
-from indelkit.harness import exact_expected_distance
+from indelkit.sweeps import exact_expected_distance
 from indelkit.words import runs
 
 # Exact expected normalized distances over every codeword and output:

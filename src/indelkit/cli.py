@@ -17,12 +17,17 @@ from itertools import product
 from .analysis import coded_success_bounds, two_del_formulas, two_ins_formulas
 from .codes import AllWordsCode
 from .decoders import DECODERS, get_decoder
-from .harness import (CSV_FIELDS, FIGURES, WINDOW_N, ExperimentConfig,
-                      exact_expected_distance, reproduce_figure,
-                      run_experiment, sweep_brute_force_window,
-                      sweep_two_del_condition, write_figure_csv,
-                      write_figure_svg, write_rows_csv)
+from .harness import (CSV_FIELDS, FIGURES, ExperimentConfig, reproduce_figure,
+                      run_experiment, write_figure_csv, write_figure_svg,
+                      write_rows_csv)
+from .sweeps import (WINDOW_N, exact_expected_distance,
+                     sweep_brute_force_window, sweep_two_del_condition)
 from .words import format_word, parse_word
+
+# the --n each bounded oracle check accepts; a step of n costs emb, scs and
+# mld2 6-8x, and at their bounds they took 135, 29 and 143 s on 2 CPUs
+ORACLE_N = {"2del": WINDOW_N, "emb": range(1, 11), "scs": range(1, 8),
+            "mld2": range(1, 9)}
 
 
 def _cmd_simulate(args) -> int:
@@ -54,9 +59,10 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    n = args.n
-    if n < 1:
-        raise ValueError(f"oracle-check needs --n >= 1, not {n}")
+    n, sizes = args.n, ORACLE_N.get(args.which)  # 1del refuses its own n
+    if sizes and n not in sizes:  # refused before any work
+        raise ValueError(f"oracle-check {args.which} needs {sizes[0]} <= --n "
+                         f"<= {sizes[-1]}, not {n}")
     ok = True
     if args.which == "1del":
         for name, dec in DECODERS.items():
@@ -74,10 +80,6 @@ def _cmd_oracle_check(args) -> int:
                       f"{'' if law == enum else '  <- MISMATCH'}")
                 ok &= law == enum
     elif args.which == "2del":
-        # check the window sweep's range before the condition sweep runs
-        if n not in WINDOW_N:
-            raise ValueError(f"oracle-check 2del needs {WINDOW_N[0]} <= --n "
-                             f"<= {WINDOW_N[-1]}, not {n}")
         res = sweep_two_del_condition(n)
         print(f"n={n}: {len(res['violations'])} closed-form sign violations "
               f"over {res['words']} outputs")
@@ -228,7 +230,9 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("oracle-check", help="exhaustive exact verification")
     p.add_argument("which", choices=["1del", "2del", "scs", "emb", "mld2"])
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True,
+                   help="word length; " + ", ".join(
+                       f"{k} {r[0]}..{r[-1]}" for k, r in ORACLE_N.items()))
     p.set_defaults(fn=_cmd_oracle_check)
 
     p = sub.add_parser("analyze", help="closed-form formula grid to CSV")

@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .words import Word, runs
+from .words import Word
 
 BALL_LANES = 1 << 14  # pattern words insertion_ball_table builds at once
 
@@ -303,15 +303,4 @@ def tau_of_space(n: int) -> Fraction:
     """Exact average maximal-run length over all 2^n binary words."""
     counts = max_run_length_counts(n)
     total = sum(r * counts[r] for r in range(1, n + 1))
-    return Fraction(total, 2 ** n)
-
-
-def tau_of_space_bruteforce(n: int) -> Fraction:
-    """Oracle: average maximal run by enumerating all 2^n words (n <= ~20)."""
-    if n > 24:
-        raise ValueError("enumeration oracle limited to n <= 24")
-    total = 0
-    for bits in range(2 ** n):
-        w = tuple((bits >> i) & 1 for i in range(n))
-        total += runs(w).r_max
     return Fraction(total, 2 ** n)

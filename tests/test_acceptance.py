@@ -22,13 +22,14 @@ from indelkit.channels import ChannelSpec
 from indelkit.codes import VtCode
 from indelkit.combinatorics import (deletion_ball, embedding_number,
                                     insertion_ball, insertion_ball_size,
-                                    tau_of_space, tau_of_space_bruteforce)
-from indelkit.harness import (ExperimentConfig, exact_expected_distance,
-                              figure_config, run_experiment,
-                              sweep_brute_force_window,
-                              sweep_two_del_condition, worker_count)
+                                    tau_of_space)
+from indelkit.harness import (ExperimentConfig, figure_config, run_experiment,
+                              worker_count)
 from indelkit.supersequences import enumerate_scs, scs_length
+from indelkit.sweeps import (exact_expected_distance, sweep_brute_force_window,
+                             sweep_two_del_condition)
 from indelkit.words import is_subsequence
+from reference import tau_of_space_bruteforce
 
 SEED = 2024
 WORKERS = worker_count()

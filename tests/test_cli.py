@@ -194,12 +194,28 @@ def test_oracle_check_1del_reports_a_wrong_law(capsys, monkeypatch):
     ["decode", "--decoder", "en:1", "01a"],
     ["simulate", "--config", os.devnull, "--out", os.devnull],
     ["reproduce-figure", "fig1", "--seed", "-1", "--workers", "1"],
+    # sizes past a check's bound are refused before any work
+    ["oracle-check", "emb", "--n", str(10 ** 6)],
+    ["oracle-check", "scs", "--n", str(10 ** 6)],
+    ["oracle-check", "mld2", "--n", str(10 ** 6)],
+    ["oracle-check", "2del", "--n", str(10 ** 6)],
 ])
 def test_value_errors_exit_with_one_line(argv):
     res = run_cli(*argv)
     assert res.returncode == 1
     assert len(res.stderr.splitlines()) == 1
     assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("which,top", [("2del", 13), ("emb", 10), ("scs", 7),
+                                       ("mld2", 8)])
+def test_oracle_check_names_its_bound(which, top, capsys):
+    # one past the bound; the bound itself takes minutes, so it is not run
+    with pytest.raises(SystemExit, match=f"oracle-check {which} needs "
+                       f"[0-9]+ <= --n <= {top}, not {top + 1}$"):
+        main(["oracle-check", which, "--n", str(top + 1)])
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("change,key", [

@@ -16,9 +16,9 @@ from indelkit.combinatorics import (EmbeddingLanes, _embedding_rows,
                                     embedding_number_bruteforce, insertion_ball,
                                     insertion_ball_size, insertion_ball_table,
                                     insertion_ball_weights,
-                                    max_run_length_counts, tau_of_space,
-                                    tau_of_space_bruteforce)
+                                    max_run_length_counts, tau_of_space)
 from indelkit.words import is_subsequence, parse_word
+from reference import tau_of_space_bruteforce
 
 
 class TestEmbeddingNumber:

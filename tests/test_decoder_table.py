@@ -14,8 +14,8 @@ from indelkit.channels import ChannelSpec
 from indelkit.cli import main
 from indelkit.combinatorics import embedding_number, insertion_ball
 from indelkit.decoders import DECODERS, get_decoder
-from indelkit.harness import (ExperimentConfig, exact_expected_distance,
-                              run_experiment)
+from indelkit.harness import ExperimentConfig, run_experiment
+from indelkit.sweeps import exact_expected_distance
 from indelkit.words import format_word, indel_distance, parse_word
 
 pytestmark = pytest.mark.filterwarnings(

@@ -16,10 +16,10 @@ from indelkit.decoders import (_best_leaf, brute_force_ml_star, decode_en,
                                objective_f,
                                two_del_condition_poly, two_del_lazy_en_gap,
                                two_del_lazy_en_gap_fast)
-from indelkit.harness import _stream_rng
 from indelkit.supersequences import (DEFAULT_CAP, enumerate_lcs, enumerate_scs,
                                      lcs_dag, lcs_length, scs_dag, scs_length)
 from indelkit.words import indel_distance, is_subsequence, parse_word, runs
+from reference import stream_rng
 
 
 def pw(s):
@@ -330,9 +330,9 @@ class TestPrunedWalkVsOracle:
         # 172,800 SCS words, the most of the first 15 trials.  Scoring them
         # one by one took over 20 s; the pruned walk takes about 2 s.
         def trace(stream):
-            return transmit_del(c, 0.05, _stream_rng(2024, 0, 5, stream))
+            return transmit_del(c, 0.05, stream_rng(2024, 0, 5, stream))
 
-        c = AllWordsCode(900).sample(_stream_rng(2024, 0, 5, 0))
+        c = AllWordsCode(900).sample(stream_rng(2024, 0, 5, 0))
         y1, y2 = trace(1), trace(2)
         out, truncated = mld_two_del_detailed(y1, y2)
         assert not truncated
