@@ -24,10 +24,11 @@ from .sweeps import (WINDOW_N, exact_expected_distance,
                      sweep_brute_force_window, sweep_two_del_condition)
 from .words import format_word, parse_word
 
-# the --n each bounded oracle check accepts; a step of n costs emb, scs and
-# mld2 6-8x, and at their bounds they took 135, 29 and 143 s on 2 CPUs
-ORACLE_N = {"2del": WINDOW_N, "emb": range(1, 11), "scs": range(1, 8),
-            "mld2": range(1, 9)}
+# the --n each oracle check accepts; a step of n costs emb, scs and mld2
+# 6-8x, and at their bounds they took 135, 29 and 143 s on 2 CPUs; 1del
+# doubles per step, took 53 s at n = 21 and cannot enumerate past it
+ORACLE_N = {"1del": range(2, 22), "2del": WINDOW_N, "emb": range(1, 11),
+            "scs": range(1, 8), "mld2": range(1, 9)}
 
 
 def _cmd_simulate(args) -> int:
@@ -59,15 +60,15 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    n, sizes = args.n, ORACLE_N.get(args.which)  # 1del refuses its own n
-    if sizes and n not in sizes:  # refused before any work
+    n, sizes = args.n, ORACLE_N[args.which]
+    if n not in sizes:  # refused before any work
         raise ValueError(f"oracle-check {args.which} needs {sizes[0]} <= --n "
                          f"<= {sizes[-1]}, not {n}")
     ok = True
     if args.which == "1del":
         for name, dec in DECODERS.items():
             if dec.fast_1del is not None:
-                law = dec.fast_1del(n)  # defined for n >= 2 only
+                law = dec.fast_1del(n)
                 with warnings.catch_warnings():
                     # mlstar1 warns below its proven range n >= 17, once
                     # per output word; the enumeration checks it anyway

@@ -24,10 +24,11 @@ BALL_LANES = 1 << 14  # pattern words insertion_ball_table builds at once
 def embedding_number(x: Word, y: Word) -> int:
     """Number of index subsets I of x with x_I = y.
 
-    The last row of _embedding_rows(x, y, d) with d = |x| - |y|, the band
-    outside which no cell reaches the final count: O(|x| * (d + 1)) time.
-    Zero iff y is not a subsequence of x; embedding_number(x, x) = 1.  The
-    plain reference for EmbeddingLanes.
+    The embedding DP in the band d = |x| - |y| outside which no cell
+    reaches the final count: row i holds Emb(x[:i]; y[:j]) for j in
+    [max(0, i-d), min(i, |y|)], and reads only row i-1's cells j-1 and j.
+    O(|x| * (d + 1)) time.  Zero iff y is not a subsequence of x;
+    embedding_number(x, x) = 1.  The plain reference for EmbeddingLanes.
     """
     m = len(y)
     d = len(x) - m
@@ -35,22 +36,7 @@ def embedding_number(x: Word, y: Word) -> int:
         return 0
     if m == 0:
         return 1
-    for row in _embedding_rows(x, y, d):
-        pass
-    return row[-1]
-
-
-def _embedding_rows(x: Word, y: Word, d: int):
-    """Yield rows i = 0..|x| of the embedding DP: row i holds
-    Emb(x[:i]; y[:j]) for j in [max(0, i-d), min(i, |y|)], in order.
-
-    Row i reads only row i-1's cells j-1 and j, so any band d >= 0 is
-    closed.  Only the cell j = i lacks a value above it, and j = 0 has no
-    diagonal term.
-    """
-    m = len(y)
     prev, plo = [1], 0  # row i-1 from column plo on
-    yield prev
     for i, sym in enumerate(x, 1):
         lo = i - d
         if lo < 0:
@@ -59,19 +45,19 @@ def _embedding_rows(x: Word, y: Word, d: int):
         row = []
         ap = row.append
         j = lo
-        if j == 0:
+        if j == 0:  # no diagonal term
             ap(prev[0])
             j = 1
         pl = len(prev)
-        while j <= hi:
+        while j <= hi:  # only the cell j = i lacks a value above it
             pj = j - plo
             v = prev[pj] if pj < pl else 0
             if sym == y[j - 1]:
                 v += prev[pj - 1]
             ap(v)
             j += 1
-        yield row
         prev, plo = row, lo
+    return prev[-1]
 
 
 # the former name of the banded loop, still imported by benchmarks/checks.py

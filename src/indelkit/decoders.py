@@ -21,9 +21,11 @@ from itertools import chain, product
 from math import comb
 from typing import Callable
 
+import numpy as np
+
 from .analysis import en1_1del_law, lazy_1del_law
 from .codes import DEAD
-from .combinatorics import (EmbeddingLanes, _embedding_rows, embedding_number,
+from .combinatorics import (EmbeddingLanes, embedding_number,
                             insertion_ball_weights)
 from .supersequences import (DEFAULT_CAP, enumerate_lcs, enumerate_scs,
                              lcs_dag, scs_dag)
@@ -368,7 +370,8 @@ def two_del_lazy_en_gap(y: Word) -> int:
 
 
 def two_del_lazy_en_gap_fast(y: Word) -> int:
-    """Same integer as two_del_lazy_en_gap in O(|y|) time.  Binary y only.
+    """Same integer as two_del_lazy_en_gap in O(|y|) time, from
+    two_del_gaps on a block of one word.  Binary y only.
 
     Every c in I_2(y) is at distance 1 or 3 from the prolonged word x
     (both contain y; lengths differ by 1), distance 1 exactly on I_1(x),
@@ -383,31 +386,60 @@ def two_del_lazy_en_gap_fast(y: Word) -> int:
     s1 = (L + 2) Emb(x; y) + sum over i, s and j in {i-2, i-1, i} with
     y_j = s of Emb(x[:i]; y[:j]) * Emb(x[i:]; y[j+1:]).  The forward
     factors are the band-2 rows of the embedding DP, the backward ones the
-    same rows of the reversed words: two O(|y|) passes.
+    same rows of the reversed words.
     """
     y = tuple(y)
     check_word(y, 2)
-    return _two_del_gap(y, runs(y))
+    return int(two_del_gaps(np.array([y], dtype=np.int8))[0][0])
 
 
-def _two_del_gap(y: Word, prof) -> int:
-    """two_del_lazy_en_gap_fast(y) for a binary tuple y whose run profile
-    is prof."""
-    m = len(y)
-    x = _grow_runs(prof, 1)
-    fwd = list(_embedding_rows(x, y, 2))
-    bwd = list(_embedding_rows(x[::-1], y[::-1], 2))
-    s1 = (m + 3) * fwd[-1][-1]  # (L + 2) Emb(x; y)
-    # row i of fwd holds column j at j - lo, the reversed row of x[i:] holds
-    # Emb(x[i:]; y[j+1:]) at hi - j; past x's end both symbols are inserted
-    # (xi = -1), so every y_j counts once
-    for i, (f, b, xi) in enumerate(zip(fwd, reversed(bwd), x + (-1,))):
-        lo = i - 2 if i > 2 else 0
-        hi = i if i < m else m - 1
-        for j in range(lo, hi + 1):
-            if y[j] != xi:  # binary: y_j = s iff y_j != x[i]
-                s1 += f[j - lo] * b[hi - j]
-    return 4 * comb(m + 2, 2) - 2 * s1
+def two_del_gaps(ys: np.ndarray) -> tuple:
+    """(gap, r_max, r), int64 arrays over the rows of ys, a (B, m) array
+    of binary words: two_del_lazy_en_gap_fast of each row, and its
+    longest-run length and run count as words.runs gives them.
+
+    A run starts where a symbol differs from the one before, and x repeats
+    the symbol ending the first longest run ((0,) for the empty word).
+    The band-2 embedding rows run as 3 int64 cells per word (a fourth
+    stays 0), forward over (x, y) and backward over the reversed words in
+    one pass of O(m) numpy steps: row i holds Emb(x[:i]; y[:j]) at cell
+    j - i + 2, and cells left of column 0 stay 0.
+    """
+    B, m = ys.shape
+    L = m + 1
+    pos = np.arange(m)
+    starts = np.ones((B, m), dtype=bool)
+    np.not_equal(ys[:, 1:], ys[:, :-1], out=starts[:, 1:])
+    runlen = np.zeros((B, L), dtype=np.int64)  # column t + 1: run to y_t
+    np.subtract(pos + 1, np.maximum.accumulate(starts * pos, axis=1),
+                out=runlen[:, 1:])
+    r_max = runlen.max(axis=1)
+    ends = (runlen == r_max[:, None]).argmax(axis=1)  # 1 + its last index
+    # pad[3 + t] = (y_t, y_(m-1-t)), then -2 (no match); xs[i] = (x_i,
+    # x_(L-1-i)), then -1 (past x's end both symbols count)
+    pad = np.zeros((m + 5, 2, B), dtype=np.int8)
+    pad[3:m + 3, 0] = ys.T
+    pad[3:m + 3, 1] = ys.T[::-1]
+    pad[m + 3:] = -2
+    xs = np.full((L + 1, 2, B), -1, dtype=np.int8)
+    xs[:L, 0] = np.where(np.arange(L)[:, None] < ends, pad[3:L + 3, 0],
+                         pad[2:L + 2, 0])
+    xs[:L, 1] = xs[L - 1::-1, 0]
+    # eq[i, k]: y_j == x_i at j = i - 2 + k (row i + 1 adds cell k of row i)
+    eq = pad[np.arange(L + 1)[:, None] + np.arange(1, 4)] == xs[:, None]
+    w = 2 * B
+    rows = np.zeros((L + 1, 4 * w), dtype=np.int64)
+    rows[0, 2 * w:3 * w] = 1  # Emb(; ) = 1 at j = 0
+    low, high = rows[:, :3 * w], rows[:, w:]
+    for match, prev, above, cur in zip(eq.reshape(L + 1, -1), low, high,
+                                       low[1:]):
+        np.multiply(match, prev, out=cur)
+        cur += above
+    rows = rows.reshape(L + 1, 4, 2, B)  # s1: forward row i, backward L - i
+    terms = rows[:, :3, 0] * rows[::-1, 2::-1, 1]
+    terms *= ~eq[:, :, 0]  # the inserted s = y_j differs from x_i
+    s1 = (m + 3) * rows[L, 1, 0] + terms.sum(axis=(0, 1))
+    return 2 * (m + 2) * (m + 1) - 2 * s1, r_max, starts.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

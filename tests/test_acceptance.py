@@ -238,6 +238,16 @@ def test_condition_sweep_violations_pinned_past_14():
             assert v["poly"] >= 0 and v["gap"] < 0
 
 
+def test_condition_sweep_violations_pinned_past_17():
+    # The exact violation counts at n = 18..20 (ROADMAP item 7's table):
+    # long-run violators at 18 and 20, with the same sign pattern as below.
+    for n, want in {18: 640, 19: 0, 20: 364}.items():
+        res = sweep_two_del_condition(n)
+        assert len(res["violations"]) == want, n
+        for v in res["violations"]:
+            assert v["poly"] >= 0 and v["gap"] < 0
+
+
 def test_criterion_08_brute_force_window():
     start = time.perf_counter()
     length_bad = {}

@@ -209,7 +209,7 @@ def test_value_errors_exit_with_one_line(argv):
 
 
 @pytest.mark.parametrize("which,top", [("2del", 13), ("emb", 10), ("scs", 7),
-                                       ("mld2", 8)])
+                                       ("mld2", 8), ("1del", 21)])
 def test_oracle_check_names_its_bound(which, top, capsys):
     # one past the bound; the bound itself takes minutes, so it is not run
     with pytest.raises(SystemExit, match=f"oracle-check {which} needs "

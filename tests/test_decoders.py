@@ -1,8 +1,10 @@
 import random
 import warnings
+from functools import lru_cache
 from itertools import product
 from math import comb
 
+import numpy as np
 import pytest
 
 from indelkit.channels import transmit_del
@@ -14,8 +16,8 @@ from indelkit.decoders import (_best_leaf, brute_force_ml_star, decode_en,
                                mld_two_del_detailed, mld_two_ins_detailed,
                                ml_star_1del, ml_star_2del, mld_two_oracle,
                                objective_f,
-                               two_del_condition_poly, two_del_lazy_en_gap,
-                               two_del_lazy_en_gap_fast)
+                               two_del_condition_poly, two_del_gaps,
+                               two_del_lazy_en_gap, two_del_lazy_en_gap_fast)
 from indelkit.supersequences import (DEFAULT_CAP, enumerate_lcs, enumerate_scs,
                                      lcs_dag, lcs_length, scs_dag, scs_length)
 from indelkit.words import indel_distance, is_subsequence, parse_word, runs
@@ -475,24 +477,51 @@ class TestMlStar2Del:
             assert abs(crossing / n - (2 - 2 ** 0.5)) < 0.1
 
 
+def _ball_gap(y):
+    # the identity's plain form: 4*C(n, 2) - 2 * sum of Emb(c; y) over
+    # the single insertions c of the prolonged word
+    xh = decode_en(y, len(y) + 1)
+    s1 = sum(embedding_number(c, y) for c in insertion_ball(xh, 1, 2))
+    return 4 * comb(len(y) + 2, 2) - 2 * s1
+
+
+@lru_cache(maxsize=None)
+def _reference_gaps(m, gap):
+    """gap(y) for every binary y of length m, in lexicographic order; the
+    scalar and the block tests share these."""
+    return [gap(y) for y in product((0, 1), repeat=m)]
+
+
+def _all_words(m):
+    return np.array(list(product((0, 1), repeat=m)), dtype=np.int8)
+
+
 class TestLazyEnGap:
     def test_literal_equals_fast(self):
         for m in range(0, 10):
-            for y in product((0, 1), repeat=m):
-                assert two_del_lazy_en_gap(y) == two_del_lazy_en_gap_fast(y)
-
-    @staticmethod
-    def _ball_gap(y):
-        # the identity's plain form: 4*C(n, 2) - 2 * sum of Emb(c; y) over
-        # the single insertions c of the prolonged word
-        xh = decode_en(y, len(y) + 1)
-        s1 = sum(embedding_number(c, y) for c in insertion_ball(xh, 1, 2))
-        return 4 * comb(len(y) + 2, 2) - 2 * s1
+            for y, want in zip(product((0, 1), repeat=m),
+                               _reference_gaps(m, two_del_lazy_en_gap)):
+                assert want == two_del_lazy_en_gap_fast(y)
 
     def test_fast_equals_ball_identity_exhaustive(self):
         for m in range(0, 13):
-            for y in product((0, 1), repeat=m):
-                assert two_del_lazy_en_gap_fast(y) == self._ball_gap(y), y
+            for y, want in zip(product((0, 1), repeat=m),
+                               _reference_gaps(m, _ball_gap)):
+                assert two_del_lazy_en_gap_fast(y) == want, y
+
+    def test_block_equals_literal(self):
+        # one block holds every y of a length, the empty word included
+        for m in range(0, 10):
+            gap, r_max, r = two_del_gaps(_all_words(m))
+            assert gap.tolist() == _reference_gaps(m, two_del_lazy_en_gap), m
+            profs = [runs(y) for y in product((0, 1), repeat=m)]
+            assert r_max.tolist() == [p.r_max for p in profs], m
+            assert r.tolist() == [p.r for p in profs], m
+
+    def test_block_equals_ball_identity(self):
+        for m in range(0, 13):
+            gap = two_del_gaps(_all_words(m))[0]
+            assert gap.tolist() == _reference_gaps(m, _ball_gap), m
 
     def test_fast_equals_literal_on_long_random_words(self):
         rng = random.Random(18)

@@ -591,6 +591,14 @@ class TestSweeps:
                 sweep_two_del_condition(n)
         assert sweep_two_del_condition(2)["words"] == 1
 
+    def test_condition_sweep_equal_in_ragged_blocks(self, monkeypatch):
+        # blocks of 7 leave a ragged last block at every n from 2 (the
+        # empty word alone) to 14 (585 blocks)
+        whole = {n: sweep_two_del_condition(n) for n in range(2, 15)}
+        monkeypatch.setattr(sweeps, "COND_BLOCK", 7)
+        for n, res in whole.items():
+            assert sweep_two_del_condition(n) == res, n
+
     def test_window_table_equals_oracle(self):
         # every cell for n = 3..8 (from n = 8 on the table takes two
         # WINDOW_BLOCKs), then sampled rows at n = 11 and 12, the all-0
