@@ -80,14 +80,22 @@ class ChannelSpec:
         for f in fields(self)[1:]:
             if f.name not in reads and getattr(self, f.name) != f.default:
                 raise ValueError(f"{self.kind} channels take no {f.name}")
+        # transmit's call, bound once: the kind's sampler, then the grid p
+        # where the kind reads it (first in KIND_FIELDS), then the spec's
+        # own fields
+        object.__setattr__(self, "_sampler", _SAMPLERS[self.kind])
+        object.__setattr__(self, "_reads_p", reads[0] == "p")
+        object.__setattr__(self, "_fixed", tuple(
+            getattr(self, f) for f in reads if f != "p"))
 
     def to_dict(self) -> dict:
         return {f: getattr(self, f) for f in ("kind", *KIND_FIELDS[self.kind])}
 
     def transmit(self, x: Word, p: float, rng) -> Word:
         """x through this channel, with p from the grid and q or k from the spec."""
-        reads = {"p": p, "k": self.k, "q": self.q}
-        return _SAMPLERS[self.kind](x, *map(reads.get, KIND_FIELDS[self.kind]), rng)
+        if self._reads_p:
+            return self._sampler(x, p, *self._fixed, rng)
+        return self._sampler(x, *self._fixed, rng)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ChannelSpec":
@@ -112,6 +120,20 @@ def _as_rng(rng) -> np.random.Generator:
     return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
 
 
+def uniform_symbols(rng: np.random.Generator, q: int, size: int) -> np.ndarray:
+    """rng.integers(0, q, size=size), the same int64 symbols from the same
+    draws, with the generator left in the same state.
+
+    For q = 2^k, 1 <= k <= 24, numpy's integers takes Lemire's path, which
+    never rejects for such a range: each symbol is the top k bits of the
+    next buffered 32-bit word u.  A float32 uniform reads the same u as
+    (u >> 8) / 2^24, so times q it truncates to the same symbol from a
+    cheaper call.  Any other q keeps integers."""
+    if 2 <= q <= 1 << 24 and q & (q - 1) == 0:
+        return (rng.random(size, dtype=np.float32) * q).astype(np.int64)
+    return rng.integers(0, q, size=size)
+
+
 def transmit_del(x: Word, p: float, rng) -> Word:
     """Delete every symbol of x independently with probability p."""
     rng = _as_rng(rng)
@@ -123,7 +145,9 @@ def transmit_ins(x: Word, p: float, q: int, rng) -> Word:
     one symbol drawn uniformly from the alphabet (at most one per gap)."""
     rng = _as_rng(rng)
     gaps = np.flatnonzero(rng.random(len(x) + 1) < p).tolist()
-    symbols = rng.integers(0, q, size=len(gaps)).tolist()
+    if not gaps:  # integers(size=0) draws nothing either
+        return tuple(x)
+    symbols = uniform_symbols(rng, q, len(gaps)).tolist()
     out = []
     prev = 0
     for gap, s in zip(gaps, symbols):  # gap i lies just before x[i]

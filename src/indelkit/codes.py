@@ -20,6 +20,7 @@ from math import ceil, log2
 
 import numpy as np
 
+from .channels import uniform_symbols
 from .words import Word
 
 _ENUM_LIMIT = 24
@@ -94,13 +95,41 @@ class _PrefixCode:
             out.extend(map(tuple, bits[self._mask(bits)].tolist()))
         return tuple(out)
 
+    def _checksums(self, bits: np.ndarray) -> np.ndarray:
+        """The weighted checksums of the rows of bits, as one float64 BLAS
+        matmul with the weights 1..n; exact, as none reaches 2^53."""
+        return bits.astype(np.float64) @ self._weights
+
     def sample(self, rng: np.random.Generator) -> Word:
-        """A uniform member, by rejection in batches of 64 binary words."""
+        """A uniform member, by rejection in batches of 64 binary words.
+
+        Each batch is rng.integers(0, 2, (64, n), dtype=np.uint8), and the
+        generator ends as integers leaves it: integers never rejects for a
+        range of 2, so each symbol is the top bit of the next byte of the
+        buffered 32-bit stream (the held half-word when has_uint32 is set,
+        then each raw word low half first).  A batch reads 8n raw words, so
+        has_uint32 ends as it began and uinteger is the last word's high half.
+        """
+        bg = rng.bit_generator
+        n = self.n
+        state = bg.state
+        held = (np.array([state["uinteger"]], "<u4").view(np.uint8)
+                if state["has_uint32"] else None)
         while True:
-            batch = rng.integers(0, 2, size=(64, self.n), dtype=np.uint8)
+            raw = bg.random_raw(8 * n)
+            stream = raw.astype("<u8", copy=False).view(np.uint8)
+            if held is not None:  # the held bytes come first
+                stream = np.concatenate((held, stream))
+                stream, held = stream[:64 * n], stream[64 * n:]
+            batch = (stream >> 7).reshape(64, n)
             idx = np.flatnonzero(self._mask(batch))
             if idx.size:
-                return tuple(batch[idx[0]].tolist())
+                break
+        if n:
+            state = bg.state
+            state["uinteger"] = int(raw[-1] >> 32)
+            bg.state = state
+        return tuple(batch[idx[0]].tolist())
 
 
 class AllWordsCode(_PrefixCode):
@@ -122,7 +151,7 @@ class AllWordsCode(_PrefixCode):
         return tuple(product(range(self.q), repeat=self.n))
 
     def sample(self, rng: np.random.Generator) -> Word:
-        return tuple(rng.integers(0, self.q, size=self.n).tolist())
+        return tuple(uniform_symbols(rng, self.q, self.n).tolist())
 
 
 class VtCode(_PrefixCode):
@@ -137,13 +166,13 @@ class VtCode(_PrefixCode):
             raise ValueError("residue a must be in [0, n]")
         self.n = n
         self.a = self.accept = a
-        self._weights = np.arange(1, n + 1, dtype=np.int64)
+        self._weights = np.arange(1.0, n + 1)
 
     def _step(self, state: int, i: int, sym: int) -> int:
         return (state + i * sym) % (self.n + 1)
 
     def _mask(self, bits: np.ndarray) -> np.ndarray:
-        return (bits @ self._weights) % (self.n + 1) == self.a
+        return self._checksums(bits) % (self.n + 1) == self.a
 
     def decode_1del(self, y: Word) -> Word:
         """The unique codeword whose single-deletion ball contains y.
@@ -200,7 +229,7 @@ class SvtCode(_PrefixCode):
         self.P = P
         self.b = b
         self.accept = 2 * a + b
-        self._weights = np.arange(1, n + 1, dtype=np.int64)
+        self._weights = np.arange(1.0, n + 1)
         # the prefix states reachable at each length (a 0 keeps the state)
         states = {0}
         for i in range(1, n + 1):
@@ -213,7 +242,7 @@ class SvtCode(_PrefixCode):
         return 2 * ((state // 2 + i * sym) % self.P) + (state + sym) % 2
 
     def _mask(self, bits: np.ndarray) -> np.ndarray:
-        return (((bits @ self._weights) % self.P == self.a)
+        return ((self._checksums(bits) % self.P == self.a)
                 & (bits.sum(axis=1) % 2 == self.b))
 
     def decode_1del(self, y: Word, window_start: int) -> Word:

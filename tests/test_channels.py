@@ -9,9 +9,10 @@ import pytest
 from indelkit.channels import (ChannelSpec, cond_prob_del, cond_prob_del_term,
                                cond_prob_ins, cond_prob_ins_term,
                                cond_prob_kdel, ins_channel_law, transmit_del,
-                               transmit_ins, transmit_kdel)
+                               transmit_ins, transmit_kdel, uniform_symbols)
 from indelkit.combinatorics import deletion_ball, embedding_number
 from indelkit.words import is_subsequence, parse_word
+from reference import buffered_rng
 
 
 class TestChannelSpec:
@@ -146,7 +147,8 @@ def _transmit_ins_loop(x, p, q, rng):
 
 class TestSamplersEqualLoops:
     # the samplers draw the same numbers as the per-symbol loops, leave the
-    # generator in the same state, and give the same words
+    # generator in the same state, and give the same words, from a fresh
+    # generator and from one holding a buffered half-word
     @pytest.mark.parametrize("q", [2, 4])
     @pytest.mark.parametrize("p", [0.0, 0.01, 0.5])
     def test_del_and_ins(self, q, p):
@@ -158,11 +160,45 @@ class TestSamplersEqualLoops:
                                 lambda r: _transmit_del_loop(x, p, r)),
                                (lambda r: transmit_ins(x, p, q, r),
                                 lambda r: _transmit_ins_loop(x, p, q, r))):
-                r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
-                y = fast(r1)
-                assert y == loop(r2)
-                assert all(type(s) is int for s in y)
+                for make in (np.random.default_rng, buffered_rng):
+                    r1, r2 = make(seed), make(seed)
+                    y = fast(r1)
+                    assert y == loop(r2)
+                    assert all(type(s) is int for s in y)
+                    assert r1.bit_generator.state == r2.bit_generator.state
+
+
+class TestUniformSymbolsEqualIntegers:
+    # guard: uniform_symbols is rng.integers(0, q, size), symbol for symbol
+    # and state for state, whichever numpy path it takes; a numpy whose
+    # streams change fails here
+    @pytest.mark.parametrize("size", [0, 1, 2, 7, 150])
+    @pytest.mark.parametrize("q", [2, 3, 4, 8])
+    def test_symbols_and_state(self, q, size):
+        for seed in range(200):
+            for make in (np.random.default_rng, buffered_rng):
+                r1, r2 = make(seed), make(seed)
+                got = uniform_symbols(r1, q, size)
+                want = r2.integers(0, q, size=size)
+                assert got.dtype == want.dtype == np.int64
+                assert got.tolist() == want.tolist()
                 assert r1.bit_generator.state == r2.bit_generator.state
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 8, 1 << 24, 1 << 25])
+    def test_held_words_at_the_edges(self, q):
+        # 32-bit words set as the held half-word, where a symbol boundary
+        # falls among the low 8 bits that a float32 uniform drops: a float
+        # draw for q = 3 or 2^25 reads 0 where integers reads 1
+        for u in (0, 255, 256, 2 ** 31 - 1, 2 ** 31, -(-2 ** 32 // 3),
+                  -(-2 ** 33 // 3), 2 ** 32 - 1):
+            r1, r2 = np.random.default_rng(u), np.random.default_rng(u)
+            for r in (r1, r2):
+                state = r.bit_generator.state
+                state.update(has_uint32=1, uinteger=u)
+                r.bit_generator.state = state
+            assert (uniform_symbols(r1, q, 3).tolist()
+                    == r2.integers(0, q, size=3).tolist())
+            assert r1.bit_generator.state == r2.bit_generator.state
 
 
 class TestTransmitKdel:

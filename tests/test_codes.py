@@ -7,6 +7,7 @@ from indelkit.codes import (AllWordsCode, DecodeFailure, SvtCode, VtCode,
                             default_svt_window_modulus, make_code)
 from indelkit.combinatorics import deletion_ball, insertion_ball
 from indelkit.words import parse_word
+from reference import buffered_rng
 
 
 def pw(s):
@@ -285,15 +286,26 @@ def _sample_member_loop(n, rng, member_mask_fn):
             return tuple(int(b) for b in batch[idx[0]])
 
 
+def _int_member_mask(code, bits):
+    """The members among the rows of bits, by int64 checksums: the
+    reference of the codes' float64 _checksums."""
+    sums = bits.astype(np.int64) @ np.arange(1, code.n + 1)
+    if code.kind == "vt":
+        return sums % (code.n + 1) == code.a
+    return (sums % code.P == code.a) & (bits.sum(axis=1) % 2 == code.b)
+
+
 class TestSamplersEqualLoops:
-    # same words, same Python int symbols, same generator state afterwards
+    # same words, same Python int symbols, same generator state afterwards,
+    # from a fresh generator and from one holding a buffered half-word
     def _check(self, fast, loop, seeds=300):
         for seed in range(seeds):
-            r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
-            w = fast(r1)
-            assert w == loop(r2)
-            assert all(type(s) is int for s in w)
-            assert r1.bit_generator.state == r2.bit_generator.state
+            for make in (np.random.default_rng, buffered_rng):
+                r1, r2 = make(seed), make(seed)
+                w = fast(r1)
+                assert w == loop(r2)
+                assert all(type(s) is int for s in w)
+                assert r1.bit_generator.state == r2.bit_generator.state
 
     @pytest.mark.parametrize("q", [2, 4])
     @pytest.mark.parametrize("n", [0, 1, 37, 150])
@@ -301,11 +313,17 @@ class TestSamplersEqualLoops:
         code = AllWordsCode(n, q)
         self._check(code.sample, lambda r: _all_words_sample_loop(code, r))
 
+    # guard: the rejection batches are rng.integers(0, 2, (64, n),
+    # dtype=np.uint8) read from the raw stream; n = 0 (no draw), odd and
+    # even n, members found in late batches (n = 451)
     @pytest.mark.parametrize("code", [VtCode(12, 3), VtCode(40, 0),
-                                      SvtCode(20, a=1, b=1)])
+                                      SvtCode(20, a=1, b=1), VtCode(0, 0),
+                                      VtCode(1, 1), VtCode(7, 5),
+                                      VtCode(150, 0), VtCode(451, 3),
+                                      SvtCode(64, a=2, b=1)])
     def test_members(self, code):
-        self._check(code.sample,
-                    lambda r: _sample_member_loop(code.n, r, code._mask))
+        self._check(code.sample, lambda r: _sample_member_loop(
+            code.n, r, lambda bits: _int_member_mask(code, bits)))
 
 
 class TestVtUnderIndependentOracle:

@@ -453,6 +453,31 @@ class TestPinnedSums:
         pt = run_experiment(cfg, workers=1).points[0]
         assert _point_sums(pt, 150) == sums
 
+    # (channel, q, code, decoder, sums) at n = 60, p = 0.05, 300 trials:
+    # the coded rejection batches and the q = 2 and q = 4 symbol draws
+    SMALL_RUNS = {
+        "vt": (ChannelSpec("del"), 2, {"code": "vt", "a": 0}, "mld2del",
+               (99, 31, 35, 64, 0)),
+        "svt": (ChannelSpec("del"), 2, {"code": "svt", "a": 0}, "mld2del",
+                (156, 108, 124, 32, 0)),
+        "del-q4": (ChannelSpec("del"), 4, {"code": "all"}, "mld2del",
+                   (128, 83, 60, 68, 0)),
+        "ins-q2": (ChannelSpec("ins", q=2), 2, {"code": "all"}, "mld2ins",
+                   (97, 67, 51, 46, 0)),
+        "ins-q4": (ChannelSpec("ins", q=4), 4, {"code": "all"}, "mld2ins",
+                   (31, 20, 11, 20, 0)),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", list(SMALL_RUNS))
+    def test_small_runs(self, name, workers):
+        channel, q, code, decoder, sums = self.SMALL_RUNS[name]
+        cfg = ExperimentConfig(channel=channel, t=2, n=60, q=q, code=code,
+                               decoder=decoder, p_grid=(0.05,),
+                               trials_per_point=300, master_seed=2024)
+        pt = run_experiment(cfg, workers=workers).points[0]
+        assert _point_sums(pt, 60) == sums
+
 
 class TestAttribution:
     # _trial_components(c, output, t, kind) -> (distance, run, alternating)
