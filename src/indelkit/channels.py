@@ -163,8 +163,10 @@ def transmit_kdel(x: Word, k: int, rng) -> Word:
     if k > len(x):
         raise ValueError(f"cannot delete {k} symbols from a length-{len(x)} word")
     rng = _as_rng(rng)
-    drop = set(rng.choice(len(x), size=k, replace=False).tolist()) if k else set()
-    return tuple(s for i, s in enumerate(x) if i not in drop)
+    keep = np.ones(len(x), dtype=bool)
+    if k:
+        keep[rng.choice(len(x), size=k, replace=False)] = False
+    return tuple(compress(x, keep.tolist()))
 
 
 _SAMPLERS = {"del": transmit_del, "ins": transmit_ins, "kdel": transmit_kdel}

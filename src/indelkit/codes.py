@@ -21,6 +21,7 @@ from math import ceil, log2
 import numpy as np
 
 from .channels import uniform_symbols
+from .combinatorics import binary_words
 from .words import Word
 
 _ENUM_LIMIT = 24
@@ -79,19 +80,17 @@ class _PrefixCode:
         return hits.pop()
 
     def enumerate_words(self) -> tuple:
-        """All members in lexicographic order: _mask over MSB-first chunks
-        of the 2^n binary words, whose numeric order is lexicographic."""
+        """All members in lexicographic order: _mask over chunks of the
+        2^n binary words in numeric order (binary_words), which is
+        lexicographic."""
         n = self.n
         if n > _ENUM_LIMIT:
             raise ValueError(f"exhaustive enumeration limited to n <= "
                              f"{_ENUM_LIMIT}")
         out = []
         chunk = 1 << 16
-        shifts = np.arange(n - 1, -1, -1, dtype=np.uint32)
         for start in range(0, 1 << n, chunk):
-            vals = np.arange(start, min(start + chunk, 1 << n),
-                             dtype=np.uint32)
-            bits = ((vals[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+            bits = binary_words(np.arange(start, min(start + chunk, 1 << n)), n)
             out.extend(map(tuple, bits[self._mask(bits)].tolist()))
         return tuple(out)
 

@@ -188,11 +188,19 @@ def insertion_ball_weights(y: Word, t: int, q: int) -> Counter:
     return Counter(w + y[a:] for w, a in grown)
 
 
+def binary_words(ints, n: int) -> np.ndarray:
+    """The binary length-n words whose integers are ints (any shape, first
+    symbol most significant), as int8 symbols on a trailing axis of n: the
+    word format of insertion_ball_table's rows and the exact sweeps."""
+    ints = np.asarray(ints, dtype=np.int64)
+    return ((ints[..., None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.int8)
+
+
 def insertion_ball_table(m: int, t: int, ys) -> tuple:
     """(words, weights), int64 arrays of shape (len(ys),
     insertion_ball_size(m, t, 2)): row i is insertion_ball_weights(y, t, 2)
-    for the binary length-m word y whose integer is ys[i] (first symbol
-    most significant), its words as sorted integers.
+    for the binary length-m word y whose integer is ys[i] (binary_words
+    reads it), its words as sorted integers.
 
     The same gap rule, listed once for (m, t): inserting s_1..s_t at gaps
     b_1 <= ... <= b_t puts s_j on position b_j + j - 1 of c and moves y's
@@ -200,7 +208,8 @@ def insertion_ball_table(m: int, t: int, ys) -> tuple:
     shifts of every y's integer at once.  Each row is then sorted and its
     equal words counted.  At most about BALL_LANES pattern words exist at
     a time: ys go in row blocks, and a y with more patterns than that
-    takes them in chunks whose counts are merged.
+    takes its gap patterns, and then its symbol choices, in chunks whose
+    counts are merged.
     """
     if t < 0:
         raise ValueError("insertion radius must be non-negative")
@@ -209,27 +218,29 @@ def insertion_ball_table(m: int, t: int, ys) -> tuple:
     if m < 0 or n > 40 or ys.size and (ys.min() < 0 or ys.max() >> m):
         raise ValueError(f"need m + t <= 40 and ys of {m}-bit words")
     per = 1 << t  # symbol choices per gap pattern
+    span = min(per, BALL_LANES)  # symbol choices taken at once
     rows = max(1, BALL_LANES // (comb(n, t) * per))
-    chunk = max(1, BALL_LANES // (rows * per))
-    sym = (np.arange(per)[:, None] >> np.arange(t)) & 1  # row: s_1..s_t
+    chunk = max(1, BALL_LANES // (rows * span))
     blocks = [None] * -(-len(ys) // rows)  # per row block: (keys, counts)
     gap_iter = combinations_with_replacement(range(m + 1), t)
     while gaps := list(islice(gap_iter, chunk)):
         b = np.array(gaps, dtype=np.int64).reshape(len(gaps), t)
         ends = np.pad(b, ((0, 0), (1, 1)), constant_values=(0, m))
         seg = (1 << m - ends[:, :-1]) - (1 << m - ends[:, 1:])
-        const = (sym << n - b[:, None] - np.arange(1, t + 1)).sum(axis=-1)
-        for i, lo in enumerate(range(0, len(ys), rows)):
-            blk = ys[lo:lo + rows]
-            c = ((blk & seg) << np.arange(t, -1, -1)).sum(axis=-1)
-            c = (c[:, :, None] + const).reshape(len(blk), -1)
-            c.sort(axis=1)
-            # with the rows sorted, row << n | c is sorted throughout
-            keys = (c | np.arange(len(blk))[:, None] << n).ravel()
-            starts = np.flatnonzero(np.diff(keys, prepend=-1))
-            found = keys[starts], np.diff(starts, append=len(keys))
-            blocks[i] = found if blocks[i] is None else _add_counts(
-                *blocks[i], *found)
+        for s in range(0, per, span):
+            sym = binary_words(np.arange(s, min(s + span, per)), t)
+            const = (sym << n - b[:, None] - np.arange(1, t + 1)).sum(axis=-1)
+            for i, lo in enumerate(range(0, len(ys), rows)):
+                blk = ys[lo:lo + rows]
+                c = ((blk & seg) << np.arange(t, -1, -1)).sum(axis=-1)
+                c = (c[:, :, None] + const).reshape(len(blk), -1)
+                c.sort(axis=1)
+                # with the rows sorted, row << n | c is sorted throughout
+                keys = (c | np.arange(len(blk))[:, None] << n).ravel()
+                starts = np.flatnonzero(np.diff(keys, prepend=-1))
+                found = keys[starts], np.diff(starts, append=len(keys))
+                blocks[i] = found if blocks[i] is None else _add_counts(
+                    *blocks[i], *found)
     size, empty = insertion_ball_size(m, t, 2), np.empty(0, dtype=np.int64)
     keys = np.concatenate([empty] + [k for k, _ in blocks])
     weights = np.concatenate([empty] + [w for _, w in blocks])
@@ -239,12 +250,14 @@ def insertion_ball_table(m: int, t: int, ys) -> tuple:
 
 def _add_counts(keys_a, counts_a, keys_b, counts_b) -> tuple:
     """The sorted union of two sorted unique key arrays, with the counts
-    of a key in both added."""
-    keys = np.union1d(keys_a, keys_b)
-    counts = np.zeros(len(keys), dtype=np.int64)
-    counts[np.searchsorted(keys, keys_a)] += counts_a
-    counts[np.searchsorted(keys, keys_b)] += counts_b
-    return keys, counts
+    of a key in both added.  A stable sort of the two runs side by side
+    merges them in linear time."""
+    keys = np.concatenate((keys_a, keys_b))
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    counts = np.concatenate((counts_a, counts_b))[order]
+    return keys[starts], np.add.reduceat(counts, starts)
 
 
 def insertion_ball(x: Word, t: int, q: int) -> tuple:

@@ -209,6 +209,21 @@ class TestTransmitKdel:
         with pytest.raises(ValueError):
             transmit_kdel(x, 6, 1)
 
+    def test_equals_the_generator_expression(self):
+        # the former per-symbol loop over the same rng.choice draw, with
+        # the generator left in the same state
+        for seed in range(40):
+            x = tuple(np.random.default_rng(seed).integers(
+                0, 2, seed % 13).tolist())
+            for k in [k for k in sorted({0, 1, 2, len(x)}) if k <= len(x)]:
+                r1 = np.random.default_rng(seed)
+                r2 = np.random.default_rng(seed)
+                drop = (set(r2.choice(len(x), size=k, replace=False).tolist())
+                        if k else set())
+                assert transmit_kdel(x, k, r1) == tuple(
+                    s for i, s in enumerate(x) if i not in drop), (seed, k)
+                assert r1.bit_generator.state == r2.bit_generator.state
+
     def test_empirical_matches_embedding_law(self):
         # Pr(y) = Emb(x; y) / C(5, 2) over D_2(01001); 20000 trials
         x = parse_word("01001")

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import indelkit.combinatorics as combinatorics
-from indelkit.combinatorics import (EmbeddingLanes, deletion_ball,
-                                    embedding_number,
+from indelkit.combinatorics import (EmbeddingLanes, binary_words,
+                                    deletion_ball, embedding_number,
                                     embedding_number_banded,
                                     embedding_number_bruteforce, insertion_ball,
                                     insertion_ball_size, insertion_ball_table,
@@ -310,6 +310,22 @@ class TestInsertionBallWeights:
             insertion_ball(parse_word("01"), -1, 2)
 
 
+class TestBinaryWords:
+    def test_equals_product_order(self):
+        for n in range(11):
+            words = binary_words(np.arange(2 ** n), n)
+            assert words.dtype == np.int8 and words.shape == (2 ** n, n)
+            assert list(map(tuple, words.tolist())) == list(
+                product((0, 1), repeat=n)), n
+
+    def test_any_shape(self):
+        assert binary_words(6, 4).tolist() == [0, 1, 1, 0]
+        assert binary_words([[1, 2], [3, 0]], 2).tolist() == [
+            [[0, 1], [1, 0]], [[1, 1], [0, 0]]]
+        assert binary_words([], 3).shape == (0, 3)
+        assert binary_words(2 ** 40 + 1, 41)[[0, 40]].tolist() == [1, 1]
+
+
 def ball_rows(m, t):
     """insertion_ball_weights of every binary length-m y, in the integer
     order of y, as (sorted word integers, weights) rows."""
@@ -342,13 +358,13 @@ class TestInsertionBallTable:
         words, weights = insertion_ball_table(5, 2, [])
         assert words.shape == weights.shape == (0, insertion_ball_size(5, 2, 2))
 
-    @pytest.mark.parametrize("lanes", [1, 7, 40])
+    @pytest.mark.parametrize("lanes", [1, 2, 7, 40])
     def test_small_lane_budget(self, lanes, monkeypatch):
-        # ragged row blocks, and pattern chunks whose counts are merged,
-        # give the same rows
+        # ragged row blocks, and chunks of gap patterns and of the 2^t
+        # symbol choices, whose counts are merged, give the same rows
         monkeypatch.setattr(combinatorics, "BALL_LANES", lanes)
         for m in range(6):
-            for t in range(4):
+            for t in range(min(6, 9 - m)):
                 words, weights = insertion_ball_table(m, t, range(2 ** m))
                 assert [(w.tolist(), e.tolist()) for w, e in zip(
                     words, weights)] == ball_rows(m, t), (m, t, lanes)

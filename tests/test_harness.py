@@ -1,75 +1,31 @@
 import csv
 import dataclasses
-import functools
+import importlib
 import json
 import os
-from fractions import Fraction
-from itertools import product
-from math import comb
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-import indelkit.combinatorics as combinatorics
 import indelkit.harness as harness
-import indelkit.sweeps as sweeps
 from indelkit.channels import (ChannelSpec, transmit_del, transmit_ins,
                                transmit_kdel)
 from indelkit.codes import make_code
-from indelkit.combinatorics import (insertion_ball_size, insertion_ball_table,
-                                    insertion_ball_weights)
-from indelkit.decoders import DECODERS, get_decoder, ml_star_2del, objective_f
+from indelkit.decoders import (get_decoder, mld_two_del_detailed,
+                               mld_two_ins_detailed)
 from indelkit.harness import (CSV_FIELDS, METRICS, ExperimentConfig,
                               _PresetSeed, _seed_states, _trial_components,
                               _trial_rngs, figure_config, run_experiment,
                               worker_count, write_figure_csv, write_rows_csv)
-from indelkit.sweeps import (_exact_enumerate, _window_distance_rows,
-                             _window_scores, _window_table,
-                             exact_expected_distance, sweep_brute_force_window,
-                             sweep_two_del_condition)
-from indelkit.words import indel_distance, parse_word
+from indelkit.supersequences import DEFAULT_CAP, enumerate_lcs, enumerate_scs
+from indelkit.words import parse_word
 from reference import stream_rng
 
 
 def pw(s):
     return parse_word(s)
-
-
-def window_candidates(n):
-    """The window sweep's candidates in its table's column order."""
-    return [x for L in range(n - 2, n + 2) for x in product((0, 1), repeat=L)]
-
-
-def literal_exact(dec, n, k):
-    """The exact expected distance as the literal sum of objective_f over
-    every channel output's decoding."""
-    total = sum(objective_f(y, dec.decode((y,), k)[0], k)
-                for y in product((0, 1), repeat=n - k))
-    return Fraction(total, 2 ** n * n * comb(n, k))
-
-
-ONE_TRACE_KDEL = [name for name, dec in DECODERS.items()
-                  if dec.traces == 1 and "kdel" in dec.kinds]
-
-
-def literal_window_sweep(n):
-    """sweep_brute_force_window(n) with each y's scores summed over its
-    insertion_ball_weights, one ball word at a time."""
-    table, cands = _window_table(n), window_candidates(n)
-    res = {"n": n, "words": 2 ** (n - 2), "length_violations": [],
-           "mismatches": []}
-    for y in product((0, 1), repeat=n - 2):
-        scores = sum(w * table[int("".join(map(str, c)), 2)].astype(np.int64)
-                     for c, w in insertion_ball_weights(y, 2, 2).items())
-        best = int(np.argmin(scores))
-        winner = cands[best]
-        if len(winner) not in (n - 2, n - 1):
-            res["length_violations"].append({"y": y, "winner_len": len(winner)})
-        if (np.count_nonzero(scores == scores[best]) == 1
-                and winner != ml_star_2del(y)):
-            res["mismatches"].append({"y": y, "winner": winner,
-                                      "closed_form": ml_star_2del(y)})
-    return res
 
 
 def small_cfg(**kw):
@@ -513,173 +469,58 @@ class TestAttribution:
         assert _trial_components(pw("0011"), pw("0101"), 1, "del") == (2, 0, 0)
 
 
-class TestExactExpectedDistance:
-    def test_lazy_law(self):
-        for n in range(5, 13):
-            assert exact_expected_distance("lazy", n, 1) == Fraction(1, n)
-
-    @pytest.mark.filterwarnings("ignore:lazy decoding is only proven optimal")
-    def test_fast_equals_enumeration(self):
-        laws = [name for name, dec in DECODERS.items()
-                if dec.fast_1del is not None]
-        assert laws == ["lazy", "en:1", "mlstar1"]
-        for n in range(1, 13):
-            for dec in laws:
-                assert (exact_expected_distance(dec, n, 1)
-                        == exact_expected_distance(dec, n, 1, method="enumerate"))
-
-    def test_en1_law_pinned(self):
-        # the values of the former all-words run-statistics pass
-        assert exact_expected_distance("en:1", 17, 1) == Fraction(939195, 9469952)
-        assert exact_expected_distance("en:1", 18, 1) == Fraction(2003743, 21233664)
-        assert exact_expected_distance("en:1", 26, 1) == Fraction(772088413,
-                                                                  11341398016)
-
-    def test_laws_beyond_enumeration(self):
-        en = exact_expected_distance("en:1", 40, 1)
-        assert isinstance(en, Fraction) and en > Fraction(1, 40)
-        assert exact_expected_distance("lazy", 40, 1) == Fraction(1, 40)
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError, match="method"):
-            exact_expected_distance("lazy", 6, 1, method="literal")
-
-    def test_en_vs_analysis_bound(self):
-        from indelkit.analysis import lazy_and_en_1del_analysis
-        for n in (6, 10, 14):
-            _, bound = lazy_and_en_1del_analysis(n)
-            assert exact_expected_distance("en:1", n, 1) >= bound
-
-    def test_two_del_decoder_ordering(self):
-        # closed-form optimal decoder never loses to lazy or the prolonging
-        # decoder in exact expected distance (aggregate, k = 2)
-        n = 10
-        star = exact_expected_distance("mlstar2", n, 2)
-        lazy = exact_expected_distance("lazy", n, 2)
-        en1 = exact_expected_distance("en:1", n, 2)
-        assert star <= lazy
-        assert star <= en1
-
-    def test_infeasible_guard(self):
-        with pytest.raises(ValueError):
-            exact_expected_distance("lazy", 25, 1, method="enumerate")
-
-    def test_refuses_bad_n_and_k(self):
-        for n in (0, -3):
-            with pytest.raises(ValueError, match="n must be >= 1"):
-                exact_expected_distance("lazy", n, 0, method="enumerate")
-        for method in ("auto", "enumerate"):
-            with pytest.raises(ValueError, match="k must be >= 0"):
-                exact_expected_distance("lazy", 5, -1, method=method)
-        with pytest.raises(ValueError, match="k cannot exceed n"):
-            exact_expected_distance("lazy", 3, 4)
-
-    @pytest.mark.filterwarnings("ignore:lazy decoding is only proven optimal")
-    @pytest.mark.parametrize("name", ONE_TRACE_KDEL)
-    def test_enumerate_equals_literal_objective(self, name):
-        # every feasible n <= 9 and k <= 3, k = 0 and n = k (one empty
-        # output) among them; brute to n = 6, where its windows stay small
-        dec = get_decoder(name, 1, "kdel")
-        decode = functools.lru_cache(dec.decode)  # one decode per y for both
-        dec = dataclasses.replace(dec, fn=lambda y, k: decode((y,), k)[0],
-                                  coded=False)
-        for n in range(1, 7 if name == "brute" else 10):
-            for k in range(min(n, 3) + 1):
-                assert _exact_enumerate(dec, n, k) == literal_exact(
-                    dec, n, k), (name, n, k)
-
-    @pytest.mark.parametrize("rows", [1, 3])
-    def test_small_lane_budgets(self, rows, monkeypatch):
-        # blocks of `rows` outputs (32 = 3 * 10 + 2 leaves a ragged last
-        # block), and ball tables merged one gap pattern at a time
-        monkeypatch.setattr(combinatorics, "BALL_LANES", 1)
-        for name, n, k in (("mlstar2", 7, 2), ("en:2", 8, 3), ("lazy", 5, 0),
-                           ("en:1", 3, 3)):
-            monkeypatch.setattr(sweeps, "EXACT_LANES",
-                                rows * insertion_ball_size(n - k, k, 2))
-            dec = get_decoder(name, 1, "kdel")
-            assert _exact_enumerate(dec, n, k) == literal_exact(dec, n, k)
-
-    def test_mlstar2_pinned(self):
-        assert exact_expected_distance(
-            "mlstar2", 12, k=2, method="enumerate") == Fraction(1355, 8192)
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
-class TestSweeps:
-    def test_condition_sweep_clean_at_small_n(self):
-        assert sweep_two_del_condition(5)["violations"] == []
-        assert sweep_two_del_condition(7)["violations"] == []
-
-    def test_condition_sweep_rejects_n_below_2(self):
-        for n in (1, 0, -3):
-            with pytest.raises(ValueError, match="needs n >= 2"):
-                sweep_two_del_condition(n)
-        assert sweep_two_del_condition(2)["words"] == 1
-
-    def test_condition_sweep_equal_in_ragged_blocks(self, monkeypatch):
-        # blocks of 7 leave a ragged last block at every n from 2 (the
-        # empty word alone) to 14 (585 blocks)
-        whole = {n: sweep_two_del_condition(n) for n in range(2, 15)}
-        monkeypatch.setattr(sweeps, "COND_BLOCK", 7)
-        for n, res in whole.items():
-            assert sweep_two_del_condition(n) == res, n
-
-    def test_window_table_equals_oracle(self):
-        # every cell for n = 3..8 (from n = 8 on the table takes two
-        # WINDOW_BLOCKs), then sampled rows at n = 11 and 12, the all-0
-        # and all-1 words among them
-        for n in range(3, 9):
-            cands = window_candidates(n)
-            table = _window_table(n)
-            assert table.dtype == np.int8
-            assert table.shape == (2 ** n, len(cands))
-            for ci, c in enumerate(product((0, 1), repeat=n)):
-                assert table[ci].tolist() == [
-                    indel_distance(x, c) for x in cands], (n, c)
-        rng = np.random.default_rng(12)
-        for n in (11, 12):
-            cands = window_candidates(n)
-            cs = [0, 2 ** n - 1, *rng.choice(2 ** n, size=3, replace=False)]
-            for ci, row in zip(cs, _window_distance_rows(n, cs)):
-                c = tuple(int(b) for b in np.binary_repr(ci, n))
-                assert row.tolist() == [
-                    indel_distance(x, c) for x in cands], (n, c)
-
-    def test_window_scores_equal_the_objective(self):
-        # the literal objective for every y and candidate, and the first
-        # minimum is brute_force_ml_star's pick (shortest, then lex)
-        from indelkit.decoders import brute_force_ml_star, objective_f
-        for n in range(4, 8):
-            cands = window_candidates(n)
-            table = _window_table(n)
-            balls = insertion_ball_table(n - 2, 2, range(2 ** (n - 2)))
-            for y, words, w in zip(product((0, 1), repeat=n - 2), *balls):
-                scores = _window_scores(table, words, w.astype(np.int16))
-                assert scores.tolist() == [
-                    objective_f(y, x, 2) for x in cands], y
-                assert cands[int(np.argmin(scores))] == brute_force_ml_star(
-                    y, 2), y
-
-    def test_window_sweep_equals_literal_scorer(self):
-        for n in range(3, 10):
-            assert sweep_brute_force_window(n) == literal_window_sweep(n), n
-
-    def test_window_sweep_agrees_with_library_bruteforce(self):
-        from indelkit.decoders import brute_force_ml_star
-        res = sweep_brute_force_window(6)
-        bad = {tuple(v["y"]) for v in res["length_violations"]}
-        for y in product((0, 1), repeat=4):
-            out = brute_force_ml_star(y, 2)
-            assert (len(out) not in (4, 5)) == (y in bad)
+def benchmark_library_names():
+    """(module, name) for every library name that benchmarks/*.py reads:
+    lib.<module>.<name>, <alias>.<name> after `<alias> = lib.<module>`
+    (h for harness, ch for channels), and `from indelkit.<module> import`
+    lists."""
+    names = set()
+    for path in sorted(BENCHMARKS.glob("*.py")):
+        text = re.sub(r"#.*", "", path.read_text())
+        names |= set(re.findall(r"\blib\.(\w+)\.(\w+)", text))
+        for alias, module in re.findall(r"^\s*(\w+) = lib\.(\w+)\s*$",
+                                        text, re.M):
+            names |= {(module, name) for name in
+                      re.findall(rf"\b{alias}\.(\w+)", text)}
+        for module, group, line in re.findall(
+                r"^from indelkit\.(\w+) import (?:\(([^)]*)\)|(.*))", text,
+                re.M):
+            names |= {(module, name.split()[0])
+                      for name in (group or line).split(",") if name.strip()}
+    return names
 
 
-@pytest.mark.parametrize("name", ["exact_expected_distance",
-                                  "sweep_brute_force_window",
-                                  "sweep_two_del_condition"])
-def test_harness_keeps_the_sweeps_the_benchmark_calls(name):
-    # benchmarks/bench.py calls these as harness.<name>, and Tier-1 does
-    # not collect benchmarks/
-    assert getattr(harness, name) is getattr(sweeps, name)
+def test_benchmark_reads_only_names_the_library_has():
+    # Tier-1 does not collect benchmarks/, so its library surface is
+    # checked here, without importing or changing those files
+    names = benchmark_library_names()
+    modules = {module for module, _ in names}
+    imported = re.search(r"^MODULES = \(([^)]*)\)",
+                         (BENCHMARKS / "bench.py").read_text(), re.M)
+    for module in re.findall(r'"(\w+)"', imported.group(1)):
+        importlib.import_module(f"indelkit.{module}")  # bench.import_fresh
+    assert {"harness", "channels", "codes", "combinatorics", "decoders",
+            "supersequences", "words"} <= modules
+    assert ("harness", "exact_expected_distance") in names  # h.<name>
+    missing = [f"indelkit.{module}.{name}" for module, name in sorted(names)
+               if not hasattr(importlib.import_module(f"indelkit.{module}"),
+                              name)]
+    assert missing == []
+
+
+def test_benchmark_keyword_calls():
+    # the keyword sets benchmarks/*.py pass, one call each
+    y1, y2 = pw("0110"), pw("0101")
+    for decode in (mld_two_del_detailed, mld_two_ins_detailed):
+        out, truncated = decode(y1, y2, band=(1, 1), cap=DEFAULT_CAP)
+        assert isinstance(out, tuple) and truncated is False
+    for enumerate_ in (enumerate_scs, enumerate_lcs):
+        assert enumerate_(y1, y2, band=(1, 1), cap=DEFAULT_CAP).candidates
+    assert harness.exact_expected_distance(
+        "mlstar2", 6, k=2, method="enumerate") > 0
 
 
 class TestFigures:
