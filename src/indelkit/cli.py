@@ -29,6 +29,8 @@ from .words import format_word, parse_word
 # doubles per step, took 53 s at n = 21 and cannot enumerate past it
 ORACLE_N = {"1del": range(2, 22), "2del": WINDOW_N, "emb": range(1, 11),
             "scs": range(1, 8), "mld2": range(1, 9)}
+WORKERS_HELP = ("processes per grid point (default: the INDELKIT_WORKERS env "
+                "var, else the CPUs this process may use, at most 8)")
 
 
 def _cmd_simulate(args) -> int:
@@ -217,7 +219,7 @@ def main(argv=None) -> int:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("reproduce-figure", help="rebuild one figure's data")
@@ -225,7 +227,7 @@ def main(argv=None) -> int:
     p.add_argument("--scale", choices=["desk", "paper"], default="desk")
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
     p.add_argument("--plot", action="store_true", help="also emit an SVG")
     p.set_defaults(fn=_cmd_reproduce)
 

@@ -6,6 +6,11 @@ the codeword draw and 1..t for the channels, so results are bit-identical
 for any worker count or chunking.  Aggregation sums exact integers
 (distances, failures, attribution units) and divides once at the end.
 
+Parallelism: each grid point's trials split into one chunk per worker.  The
+calling process runs the first chunk itself and forks one child per other
+chunk, which sends its sums back through a pipe; no child outlives the
+grid point, whether it returns or raises.
+
 The SeedSequence hash itself is computed in batch: `_seed_states` hashes a
 block of trials and all their streams in one pass of uint32 numpy
 arithmetic, and each PCG64 is seeded from its row.  The generators, and so
@@ -18,10 +23,10 @@ from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
 import os
+import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field, asdict
 from math import ceil, sqrt
 
@@ -48,13 +53,17 @@ FIGURE_CSV_FIELDS = ["metric", "q", "n", "p", "code", "measured_rate",
 
 def worker_count(explicit: int | None = None) -> int:
     """Workers from an explicit argument (--workers), else the
-    INDELKIT_WORKERS env var, else the CPU count capped at 8.  A count
-    below 1, or an env value that is no integer, is refused by name."""
+    INDELKIT_WORKERS env var, else the number of CPUs this process may run
+    on (its affinity mask where the platform has one, else the CPU count),
+    capped at 8.  A count below 1, or an env value that is no integer, is
+    refused by name."""
     source, count = "--workers", explicit
     if count is None:
         source, env = "INDELKIT_WORKERS", os.environ.get("INDELKIT_WORKERS")
         if not env:
-            return max(1, min(8, os.cpu_count() or 1))
+            cpus = (len(os.sched_getaffinity(0))
+                    if hasattr(os, "sched_getaffinity") else os.cpu_count())
+            return max(1, min(8, cpus or 1))
         try:
             count = int(env)
         except ValueError:
@@ -311,41 +320,95 @@ def _run_chunk(cfg: ExperimentConfig, point: int, p: float, lo: int,
     return sum_d, sum_d2, fails, run_units, alt_units, truncated
 
 
+# forked children inherit the config and need nothing pickled but their sums
+_CONTEXT = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
+
+
+def _send_chunk(conn, cfg: ExperimentConfig, point: int, p: float, lo: int,
+                hi: int) -> None:
+    """Body of a child process: send (sums, None) for trials [lo, hi), or
+    (None, the exception they raised), a RuntimeError with its text where
+    that exception does not survive pickling."""
+    try:
+        msg = (_run_chunk(cfg, point, p, lo, hi), None)
+    except BaseException as exc:  # the caller re-raises it
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+        msg = (None, exc)
+    conn.send(msg)
+    conn.close()
+
+
+def _run_chunks(cfg: ExperimentConfig, point: int, p: float,
+                bounds: list) -> list:
+    """The sums of each chunk [lo, hi) in bounds, in order: one child
+    process per chunk after the first, which runs in this process.  An
+    exception of any chunk is raised here once every child has ended."""
+    children = []
+    try:
+        for lo, hi in bounds[1:]:
+            recv, send = _CONTEXT.Pipe(duplex=False)
+            with send:  # closed here, so recv reads EOF once the child exits
+                proc = _CONTEXT.Process(target=_send_chunk,
+                                        args=(send, cfg, point, p, lo, hi))
+                proc.start()
+            children.append((proc, recv, lo, hi))
+        parts = [_run_chunk(cfg, point, p, *bounds[0])]
+        for proc, recv, lo, hi in children:
+            try:
+                sums, exc = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"the child running trials [{lo}, {hi}) exited with code "
+                    f"{proc.exitcode} before sending its sums") from None
+            if exc is not None:
+                raise exc
+            parts.append(sums)
+    except BaseException:
+        for proc, *_ in children:
+            proc.terminate()
+        raise
+    finally:
+        for proc, recv, *_ in children:
+            proc.join()
+            recv.close()
+    return parts
+
+
 def run_experiment(config: ExperimentConfig, workers: int | None = None) -> AggregateResult:
     """Monte Carlo sweep over the probability grid; deterministic for a
     given master seed regardless of the worker count.
 
-    Each grid point's trials run in one chunk per worker, [0, T) whole for
-    one worker, mapped through `_run_chunk` in this process or in the run's
-    one process pool; the chunks' sums add up."""
+    Each grid point's trials run in one chunk per worker, ceil(T / workers)
+    trials each ([0, T) whole for one worker).  `_run_chunks` runs the first
+    chunk in this process and each other one in a child forked for it, and
+    the chunks' exact sums add up in chunk order."""
     workers = worker_count(workers)
     n, T = config.n, config.trials_per_point
     chunk = ceil(T / workers)
     bounds = [(lo, min(lo + chunk, T)) for lo in range(0, T, chunk)]
     points = []
-    with (ProcessPoolExecutor(workers) if workers > 1
-          else nullcontext()) as pool:
-        run = pool.map if pool else map
-        for point, p in enumerate(config.p_grid):
-            start = time.perf_counter()
-            parts = run(
-                _run_chunk,
-                *zip(*[(config, point, p, lo, hi) for lo, hi in bounds]))
-            sum_d, sum_d2, fails, run_u, alt_u, trunc = (
-                sum(col) for col in zip(*parts))
-            mean_d = sum_d / T
-            var_d = max(0.0, sum_d2 / T - mean_d * mean_d)
-            fail_rate = fails / T
-            points.append(PointResult(
-                p=p, trials=T,
-                levenshtein_rate=mean_d / n,
-                failure_rate=fail_rate,
-                run_component=run_u / (n * T),
-                alt_component=alt_u / (n * T),
-                stderr_ler=sqrt(var_d / T) / n,
-                stderr_fail=sqrt(fail_rate * (1 - fail_rate) / T),
-                truncated_trials=trunc,
-                wall_time=time.perf_counter() - start))
+    for point, p in enumerate(config.p_grid):
+        start = time.perf_counter()
+        sum_d, sum_d2, fails, run_u, alt_u, trunc = (
+            sum(col) for col in zip(*_run_chunks(config, point, p, bounds)))
+        mean_d = sum_d / T
+        var_d = max(0.0, sum_d2 / T - mean_d * mean_d)
+        fail_rate = fails / T
+        points.append(PointResult(
+            p=p, trials=T,
+            levenshtein_rate=mean_d / n,
+            failure_rate=fail_rate,
+            run_component=run_u / (n * T),
+            alt_component=alt_u / (n * T),
+            stderr_ler=sqrt(var_d / T) / n,
+            stderr_fail=sqrt(fail_rate * (1 - fail_rate) / T),
+            truncated_trials=trunc,
+            wall_time=time.perf_counter() - start))
     return AggregateResult(config=config, points=tuple(points))
 
 

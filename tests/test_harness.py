@@ -2,8 +2,10 @@ import csv
 import dataclasses
 import importlib
 import json
+import multiprocessing
 import os
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +37,29 @@ def small_cfg(**kw):
                 master_seed=5)
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def record_chunks(monkeypatch, log):
+    """Make every _run_chunk call, in this process or a forked child,
+    append (point, lo, hi, pid) to the file log."""
+    run_chunk = harness._run_chunk
+
+    def recording(cfg, point, p, lo, hi):
+        with open(log, "a") as fh:
+            fh.write(f"{point} {lo} {hi} {os.getpid()}\n")
+        return run_chunk(cfg, point, p, lo, hi)
+
+    monkeypatch.setattr(harness, "_run_chunk", recording)
+
+
+def read_chunks(log):
+    """The records of record_chunks, one sorted list per grid point; the
+    log starts anew."""
+    recs = sorted(tuple(map(int, line.split()))
+                  for line in log.read_text().splitlines())
+    log.unlink()
+    return [[r for r in recs if r[0] == point]
+            for point in sorted({r[0] for r in recs})]
 
 
 class TestConfig:
@@ -160,44 +185,48 @@ class TestRunExperiment:
         assert pt.levenshtein_rate == 0.0
         assert pt.failure_rate == 0.0
 
-    def test_deterministic_across_workers(self):
-        cfg = small_cfg()
-        r1 = run_experiment(cfg, workers=1)
-        r2 = run_experiment(cfg, workers=2)
-        for a, b in zip(r1.points, r2.points):
-            assert (a.levenshtein_rate, a.failure_rate, a.run_component,
-                    a.alt_component) == (b.levenshtein_rate, b.failure_rate,
-                                         b.run_component, b.alt_component)
+    def test_deterministic_across_workers(self, tmp_path, monkeypatch):
+        log = tmp_path / "chunks"
+        record_chunks(monkeypatch, log)
+        for trials, workers, chunks in [
+                (31, 2, [(0, 16), (16, 31)]),  # uneven chunks
+                (31, 3, [(0, 11), (11, 22), (22, 31)]),
+                (1, 2, [(0, 1)])]:  # one chunk, run here with no child
+            cfg = small_cfg(p_grid=(0.03, 0.1), trials_per_point=trials)
+            rows = run_experiment(cfg, workers=1).rows()
+            read_chunks(log)
+            assert run_experiment(cfg, workers=workers).rows() == rows
+            for point in read_chunks(log):
+                assert [(lo, hi) for _, lo, hi, _ in point] == chunks
+                assert [pid == os.getpid() for *_, pid in point] \
+                    == [True] + [False] * (len(chunks) - 1)
 
-    def test_one_pool_per_run(self, monkeypatch):
-        pools = []
-
-        class CountingPool(harness.ProcessPoolExecutor):
-            def __init__(self, *args, **kw):
-                pools.append(self)
-                super().__init__(*args, **kw)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
-        cfg = small_cfg(p_grid=(0.02, 0.05, 0.1), trials_per_point=30)
-        rows = run_experiment(cfg, workers=2).rows()
-        assert len(pools) == 1  # one pool serves every grid point
-        assert run_experiment(cfg, workers=1).rows() == rows
-        assert len(pools) == 1  # one worker runs in this process
-
-    def test_one_chunk_per_worker(self, monkeypatch):
-        chunks = []
-
-        class RecordingPool(harness.ProcessPoolExecutor):
-            def map(self, fn, *args, **kw):
-                _, _, _, los, his = args  # _run_chunk(cfg, point, p, lo, hi)
-                chunks.append(list(zip(los, his)))
-                return super().map(fn, *args, **kw)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    def test_one_chunk_per_worker(self, tmp_path, monkeypatch):
+        log = tmp_path / "chunks"
+        record_chunks(monkeypatch, log)
         cfg = small_cfg(p_grid=(0.02, 0.05), trials_per_point=30)
         rows = run_experiment(cfg, workers=2).rows()
-        assert chunks == [[(0, 15), (15, 30)]] * 2  # one list per grid point
+        # one list per grid point
+        assert [[(lo, hi) for _, lo, hi, _ in point]
+                for point in read_chunks(log)] == [[(0, 15), (15, 30)]] * 2
         assert run_experiment(cfg, workers=1).rows() == rows
+        assert [[(lo, hi) for _, lo, hi, _ in point]
+                for point in read_chunks(log)] == [[(0, 30)]] * 2
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_one_child_per_chunk_after_the_first(self, workers, tmp_path,
+                                                 monkeypatch):
+        log = tmp_path / "chunks"
+        record_chunks(monkeypatch, log)
+        run_experiment(small_cfg(p_grid=(0.02, 0.05, 0.1), trials_per_point=30),
+                       workers=workers)
+        chunks = read_chunks(log)
+        # chunk 0 of each point runs here, each other chunk in its own child
+        assert [point[0][3] for point in chunks] == [os.getpid()] * 3
+        children = [pid for point in chunks for *_, pid in point[1:]]
+        assert len(set(children)) == len(children) == 3 * (workers - 1)
+        assert os.getpid() not in children
+        assert multiprocessing.active_children() == []
 
     def test_deterministic_across_runs(self):
         cfg = small_cfg(trials_per_point=150)
@@ -287,6 +316,78 @@ class TestRunExperiment:
         with open(path) as fh:
             assert {r["truncated_trials"] for r in csv.DictReader(fh)} == {
                 str(truncated)}
+
+
+class Unpicklable(Exception):
+    """Pickles, but unpickling calls __init__ with one argument of two."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def with_hook(exc):
+    exc.hook = lambda: None  # no lambda pickles
+    return exc
+
+
+def raiser(exc):
+    def act():
+        raise exc
+    return act
+
+
+class TestChunkFailures:
+    # 30 trials at 3 workers: chunks [0, 10) here, [10, 20) and [20, 30) in
+    # children; `actions` maps a chunk's lo to what it does before its trials
+    CFG = small_cfg(p_grid=(0.03,), trials_per_point=30)
+
+    def run(self, monkeypatch, actions, workers=3):
+        run_chunk = harness._run_chunk
+
+        def patched(cfg, point, p, lo, hi):
+            if lo in actions:
+                actions[lo]()
+            return run_chunk(cfg, point, p, lo, hi)
+
+        monkeypatch.setattr(harness, "_run_chunk", patched)
+        start = time.perf_counter()
+        try:
+            run_experiment(self.CFG, workers=workers)
+        finally:
+            # a sleeping child ends by terminate(), not by its sleep
+            assert time.perf_counter() - start < 20
+            assert multiprocessing.active_children() == []
+
+    def test_a_child_exception_is_raised_here(self, monkeypatch):
+        with pytest.raises(ValueError, match=r"^chunk \[10, 20\) failed$"):
+            self.run(monkeypatch, {10: raiser(ValueError("chunk [10, 20) failed")),
+                                   20: lambda: time.sleep(60)})
+
+    @pytest.mark.parametrize("exc,text", [
+        (Unpicklable("x", "y"), "Unpicklable: x and y"),
+        (with_hook(KeyError("k")), "KeyError: 'k'"),
+    ])
+    def test_an_exception_that_does_not_pickle_comes_as_its_text(
+            self, exc, text, monkeypatch):
+        with pytest.raises(RuntimeError, match=f"^{re.escape(text)}$"):
+            self.run(monkeypatch, {20: raiser(exc)})
+
+    def test_a_child_that_exits_without_sums_is_named(self, monkeypatch):
+        with pytest.raises(RuntimeError,
+                           match=r"trials \[10, 20\) exited with code 3 "):
+            self.run(monkeypatch, {10: lambda: os._exit(3),
+                                   20: lambda: time.sleep(60)})
+
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, ValueError])
+    def test_an_exception_here_ends_every_child(self, exc, monkeypatch):
+        with pytest.raises(exc, match="stop"):
+            self.run(monkeypatch, {0: raiser(exc("stop")),
+                                   10: lambda: time.sleep(60),
+                                   20: lambda: time.sleep(60)})
+
+    def test_one_worker_raises_here_with_no_child(self, monkeypatch):
+        with pytest.raises(ValueError, match="chunk 0"):
+            self.run(monkeypatch, {0: raiser(ValueError("chunk 0"))}, workers=1)
 
 
 class TestSeedKernel:
@@ -592,6 +693,21 @@ class TestWorkerCount:
 
     def test_explicit_wins(self):
         assert worker_count(2) == 2
+
+    @pytest.mark.parametrize("cpus,want", [(1, 1), (3, 3), (20, 8)])
+    def test_default_counts_the_cpus_this_process_may_use(self, cpus, want,
+                                                          monkeypatch):
+        monkeypatch.delenv("INDELKIT_WORKERS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        assert worker_count() == want
+        # without an affinity mask, the CPU count, still capped at 8
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert worker_count() == want
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert worker_count() == 1
 
     @pytest.mark.parametrize("count", [0, -3])
     def test_refuses_a_count_below_one(self, count, monkeypatch):
