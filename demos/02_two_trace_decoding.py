@@ -1,8 +1,9 @@
 """Decode a word from two noisy deletion-channel copies.
 
-The decoder enumerates all shortest common supersequences of the two
-traces and returns the one maximizing the product of embedding numbers,
-which is the likelihood-maximizing choice over that candidate set.  The
+The decoder walks the DAG of the shortest common supersequences of the
+two traces, pruning branches that cannot win, and returns the one
+maximizing the product of embedding numbers: the likelihood-maximizing
+choice over that candidate set.  The demo lists the first candidates.  The
 dominant residual errors are same-run double deletions (the lost symbol is
 unrecoverable) and alternating-segment ambiguities (two words explain the
 traces equally well).
@@ -24,7 +25,7 @@ print(f"sent     {format_word(c)}")
 print(f"trace 1  {format_word(y1)}   ({n - len(y1)} deletions)")
 print(f"trace 2  {format_word(y2)}   ({n - len(y2)} deletions)")
 
-res = enumerate_scs(y1, y2, band=(n - len(y1), n - len(y2)))
+res = enumerate_scs(y1, y2)
 print(f"\n{len(res.candidates)} shortest common supersequences of length "
       f"{res.length}:")
 for x in res.candidates[:6]:

@@ -52,17 +52,17 @@ def json_fields(cls, d, what: str) -> dict:
     return d
 
 
-# the ChannelSpec fields each channel kind reads, in its sampler's order
+# the fields each channel kind reads, in its sampler's order (p: the grid's)
 KIND_FIELDS = {"del": ("p",), "ins": ("p", "q"), "kdel": ("k",)}
 
 
 @dataclass(frozen=True)
 class ChannelSpec:
     """One of Del(p), Ins(p) over alphabet size q, or exact-k deletion; it
-    reads and serializes only the fields KIND_FIELDS names for its kind."""
+    reads and serializes only the fields KIND_FIELDS names for its kind.
+    The experiment's grid sets p."""
 
     kind: str  # "del" | "ins" | "kdel"
-    p: float = 0.0
     k: int = 0
     q: int = 2
 
@@ -70,8 +70,6 @@ class ChannelSpec:
         reads = KIND_FIELDS.get(self.kind)
         if reads is None:
             raise ValueError(f"unknown channel kind {self.kind!r}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must be in [0, 1]")
         if self.k < 0:
             raise ValueError("k must be >= 0")
         if self.q < 2:
@@ -89,7 +87,8 @@ class ChannelSpec:
             getattr(self, f) for f in reads if f != "p"))
 
     def to_dict(self) -> dict:
-        return {f: getattr(self, f) for f in ("kind", *KIND_FIELDS[self.kind])}
+        return {f: getattr(self, f) for f in ("kind", *KIND_FIELDS[self.kind])
+                if f != "p"}
 
     def transmit(self, x: Word, p: float, rng) -> Word:
         """x through this channel, with p from the grid and q or k from the spec."""

@@ -20,14 +20,14 @@ from .decoders import DECODERS, get_decoder
 from .harness import (CSV_FIELDS, FIGURES, ExperimentConfig, reproduce_figure,
                       run_experiment, write_figure_csv, write_figure_svg,
                       write_rows_csv)
-from .sweeps import (WINDOW_N, exact_expected_distance,
+from .sweeps import (ENUM_N, WINDOW_N, exact_expected_distance,
                      sweep_brute_force_window, sweep_two_del_condition)
 from .words import format_word, parse_word
 
 # the --n each oracle check accepts; a step of n costs emb, scs and mld2
 # 6-8x, and at their bounds they took 135, 29 and 143 s on 2 CPUs; 1del
-# doubles per step, took 53 s at n = 21 and cannot enumerate past it
-ORACLE_N = {"1del": range(2, 22), "2del": WINDOW_N, "emb": range(1, 11),
+# doubles per step, took 22 s at n = 21 and starts at the laws' n = 2
+ORACLE_N = {"1del": range(2, ENUM_N.stop), "2del": WINDOW_N, "emb": range(1, 11),
             "scs": range(1, 8), "mld2": range(1, 9)}
 WORKERS_HELP = ("processes per grid point (default: the INDELKIT_WORKERS env "
                 "var, else the CPUs this process may use, at most 8)")

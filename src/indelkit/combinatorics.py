@@ -3,22 +3,26 @@
 Counts are exact Python ints (arbitrary precision); the average maximal-run
 statistic is an exact Fraction.  Ball enumerations return sorted tuples of
 distinct words (insertion_ball_weights also counts embeddings);
-insertion_ball_table holds the binary insertion balls of many words at
-once, as int64 rows.
+insertion_ball_blocks streams the binary insertion balls of many words as
+blocks of int64 rows.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, islice
+from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
 
 from .words import Word
 
-BALL_LANES = 1 << 14  # pattern words insertion_ball_table builds at once
+# insertion_ball_blocks's budgets, timed on 2 CPUs (BENCH_ball_blocks.json):
+# ball words per block, and pattern words at once; a block taking one gap
+# pattern at a time has at most BALL_WORDS of them, as 2^t <= ball size
+BALL_WORDS = 1 << 15
+BALL_LANES = 1 << 17
 
 
 def embedding_number(x: Word, y: Word) -> int:
@@ -191,61 +195,63 @@ def insertion_ball_weights(y: Word, t: int, q: int) -> Counter:
 def binary_words(ints, n: int) -> np.ndarray:
     """The binary length-n words whose integers are ints (any shape, first
     symbol most significant), as int8 symbols on a trailing axis of n: the
-    word format of insertion_ball_table's rows and the exact sweeps."""
+    word format of insertion_ball_blocks's rows and the exact sweeps."""
     ints = np.asarray(ints, dtype=np.int64)
     return ((ints[..., None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.int8)
 
 
-def insertion_ball_table(m: int, t: int, ys) -> tuple:
-    """(words, weights), int64 arrays of shape (len(ys),
-    insertion_ball_size(m, t, 2)): row i is insertion_ball_weights(y, t, 2)
-    for the binary length-m word y whose integer is ys[i] (binary_words
-    reads it), its words as sorted integers.
+def insertion_ball_blocks(m: int, t: int, ys):
+    """Yield (lo, words, weights) for consecutive row blocks of ys: int64
+    arrays of shape (B, insertion_ball_size(m, t, 2)) whose row i is
+    insertion_ball_weights(y, t, 2) for the binary length-m word y whose
+    integer is ys[lo + i] (binary_words reads it), its words as sorted
+    integers.
 
-    The same gap rule, listed once for (m, t): inserting s_1..s_t at gaps
+    The gap rule, listed once per call: inserting s_1..s_t at gaps
     b_1 <= ... <= b_t puts s_j on position b_j + j - 1 of c and moves y's
     segment between gaps b_r and b_(r+1) up t - r places, t + 1 masks and
     shifts of every y's integer at once.  Each row is then sorted and its
-    equal words counted.  At most about BALL_LANES pattern words exist at
-    a time: ys go in row blocks, and a y with more patterns than that
-    takes its gap patterns, and then its symbol choices, in chunks whose
-    counts are merged.
+    equal words counted.  A block holds about BALL_WORDS ball words (at
+    least one row), and at most about BALL_LANES pattern words exist at a
+    time: a block with more patterns than that takes its gap patterns,
+    and then its symbol choices, in chunks whose counts are merged.
     """
     if t < 0:
         raise ValueError("insertion radius must be non-negative")
     n = m + t
-    ys = np.asarray(ys, dtype=np.int64).reshape(-1, 1, 1)
-    if m < 0 or n > 40 or ys.size and (ys.min() < 0 or ys.max() >> m):
-        raise ValueError(f"need m + t <= 40 and ys of {m}-bit words")
-    per = 1 << t  # symbol choices per gap pattern
+    ys = np.asarray(ys, dtype=np.int64).reshape(-1, 1)
+    if (m < 0 or n > 40 or comb(n, t) > 1 << 20  # gap patterns listed
+            or ys.size and (ys.min() < 0 or ys.max() >> m)):
+        raise ValueError(f"need m + t <= 40, at most 2^20 gap patterns and "
+                         f"ys of {m}-bit words")
+    gaps = list(combinations_with_replacement(range(m + 1), t))
+    b = np.array(gaps, dtype=np.int64).reshape(len(gaps), t)
+    ends = np.pad(b, ((0, 0), (1, 1)), constant_values=(0, m))
+    seg = (1 << m - ends[:, :-1]) - (1 << m - ends[:, 1:])
+    at = n - b - np.arange(1, t + 1)  # the inserted symbols' bit positions
+    per, size = 1 << t, insertion_ball_size(m, t, 2)
     span = min(per, BALL_LANES)  # symbol choices taken at once
-    rows = max(1, BALL_LANES // (comb(n, t) * per))
-    chunk = max(1, BALL_LANES // (rows * span))
-    blocks = [None] * -(-len(ys) // rows)  # per row block: (keys, counts)
-    gap_iter = combinations_with_replacement(range(m + 1), t)
-    while gaps := list(islice(gap_iter, chunk)):
-        b = np.array(gaps, dtype=np.int64).reshape(len(gaps), t)
-        ends = np.pad(b, ((0, 0), (1, 1)), constant_values=(0, m))
-        seg = (1 << m - ends[:, :-1]) - (1 << m - ends[:, 1:])
-        for s in range(0, per, span):
-            sym = binary_words(np.arange(s, min(s + span, per)), t)
-            const = (sym << n - b[:, None] - np.arange(1, t + 1)).sum(axis=-1)
-            for i, lo in enumerate(range(0, len(ys), rows)):
-                blk = ys[lo:lo + rows]
-                c = ((blk & seg) << np.arange(t, -1, -1)).sum(axis=-1)
-                c = (c[:, :, None] + const).reshape(len(blk), -1)
+    block = max(1, BALL_WORDS // size)
+    chunk = max(1, BALL_LANES // (block * span))  # gap patterns at once
+    for lo in range(0, len(ys), block):
+        blk, found = ys[lo:lo + block], None
+        for g in range(0, len(b), chunk):
+            c0 = sum((blk & seg[g:g + chunk, j]) << t - j
+                     for j in range(t + 1))
+            for s in range(0, per, span):
+                sym = binary_words(np.arange(s, min(s + span, per)), t)
+                const = sum(sym[:, j] << at[g:g + chunk, j, None]
+                            for j in range(t))
+                c = (c0[:, :, None] + const).reshape(len(blk), -1)
                 c.sort(axis=1)
                 # with the rows sorted, row << n | c is sorted throughout
                 keys = (c | np.arange(len(blk))[:, None] << n).ravel()
                 starts = np.flatnonzero(np.diff(keys, prepend=-1))
-                found = keys[starts], np.diff(starts, append=len(keys))
-                blocks[i] = found if blocks[i] is None else _add_counts(
-                    *blocks[i], *found)
-    size, empty = insertion_ball_size(m, t, 2), np.empty(0, dtype=np.int64)
-    keys = np.concatenate([empty] + [k for k, _ in blocks])
-    weights = np.concatenate([empty] + [w for _, w in blocks])
-    return ((keys & (1 << n) - 1).reshape(-1, size),
-            weights.reshape(-1, size))
+                part = keys[starts], np.diff(starts, append=len(keys))
+                found = part if found is None else _add_counts(*found, *part)
+        keys, weights = found
+        yield (lo, (keys & (1 << n) - 1).reshape(-1, size),
+               weights.reshape(-1, size))
 
 
 def _add_counts(keys_a, counts_a, keys_b, counts_b) -> tuple:

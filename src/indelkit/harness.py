@@ -97,9 +97,6 @@ class ExperimentConfig:
             raise ValueError("p_grid must hold at least one probability")
         ch, reads = self.channel, KIND_FIELDS[self.channel.kind]
         dec = get_decoder(self.decoder, self.t, ch.kind)
-        # p_grid alone sets p, for a kind that reads it (p is 0 where unread)
-        if ch.p != 0.0:
-            raise ValueError("channel p must be 0; p_grid sets it")
         if "q" in reads and ch.q != self.q:
             raise ValueError(f"{ch.kind} channel q={ch.q} differs from q={self.q}")
         if ch.k > self.n:  # k is 0 where unread
@@ -107,8 +104,10 @@ class ExperimentConfig:
         # a kind that reads no p reruns the same law at a second grid point
         if "p" not in reads and len(self.p_grid) != 1:
             raise ValueError(f"a {ch.kind} channel takes a single p_grid point")
-        make_code(self.code, self.n, self.q)  # rejects bad code params
-        if not dec.coded and self.code.get("code", "all") != "all":
+        # rejects bad code params; code_kind is the kind make_code built
+        object.__setattr__(self, "code_kind",
+                           make_code(self.code, self.n, self.q).kind)
+        if not dec.coded and self.code_kind != "all":
             raise ValueError(f"{self.decoder} decodes without a code; "
                              "use code 'all'")
         if not 1 <= self.trials_per_point <= MAX_TRIALS:
@@ -170,7 +169,7 @@ class AggregateResult:
         """Flatten to the fixed CSV schema, one row per metric per point."""
         cfg = self.config
         return [{"metric": metric, "q": cfg.q, "n": cfg.n, "p": pt.p,
-                 "t": cfg.t, "code": cfg.code.get("code", "all"),
+                 "t": cfg.t, "code": cfg.code_kind,
                  "decoder": cfg.decoder, "value": getattr(pt, metric),
                  "stderr": pt.stderr(metric), "trials": pt.trials,
                  "truncated_trials": pt.truncated_trials,
@@ -449,9 +448,8 @@ def _closed_form(cfg: ExperimentConfig, metric: str, p: float) -> float:
     p: the coded success bound of the config's code, or the deletion or
     insertion formula of the Levenshtein rate or a component."""
     if metric == "success_rate":
-        code = cfg.code.get("code", "all")
         return coded_success_bounds(cfg.q, p, cfg.n)[
-            "uncoded" if code == "all" else code]
+            "uncoded" if cfg.code_kind == "all" else cfg.code_kind]
     f = (two_del_formulas if cfg.channel.kind == "del"
          else two_ins_formulas)(cfg.q, p, cfg.n)
     return {"levenshtein_rate": f.p_err_approx, "run_component": f.p_run,
@@ -480,7 +478,7 @@ def figure_rows(fig: str, result: AggregateResult) -> list:
     figure: the measured rate, its stderr and its closed form."""
     cfg = result.config
     return [{"metric": metric, "q": cfg.q, "n": cfg.n, "p": pt.p,
-             "code": cfg.code.get("code", "all"),
+             "code": cfg.code_kind,
              "measured_rate": getattr(pt, metric),
              "stderr": pt.stderr(metric),
              "formula_rate": _closed_form(cfg, metric, pt.p),

@@ -10,8 +10,7 @@ from math import comb
 
 import numpy as np
 
-from .combinatorics import (binary_words, insertion_ball_size,
-                            insertion_ball_table)
+from .combinatorics import binary_words, insertion_ball_blocks
 from .decoders import get_decoder, ml_star_2del, two_del_condition_poly
 
 
@@ -50,48 +49,45 @@ def _lcs_step(v: np.ndarray, match: np.ndarray, full) -> np.ndarray:
     return out
 
 
-EXACT_LANES = 1 << 12  # (y, c) lanes of one exact-pass block
+ENUM_N = range(1, 22)  # the n whose 2^n outputs _exact_enumerate decodes
 
 
 def _exact_enumerate(dec, n: int, k: int) -> Fraction:
     """objective_f(y, dec(y), k) summed over all outputs y, over 2^n n
-    C(n, k), in blocks of at most EXACT_LANES lanes (or one ball).
+    C(n, k), in the blocks of one insertion_ball_blocks stream.
 
-    Each y is decoded on its own; the block's balls are one
-    insertion_ball_table, and one LCS pass (_lcs_step, one uint32 lane
-    per (y, c)) runs over the symbols of x = dec(y), a lane holding still
-    once its x has ended.  Bit t of c's integer is symbol n - 1 - t, so
-    the integers are the symbol masks of the reversed words and the pass
-    reads x backwards: LCS(x, c) = LCS(x^R, c^R).  d_L(x, c) = |x| - n +
-    2 popcount(v).
+    Each y is decoded on its own, and one LCS pass (_lcs_step, one uint32
+    lane per (y, c)) runs over the symbols of x = dec(y) for each block of
+    balls, a lane holding still once its x has ended.  Bit t of c's
+    integer is symbol n - 1 - t, so the integers are the symbol masks of
+    the reversed words and the pass reads x backwards: LCS(x, c) =
+    LCS(x^R, c^R).  d_L(x, c) = |x| - n + 2 popcount(v).
     """
     if n - k < 0:
         raise ValueError("k cannot exceed n")
-    # 2^n n bounds the outputs' decodings (k = 1 stops at n = 21, as
-    # cli.ORACLE_N restates); the passes score 2^(n-k) balls of about
-    # C(n, k) 2^k words, and 2^29 such lane-words still admit (21, 2),
-    # (16, 6) and (15, 7), each about a minute or less on 2 CPUs
-    if 2 ** n * n > 2 ** 26 or 2 ** n * comb(n, k) > 2 ** 29:
+    # ENUM_N bounds the decodings (2^n n <= 2^26); the passes score
+    # 2^(n-k) balls of about C(n, k) 2^k words, and 2^29 such lane-words
+    # admit (21, 2), (16, 6) and (15, 7), each under a minute on 2 CPUs
+    if n not in ENUM_N or 2 ** n * comb(n, k) > 2 ** 29:
         raise ValueError(f"enumeration infeasible for n = {n}, k = {k}")
     assert n < 32  # v + u < 2^(n+1) fits a uint32 lane
     m, full = n - k, np.uint32((1 << n) - 1)
-    rows = max(1, EXACT_LANES // insertion_ball_size(m, k, 2))
+    ys = np.arange(1 << m)
     total = 0
-    for lo in range(0, 1 << m, rows):
-        ys = np.arange(lo, min(lo + rows, 1 << m))
+    for lo, words, weights in insertion_ball_blocks(m, k, ys):
+        B = len(words)
         xs = [dec.decode((tuple(y),), k)[0]
-              for y in binary_words(ys, m).tolist()]
-        words, weights = insertion_ball_table(m, k, ys)
-        m1 = words.astype(np.uint32)
-        m0 = full ^ m1
+              for y in binary_words(ys[lo:lo + B], m).tolist()]
         lens = np.array([len(x) for x in xs])
         syms = np.array([x[::-1] + (-1,) * (lens.max() - len(x)) for x in xs],
-                        dtype=np.int8)  # -1: x has ended
+                        dtype=np.int64)  # -1: x has ended
+        # the rows of m0, then of m1, then of zeros: symbol s of row i takes
+        # row s B + i, and s = -1 (x has ended) counts back into the zeros
+        m1 = words.astype(np.uint32)
+        masks = np.concatenate((full ^ m1, m1, np.zeros_like(m1)))
         v = np.full(words.shape, full)
-        for col in syms.T:
-            col = col[:, None]
-            v = _lcs_step(v, np.where(col == 1, m1, np.where(col == 0, m0, 0)),
-                          full)
+        for col in (syms * B + np.arange(B)[:, None]).T:
+            v = _lcs_step(v, masks.take(col, axis=0), full)
         dist = 2 * np.bitwise_count(v).astype(np.int64) + (lens - n)[:, None]
         total += int((weights * dist).sum())
     return Fraction(total, (2 ** n) * n * comb(n, k))
@@ -247,7 +243,7 @@ def _window_table(n: int) -> np.ndarray:
 def _window_scores(table: np.ndarray, words: np.ndarray,
                    weights: np.ndarray) -> np.ndarray:
     """objective_f(y, x, 2) of every window candidate x, in the table's
-    column order, for the y whose insertion_ball_table row is (words,
+    column order, for the y whose insertion_ball_blocks row is (words,
     weights): the table rows of the ball words weighted by their embedding
     numbers (int16) and summed."""
     return (weights[:, None] * table[words]).sum(axis=0, dtype=np.int16)
@@ -262,8 +258,8 @@ def sweep_brute_force_window(n: int) -> dict:
     The distances d_L(x, c) to every c in Sigma_2^n come from one
     bit-parallel pass over the trie of candidates (_window_distance_rows)
     into one c-major int8 table, 15 * 2^(2n-2) bytes (60 MiB at n = 12,
-    240 MiB at n = 13).  The insertion balls of all y come from one
-    insertion_ball_table, and each y gathers the table rows of its ball
+    240 MiB at n = 13).  The insertion balls of the y come in the blocks
+    of one insertion_ball_blocks stream, and each y gathers the table rows of its ball
     words and weights them by their embedding numbers (_window_scores).
     The int8 distances and int16 products and sums are exact for n <= 13:
     distances are at most 2n + 1, weights at most C(n, 2), and the weights
@@ -274,27 +270,27 @@ def sweep_brute_force_window(n: int) -> dict:
                          f"{WINDOW_N[-1]}")
     assert 4 * comb(n, 2) * (2 * n + 1) < 2 ** 15
     table = _window_table(n)
-    ys = np.arange(1 << (n - 2))
-    balls, weights = insertion_ball_table(n - 2, 2, ys)
-    weights = weights.astype(np.int16)
+    ys = binary_words(np.arange(1 << (n - 2)), n - 2).tolist()
     offsets = np.cumsum([0] + [1 << L for L in range(n - 2, n + 2)])
     cands = [binary_words(np.arange(1 << L), L) for L in range(n - 2, n + 2)]
     length_violations = []
     mismatches = []
-    for y, words, w in zip(binary_words(ys, n - 2).tolist(), balls, weights):
-        y = tuple(y)
-        scores = _window_scores(table, words, w)
-        best = int(np.argmin(scores))  # first minimum: shortest, then lex
-        k = int(np.searchsorted(offsets, best, side="right")) - 1
-        best_len = n - 2 + k
-        if best_len not in (n - 2, n - 1):
-            length_violations.append({"y": y, "winner_len": best_len})
-        if np.count_nonzero(scores == scores[best]) == 1:
-            winner = tuple(cands[k][best - offsets[k]].tolist())
-            closed_form = ml_star_2del(y)
-            if winner != closed_form:
-                mismatches.append({"y": y, "winner": winner,
-                                   "closed_form": closed_form})
+    for lo, balls, weights in insertion_ball_blocks(n - 2, 2, range(len(ys))):
+        for y, words, w in zip(ys[lo:lo + len(balls)], balls,
+                               weights.astype(np.int16)):
+            y = tuple(y)
+            scores = _window_scores(table, words, w)
+            best = int(np.argmin(scores))  # first minimum: shortest, then lex
+            k = int(np.searchsorted(offsets, best, side="right")) - 1
+            best_len = n - 2 + k
+            if best_len not in (n - 2, n - 1):
+                length_violations.append({"y": y, "winner_len": best_len})
+            if np.count_nonzero(scores == scores[best]) == 1:
+                winner = tuple(cands[k][best - offsets[k]].tolist())
+                closed_form = ml_star_2del(y)
+                if winner != closed_form:
+                    mismatches.append({"y": y, "winner": winner,
+                                       "closed_form": closed_form})
     return {"n": n, "words": 2 ** (n - 2),
             "length_violations": length_violations,
             "mismatches": mismatches}

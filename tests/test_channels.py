@@ -17,7 +17,7 @@ from reference import buffered_rng
 
 class TestChannelSpec:
     def test_roundtrip(self):
-        for spec in (ChannelSpec("del", p=0.02), ChannelSpec("ins", p=0.03, q=4),
+        for spec in (ChannelSpec("del"), ChannelSpec("ins", q=4),
                      ChannelSpec("kdel", k=2)):
             assert ChannelSpec.from_dict(spec.to_dict()) == spec
 
@@ -25,13 +25,12 @@ class TestChannelSpec:
         with pytest.raises(ValueError):
             ChannelSpec("bad")
         with pytest.raises(ValueError):
-            ChannelSpec("del", p=1.5)
+            ChannelSpec("kdel", k=-1)
         with pytest.raises(ValueError):
             ChannelSpec("ins", q=1)
         # fields the kind ignores, which to_dict would drop
-        for kw in (dict(kind="kdel", k=1, p=0.3), dict(kind="del", k=3),
-                   dict(kind="ins", k=1), dict(kind="kdel", k=1, q=4),
-                   dict(kind="del", q=4)):
+        for kw in (dict(kind="del", k=3), dict(kind="ins", k=1),
+                   dict(kind="kdel", k=1, q=4), dict(kind="del", q=4)):
             with pytest.raises(ValueError):
                 ChannelSpec.from_dict(kw)
 
@@ -39,11 +38,19 @@ class TestChannelSpec:
         # the bytes a config writes for each kind; from_dict(to_dict())
         # cannot see a format that changes on both sides
         for spec, text in [
-                (ChannelSpec("del", p=0.02), '{"kind": "del", "p": 0.02}'),
-                (ChannelSpec("ins", p=0.03, q=4),
-                 '{"kind": "ins", "p": 0.03, "q": 4}'),
+                (ChannelSpec("del"), '{"kind": "del"}'),
+                (ChannelSpec("ins", q=4), '{"kind": "ins", "q": 4}'),
                 (ChannelSpec("kdel", k=2), '{"kind": "kdel", "k": 2}')]:
             assert json.dumps(spec.to_dict()) == text
+
+    def test_refuses_p_by_name(self):
+        # the grid alone sets p: a channel that holds one is refused for it
+        for d in ({"kind": "del", "p": 0.0}, {"kind": "ins", "p": 0.02, "q": 2},
+                  {"kind": "kdel", "k": 1, "p": 0.0}):
+            with pytest.raises(ValueError, match=r"unknown channel key\(s\) 'p'"):
+                ChannelSpec.from_dict(d)
+        with pytest.raises(TypeError, match="'p'"):
+            ChannelSpec("del", p=0.02)
 
     def test_transmit_calls_the_kind_sampler(self):
         x = parse_word("0110101101")

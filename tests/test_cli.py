@@ -67,7 +67,7 @@ def test_decode_warns_when_truncated(capsys, monkeypatch):
 
 def test_simulate_subcommand(tmp_path, capsys):
     cfg = {
-        "channel": {"kind": "del", "p": 0.0},
+        "channel": {"kind": "del"},
         "t": 2, "n": 30, "q": 2,
         "code": {"code": "all"},
         "decoder": "mld2del",

@@ -13,7 +13,7 @@ from indelkit.combinatorics import (EmbeddingLanes, binary_words,
                                     deletion_ball, embedding_number,
                                     embedding_number_banded,
                                     embedding_number_bruteforce, insertion_ball,
-                                    insertion_ball_size, insertion_ball_table,
+                                    insertion_ball_blocks, insertion_ball_size,
                                     insertion_ball_weights,
                                     max_run_length_counts, tau_of_space)
 from indelkit.words import is_subsequence, parse_word
@@ -337,46 +337,76 @@ def ball_rows(m, t):
     return rows
 
 
+def ball_table(m, t, ys):
+    """The rows of every insertion_ball_blocks(m, t, ys) block in order,
+    as (words, weights) lists, each block checked to start where the rows
+    before it end and to hold at most max(1, BALL_WORDS // size) rows."""
+    size = insertion_ball_size(m, t, 2)
+    rows = []
+    for lo, words, weights in insertion_ball_blocks(m, t, ys):
+        assert lo == len(rows)
+        assert words.shape == weights.shape
+        assert 1 <= len(words) <= max(1, combinatorics.BALL_WORDS // size)
+        assert words.shape[1] == size
+        assert words.dtype == weights.dtype == np.int64
+        rows += [(w.tolist(), e.tolist()) for w, e in zip(words, weights)]
+    return rows
+
+
 class TestInsertionBallTable:
     def test_rows_equal_insertion_ball_weights(self):
         # every binary y with |y| <= 8, the empty word among them, and t <= 3
         for m in range(9):
             for t in range(4):
-                words, weights = insertion_ball_table(m, t, range(2 ** m))
-                shape = (2 ** m, insertion_ball_size(m, t, 2))
-                assert words.shape == weights.shape == shape, (m, t)
-                assert words.dtype == weights.dtype == np.int64
-                assert [(w.tolist(), e.tolist()) for w, e in zip(
-                    words, weights)] == ball_rows(m, t), (m, t)
+                assert ball_table(m, t, range(2 ** m)) == ball_rows(m, t), (
+                    m, t)
 
     def test_ys_in_any_order(self):
         ys = [5, 0, 31, 5, 18]
-        words, weights = insertion_ball_table(5, 2, np.array(ys))
         rows = ball_rows(5, 2)
-        assert [(w.tolist(), e.tolist()) for w, e in zip(words, weights)] == [
-            rows[y] for y in ys]
-        words, weights = insertion_ball_table(5, 2, [])
-        assert words.shape == weights.shape == (0, insertion_ball_size(5, 2, 2))
+        assert ball_table(5, 2, np.array(ys)) == [rows[y] for y in ys]
+        assert list(insertion_ball_blocks(5, 2, [])) == []
 
     @pytest.mark.parametrize("lanes", [1, 2, 7, 40])
     def test_small_lane_budget(self, lanes, monkeypatch):
-        # ragged row blocks, and chunks of gap patterns and of the 2^t
-        # symbol choices, whose counts are merged, give the same rows
+        # ragged row blocks and row steps, and chunks of gap patterns and
+        # of the 2^t symbol choices, whose counts are merged, give the
+        # same rows
         monkeypatch.setattr(combinatorics, "BALL_LANES", lanes)
+        monkeypatch.setattr(combinatorics, "BALL_WORDS", 3 * lanes)
         for m in range(6):
             for t in range(min(6, 9 - m)):
-                words, weights = insertion_ball_table(m, t, range(2 ** m))
-                assert [(w.tolist(), e.tolist()) for w, e in zip(
-                    words, weights)] == ball_rows(m, t), (m, t, lanes)
+                assert ball_table(m, t, range(2 ** m)) == ball_rows(m, t), (
+                    m, t, lanes)
+
+    @pytest.mark.parametrize("words,lanes", [(1, 1), (4, 3), (15, 1000),
+                                             (1000, 5), (6, 6)])
+    def test_blocks_concatenate_at_tiny_budgets(self, words, lanes,
+                                                monkeypatch):
+        # (15, 1000): m = 3, t = 1 gives balls of 5 words, blocks of 3 rows
+        # and a ragged last block of 2; at (1, 1), (4, 3) and (6, 6) every
+        # ball with t >= 1 is larger than both budgets; t = 0 gives balls
+        # of one word, and empty ys no block
+        monkeypatch.setattr(combinatorics, "BALL_WORDS", words)
+        monkeypatch.setattr(combinatorics, "BALL_LANES", lanes)
+        for m, t in ((3, 1), (4, 2), (2, 3), (5, 0), (0, 2), (6, 1)):
+            assert ball_table(m, t, range(2 ** m)) == ball_rows(m, t), (m, t)
+            assert list(insertion_ball_blocks(m, t, [])) == []
+        lens = [len(w) for _, w, _ in insertion_ball_blocks(3, 1, range(8))]
+        assert sum(lens) == 8
+        assert lens == [max(1, words // 5)] * (len(lens) - 1) + [lens[-1]]
 
     def test_refuses_bad_arguments(self):
         with pytest.raises(ValueError, match="non-negative"):
-            insertion_ball_table(3, -1, [0])
+            next(insertion_ball_blocks(3, -1, [0]))
         for ys in ([8], [-1], [0, 9]):
             with pytest.raises(ValueError, match="3-bit words"):
-                insertion_ball_table(3, 1, ys)
+                next(insertion_ball_blocks(3, 1, ys))
         with pytest.raises(ValueError, match="m \\+ t <= 40"):
-            insertion_ball_table(39, 2, [0])
+            next(insertion_ball_blocks(39, 2, [0]))
+        # C(40, 20) gap patterns would not fit in memory at once
+        with pytest.raises(ValueError, match="at most 2\\^20 gap patterns"):
+            next(insertion_ball_blocks(20, 20, [0]))
 
 
 class TestTau:

@@ -78,12 +78,7 @@ class TestConfig:
             small_cfg(channel=ChannelSpec("kdel", k=2))  # no two-trace kdel decoder
         with pytest.raises(ValueError):
             small_cfg(decoder="lazy")  # one-trace decoder at t=2
-        # p_grid alone sets the transmission probability
-        with pytest.raises(ValueError):
-            small_cfg(channel=ChannelSpec("del", p=0.02))
         ins = dict(decoder="mld2ins", channel=ChannelSpec("ins", q=2))
-        with pytest.raises(ValueError):
-            small_cfg(**{**ins, "channel": ChannelSpec("ins", p=0.01, q=2)})
         with pytest.raises(ValueError):
             small_cfg(**{**ins, "channel": ChannelSpec("ins", q=4)})
         with pytest.raises(ValueError):  # the insertion decoder takes no code
@@ -102,6 +97,17 @@ class TestConfig:
         with pytest.raises(ValueError):  # kdel reads no p: one law, two labels
             small_cfg(**one, decoder="lazy", p_grid=(0.0, 0.3))
 
+    def test_code_kind_read_once(self):
+        # the kind make_code built: "all" where the config leaves it out,
+        # while the code dict, and so the config's JSON, stays as written
+        for code, kind in (({}, "all"), ({"code": "vt"}, "vt"),
+                           ({"code": "svt", "a": 1}, "svt")):
+            cfg = small_cfg(code=code, trials_per_point=5)
+            assert cfg.code_kind == kind and cfg.code == code
+            assert json.loads(cfg.to_json())["code"] == code
+            rows = run_experiment(cfg, workers=1).rows()
+            assert {r["code"] for r in rows} == {kind}
+
     @pytest.mark.parametrize("kw,match", [
         (dict(n=0), "n >= 1"), (dict(n=-3), "n >= 1"), (dict(q=0), "q >= 2"),
         (dict(q=1), "q >= 2"), (dict(p_grid=()), "p_grid"),
@@ -113,8 +119,8 @@ class TestConfig:
     @pytest.mark.parametrize("change,match", [
         ({"seedd": 3, "codee": {}}, r"unknown config key\(s\) 'codee', 'seedd'"),
         ({"channel": {"kind": "del", "pp": 0.1}}, r"unknown channel key\(s\) 'pp'"),
-        ({"channel": {"p": 0.0}}, "channel lacks the key 'kind'"),
-        ({"channel": {"kind": "del", "p": "0.1"}}, "channel key 'p'"),
+        ({"channel": {"q": 2}}, "channel lacks the key 'kind'"),
+        ({"channel": {"kind": "ins", "q": "2"}}, "channel key 'q'"),
         ({"channel": [0.1]}, "config key 'channel'"),
         ({"p_grid": 0.05}, "config key 'p_grid'"),
         ({"p_grid": ["0.05"]}, "grid probabilities"),
@@ -126,6 +132,9 @@ class TestConfig:
         ({"master_seed": -1}, "master_seed must be >= 0"),
         ({"trials_per_point": 2 ** 32 + 1}, "trials_per_point must be in"),
         ({"p_grid": [False, 0.05]}, "grid probabilities"),
+        # a channel p, written before the grid alone set p
+        ({"channel": {"kind": "del", "p": 0.0}},
+         r"unknown channel key\(s\) 'p'"),
     ])
     def test_from_json_names_the_bad_key(self, change, match):
         d = {**json.loads(small_cfg().to_json()), **change}
@@ -157,11 +166,11 @@ class TestConfig:
             '  "scs_cap": 50000\n}')
 
     @pytest.mark.parametrize("kw,text", [
-        ({}, '{\n  "channel": {\n    "kind": "del",\n    "p": 0.0\n  },\n'
+        ({}, '{\n  "channel": {\n    "kind": "del"\n  },\n'
              '  "t": 2,\n  "n": 40,\n  "q": 2,\n  "code": {\n    "code": "all"'
              '\n  },\n  "decoder": "mld2del",\n  "p_grid": [\n    0.03\n  ],\n'),
         (dict(channel=ChannelSpec("ins", q=4), q=4, decoder="mld2ins"),
-         '{\n  "channel": {\n    "kind": "ins",\n    "p": 0.0,\n    "q": 4\n'
+         '{\n  "channel": {\n    "kind": "ins",\n    "q": 4\n'
          '  },\n  "t": 2,\n  "n": 40,\n  "q": 4,\n  "code": {\n'
          '    "code": "all"\n  },\n  "decoder": "mld2ins",\n'
          '  "p_grid": [\n    0.03\n  ],\n'),

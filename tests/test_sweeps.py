@@ -11,7 +11,7 @@ import pytest
 import indelkit.combinatorics as combinatorics
 import indelkit.sweeps as sweeps
 from indelkit.combinatorics import (embedding_number, insertion_ball,
-                                    insertion_ball_size, insertion_ball_table,
+                                    insertion_ball_blocks, insertion_ball_size,
                                     insertion_ball_weights)
 from indelkit.decoders import (DECODERS, decode_en, get_decoder,
                                ml_star_2del, objective_f, two_del_lazy_en_gap)
@@ -128,13 +128,13 @@ class TestExactExpectedDistance:
             exact_expected_distance("lazy", 25, 1, method="enumerate")
 
     def test_infeasible_guard_counts_the_ball_words(self, monkeypatch):
-        # (16, 8) passes the 2^n n term but scores 2^16 C(16, 8) > 2^29
-        # lane-words, and is refused before any decoding or ball table;
-        # (16, 6) and (21, 2) get past the guard into the (stubbed) work
+        # (16, 8) is in ENUM_N but scores 2^16 C(16, 8) > 2^29 lane-words,
+        # and is refused before any decoding or ball block; (16, 6) and
+        # (21, 2) get past the guard into the (stubbed) work
         def work(*args):
             raise AssertionError("work started")
         monkeypatch.setattr(sweeps, "binary_words", work)
-        monkeypatch.setattr(sweeps, "insertion_ball_table", work)
+        monkeypatch.setattr(sweeps, "insertion_ball_blocks", work)
         with pytest.raises(ValueError,
                            match="infeasible for n = 16, k = 8"):
             exact_expected_distance("lazy", 16, 8, method="enumerate")
@@ -169,14 +169,38 @@ class TestExactExpectedDistance:
     @pytest.mark.parametrize("rows", [1, 3])
     def test_small_lane_budgets(self, rows, monkeypatch):
         # blocks of `rows` outputs (32 = 3 * 10 + 2 leaves a ragged last
-        # block), and ball tables merged one gap pattern at a time
+        # block), and balls merged one gap pattern at a time
         monkeypatch.setattr(combinatorics, "BALL_LANES", 1)
         for name, n, k in (("mlstar2", 7, 2), ("en:2", 8, 3), ("lazy", 5, 0),
                            ("en:1", 3, 3)):
-            monkeypatch.setattr(sweeps, "EXACT_LANES",
+            monkeypatch.setattr(combinatorics, "BALL_WORDS",
                                 rows * insertion_ball_size(n - k, k, 2))
             dec = get_decoder(name, 1, "kdel")
             assert _exact_enumerate(dec, n, k) == literal_exact(dec, n, k)
+
+    def test_gap_patterns_listed_once_per_call(self, monkeypatch):
+        # one stream per call: the C(n, k) gap patterns are listed once,
+        # however many blocks (here 2^6 of one output each) the pass takes
+        calls, blocks = [], []
+        listing = combinatorics.combinations_with_replacement
+        stream = combinatorics.insertion_ball_blocks
+
+        def count_listing(*args):
+            calls.append(args)
+            return listing(*args)
+
+        def count_blocks(*args):
+            for block in stream(*args):
+                blocks.append(block[0])
+                yield block
+        monkeypatch.setattr(combinatorics, "combinations_with_replacement",
+                            count_listing)
+        monkeypatch.setattr(sweeps, "insertion_ball_blocks", count_blocks)
+        monkeypatch.setattr(combinatorics, "BALL_WORDS", 1)
+        dec = get_decoder("mlstar2", 1, "kdel")
+        assert _exact_enumerate(dec, 8, 2) == literal_exact(dec, 8, 2)
+        assert calls == [(range(7), 2)]
+        assert blocks == list(range(2 ** 6))
 
     def test_mlstar2_pinned(self):
         assert exact_expected_distance(
@@ -230,8 +254,9 @@ class TestSweeps:
         for n in range(4, 8):
             cands = window_candidates(n)
             table = _window_table(n)
-            balls = insertion_ball_table(n - 2, 2, range(2 ** (n - 2)))
-            for y, words, w in zip(product((0, 1), repeat=n - 2), *balls):
+            balls = [ball for _, *block in insertion_ball_blocks(
+                n - 2, 2, range(2 ** (n - 2))) for ball in zip(*block)]
+            for y, (words, w) in zip(product((0, 1), repeat=n - 2), balls):
                 scores = _window_scores(table, words, w.astype(np.int16))
                 assert scores.tolist() == [
                     objective_f(y, x, 2) for x in cands], y
