@@ -96,22 +96,20 @@ def _cmd_oracle_check(args) -> int:
               f"mismatches")
         ok &= not win["length_violations"] and not win["mismatches"]
     elif args.which == "emb":
-        from .combinatorics import (EmbeddingLanes, embedding_number,
-                                    embedding_number_bruteforce,
-                                    insertion_ball_weights)
+        from . import combinatorics as cb
         bad = lanes_bad = 0
         balls = {}  # (y, t) -> {c: Emb(c; y)} over the c that contain y
         for m in range(0, n + 1):
             for x in product((0, 1), repeat=m):
                 for k in range(0, m + 1):
                     for y in product((0, 1), repeat=k):
-                        e = embedding_number_bruteforce(x, y)
-                        emb = embedding_number(x, y)
+                        e = cb.embedding_number_bruteforce(x, y)
+                        emb = cb.embedding_number(x, y)
                         bad += emb != e
                         if e:
                             balls.setdefault((y, m - k), {})[x] = e
-                        for lanes, path in ((EmbeddingLanes(y, m, True, 2), x),
-                                            (EmbeddingLanes(x, k, False, 2), y)):
+                        for lanes, path in ((cb.EmbeddingLanes(y, m, True, 2), x),
+                                            (cb.EmbeddingLanes(x, k, False, 2), y)):
                             rows = [lanes.first]
                             lanes.extend(rows, path, 0)
                             lanes_bad += lanes.count(rows[-1]) != emb
@@ -120,9 +118,18 @@ def _cmd_oracle_check(args) -> int:
         print(f"packed embedding lanes (both forms) vs DP, |x| <= {n}: "
               f"{lanes_bad} mismatches")
         ok &= bad == 0 and lanes_bad == 0
-        bad = sum(insertion_ball_weights(y, t, 2) != ball
+        bad = sum(cb.insertion_ball_weights(y, t, 2) != ball
                   for (y, t), ball in balls.items())
         print(f"weighted insertion ball vs subset enumeration, |y| + t <= {n}: "
+              f"{bad} mismatches")
+        ok &= bad == 0
+        bad = sum(dict(zip(map(tuple, c), w)) != balls[tuple(y), t]
+                  for k, t in {(len(y), t) for y, t in balls}  # k + t <= n
+                  for lo, cs, ws in cb.insertion_ball_blocks(k, t, range(2 ** k))
+                  for y, c, w in zip(cb.binary_words(range(lo, lo + len(cs)), k)
+                                     .tolist(), cb.binary_words(cs, k + t).tolist(),
+                                     ws.tolist()))
+        print(f"insertion ball stream vs subset enumeration, |y| + t <= {n}: "
               f"{bad} mismatches")
         ok &= bad == 0
     elif args.which == "scs":

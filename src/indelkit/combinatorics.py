@@ -18,11 +18,8 @@ import numpy as np
 
 from .words import Word
 
-# insertion_ball_blocks's budgets, timed on 2 CPUs (BENCH_ball_blocks.json):
-# ball words per block, and pattern words at once; a block taking one gap
-# pattern at a time has at most BALL_WORDS of them, as 2^t <= ball size
+# insertion_ball_blocks's ball words per block (BENCH_canonical_ball.json)
 BALL_WORDS = 1 << 15
-BALL_LANES = 1 << 17
 
 
 def embedding_number(x: Word, y: Word) -> int:
@@ -32,7 +29,8 @@ def embedding_number(x: Word, y: Word) -> int:
     reaches the final count: row i holds Emb(x[:i]; y[:j]) for j in
     [max(0, i-d), min(i, |y|)], and reads only row i-1's cells j-1 and j.
     O(|x| * (d + 1)) time.  Zero iff y is not a subsequence of x;
-    embedding_number(x, x) = 1.  The plain reference for EmbeddingLanes.
+    embedding_number(x, x) = 1.  The plain reference for EmbeddingLanes
+    and for _ball_weights, which runs this recurrence over many words.
     """
     m = len(y)
     d = len(x) - m
@@ -207,63 +205,57 @@ def insertion_ball_blocks(m: int, t: int, ys):
     integer is ys[lo + i] (binary_words reads it), its words as sorted
     integers.
 
-    The gap rule, listed once per call: inserting s_1..s_t at gaps
-    b_1 <= ... <= b_t puts s_j on position b_j + j - 1 of c and moves y's
-    segment between gaps b_r and b_(r+1) up t - r places, t + 1 masks and
-    shifts of every y's integer at once.  Each row is then sorted and its
-    equal words counted.  A block holds about BALL_WORDS ball words (at
-    least one row), and at most about BALL_LANES pattern words exist at a
-    time: a block with more patterns than that takes its gap patterns,
-    and then its symbol choices, in chunks whose counts are merged.
+    Each word is built once, in its leftmost-embedding form (Levenshtein
+    1966): of s_1..s_t inserted at gaps b_1 <= ... <= b_t, one at a gap
+    b < m is the complement of y_b and the r at the end gap m are free, so
+    a gap pattern (listed once per call) gives 2^r words, its base word
+    plus each r-bit value.  y's segment between gaps b_j and b_(j+1) and
+    the symbol forced at b_(j+1) move up t - j places: t + 1 masks and
+    shifts of all ys at once.  Rows are sorted and weighed (_ball_weights)
+    in blocks of about BALL_WORDS words (at least one row).
     """
     if t < 0:
         raise ValueError("insertion radius must be non-negative")
-    n = m + t
     ys = np.asarray(ys, dtype=np.int64).reshape(-1, 1)
-    if (m < 0 or n > 40 or comb(n, t) > 1 << 20  # gap patterns listed
+    if (m < 0 or m + t > 40 or comb(m + t, t) > 1 << 20  # gap patterns
             or ys.size and (ys.min() < 0 or ys.max() >> m)):
         raise ValueError(f"need m + t <= 40, at most 2^20 gap patterns and "
                          f"ys of {m}-bit words")
     gaps = list(combinations_with_replacement(range(m + 1), t))
     b = np.array(gaps, dtype=np.int64).reshape(len(gaps), t)
+    free = (b == m).sum(axis=1)  # end-gap symbols
     ends = np.pad(b, ((0, 0), (1, 1)), constant_values=(0, m))
-    seg = (1 << m - ends[:, :-1]) - (1 << m - ends[:, 1:])
-    at = n - b - np.arange(1, t + 1)  # the inserted symbols' bit positions
-    per, size = 1 << t, insertion_ball_size(m, t, 2)
-    span = min(per, BALL_LANES)  # symbol choices taken at once
-    block = max(1, BALL_WORDS // size)
-    chunk = max(1, BALL_LANES // (block * span))  # gap patterns at once
+    forced = (1 << m - ends[:, 1:]) >> 1  # y's bit at the next gap, or 0
+    keep = (1 << m - ends[:, :-1]) - (1 << m - ends[:, 1:]) | forced
+    block = max(1, BALL_WORDS // insertion_ball_size(m, t, 2))
     for lo in range(0, len(ys), block):
-        blk, found = ys[lo:lo + block], None
-        for g in range(0, len(b), chunk):
-            c0 = sum((blk & seg[g:g + chunk, j]) << t - j
-                     for j in range(t + 1))
-            for s in range(0, per, span):
-                sym = binary_words(np.arange(s, min(s + span, per)), t)
-                const = sum(sym[:, j] << at[g:g + chunk, j, None]
-                            for j in range(t))
-                c = (c0[:, :, None] + const).reshape(len(blk), -1)
-                c.sort(axis=1)
-                # with the rows sorted, row << n | c is sorted throughout
-                keys = (c | np.arange(len(blk))[:, None] << n).ravel()
-                starts = np.flatnonzero(np.diff(keys, prepend=-1))
-                part = keys[starts], np.diff(starts, append=len(keys))
-                found = part if found is None else _add_counts(*found, *part)
-        keys, weights = found
-        yield (lo, (keys & (1 << n) - 1).reshape(-1, size),
-               weights.reshape(-1, size))
+        blk = ys[lo:lo + block]
+        base = sum(((blk ^ forced[:, j]) & keep[:, j]) << t - j
+                   for j in range(t + 1))
+        words = np.concatenate([(base[:, free == r, None] | np.arange(1 << r))
+                                .reshape(len(blk), -1) for r in range(t + 1)], 1)
+        words.sort(axis=1)
+        yield lo, words, _ball_weights(words, blk, m, t)
 
 
-def _add_counts(keys_a, counts_a, keys_b, counts_b) -> tuple:
-    """The sorted union of two sorted unique key arrays, with the counts
-    of a key in both added.  A stable sort of the two runs side by side
-    merges them in linear time."""
-    keys = np.concatenate((keys_a, keys_b))
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    counts = np.concatenate((counts_a, counts_b))[order]
-    return keys[starts], np.add.reduceat(counts, starts)
+def _ball_weights(words, ys, m: int, t: int) -> np.ndarray:
+    """Emb(c; y) for the words c of each row of `words` and that row's y in
+    ys: embedding_number's recurrence, one int32 lane per word (no cell
+    exceeds C(m + t, t) <= 2^20).  Diagonal d holds cell j = i - d; at step
+    i, from d = t down, it keeps its value where the mask (c_i - 1) ^ -y_j
+    is all ones (c_i = y_j; a padded 0 at j = 0) and adds diagonal d - 1's."""
+    n = m + t
+    neg = -binary_words(ys[:, 0] << 1, m + 1).astype(np.int32)  # -y_j at j - 1
+    words = words.astype(np.int32 if n < 32 else np.int64)
+    diag = np.zeros((t + 1, *words.shape), np.int32)
+    diag[0] = 1  # Emb(c[:0]; y[:0])
+    for i in range(1, n + 1):
+        sym = ((words >> n - i) & 1).astype(np.int32) - 1  # c_i - 1
+        for d in range(min(t, i), max(i - m, 0) - 1, -1):
+            diag[d] &= sym ^ neg[:, i - d - 1, None]
+            if d:
+                diag[d] += diag[d - 1]
+    return diag[t].astype(np.int64)
 
 
 def insertion_ball(x: Word, t: int, q: int) -> tuple:

@@ -65,9 +65,9 @@ def _exact_enumerate(dec, n: int, k: int) -> Fraction:
     """
     if n - k < 0:
         raise ValueError("k cannot exceed n")
-    # ENUM_N bounds the decodings (2^n n <= 2^26); the passes score
-    # 2^(n-k) balls of about C(n, k) 2^k words, and 2^29 such lane-words
-    # admit (21, 2), (16, 6) and (15, 7), each under a minute on 2 CPUs
+    # ENUM_N bounds the decodings (2^n n <= 2^26); the 2^(n-k) balls hold
+    # insertion_ball_size(n - k, k, 2) words each, and 2^n C(n, k) <= 2^29
+    # admits (21, 2), (16, 6) and (15, 7), each under 20 s on 2 CPUs
     if n not in ENUM_N or 2 ** n * comb(n, k) > 2 ** 29:
         raise ValueError(f"enumeration infeasible for n = {n}, k = {k}")
     assert n < 32  # v + u < 2^(n+1) fits a uint32 lane

@@ -142,6 +142,7 @@ def test_oracle_check_emb(capsys):
     assert "embedding-number DP vs subset enumeration, |x| <= 5: 0 mismatches" in out
     assert "packed embedding lanes (both forms) vs DP, |x| <= 5: 0 mismatches" in out
     assert "weighted insertion ball vs subset enumeration, |y| + t <= 5: 0 mismatches" in out
+    assert "insertion ball stream vs subset enumeration, |y| + t <= 5: 0 mismatches" in out
 
 
 def test_oracle_check_emb_reports_a_lanes_mismatch(capsys, monkeypatch):
@@ -152,6 +153,24 @@ def test_oracle_check_emb_reports_a_lanes_mismatch(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "DP vs subset enumeration, |x| <= 2: 0 mismatches" in out
     assert "lanes (both forms) vs DP, |x| <= 2: 38 mismatches" in out
+    assert "VIOLATIONS FOUND" in out
+
+
+def test_oracle_check_emb_reports_a_stream_mismatch(capsys, monkeypatch):
+    import indelkit.combinatorics as combinatorics
+    stream = combinatorics.insertion_ball_blocks
+
+    def wrong_last_row(m, t, ys):
+        # one weight off in the last row of each of the 6 calls with
+        # m + t <= 2
+        for lo, words, weights in stream(m, t, ys):
+            weights[-1, 0] += 1
+            yield lo, words, weights
+    monkeypatch.setattr(combinatorics, "insertion_ball_blocks", wrong_last_row)
+    assert main(["oracle-check", "emb", "--n", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "weighted insertion ball vs subset enumeration, |y| + t <= 2: 0 mismatches" in out
+    assert "insertion ball stream vs subset enumeration, |y| + t <= 2: 6 mismatches" in out
     assert "VIOLATIONS FOUND" in out
 
 

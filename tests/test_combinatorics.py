@@ -326,15 +326,18 @@ class TestBinaryWords:
         assert binary_words(2 ** 40 + 1, 41)[[0, 40]].tolist() == [1, 1]
 
 
+def ball_rows_of(y, m, t):
+    """insertion_ball_weights of the binary length-m word whose integer is
+    y, as a (sorted word integers, weights) row."""
+    ball = sorted(insertion_ball_weights(binary_words(y, m).tolist(), t,
+                                         2).items())
+    return ([int("0" + "".join(map(str, c)), 2) for c, _ in ball],
+            [w for _, w in ball])
+
+
 def ball_rows(m, t):
-    """insertion_ball_weights of every binary length-m y, in the integer
-    order of y, as (sorted word integers, weights) rows."""
-    rows = []
-    for y in product((0, 1), repeat=m):
-        ball = sorted(insertion_ball_weights(y, t, 2).items())
-        rows.append(([int("0" + "".join(map(str, c)), 2) for c, _ in ball],
-                     [w for _, w in ball]))
-    return rows
+    """ball_rows_of every binary length-m y, in the integer order of y."""
+    return [ball_rows_of(y, m, t) for y in range(2 ** m)]
 
 
 def ball_table(m, t, ys):
@@ -367,34 +370,57 @@ class TestInsertionBallTable:
         assert ball_table(5, 2, np.array(ys)) == [rows[y] for y in ys]
         assert list(insertion_ball_blocks(5, 2, [])) == []
 
-    @pytest.mark.parametrize("lanes", [1, 2, 7, 40])
-    def test_small_lane_budget(self, lanes, monkeypatch):
-        # ragged row blocks and row steps, and chunks of gap patterns and
-        # of the 2^t symbol choices, whose counts are merged, give the
-        # same rows
-        monkeypatch.setattr(combinatorics, "BALL_LANES", lanes)
-        monkeypatch.setattr(combinatorics, "BALL_WORDS", 3 * lanes)
+    @pytest.mark.parametrize("budget", [1, 2, 7, 40])
+    def test_small_lane_budget(self, budget, monkeypatch):
+        # ragged row blocks, and balls of up to 219 words larger than a
+        # block, give the same rows
+        monkeypatch.setattr(combinatorics, "BALL_WORDS", 3 * budget)
         for m in range(6):
             for t in range(min(6, 9 - m)):
                 assert ball_table(m, t, range(2 ** m)) == ball_rows(m, t), (
-                    m, t, lanes)
+                    m, t, budget)
 
-    @pytest.mark.parametrize("words,lanes", [(1, 1), (4, 3), (15, 1000),
-                                             (1000, 5), (6, 6)])
-    def test_blocks_concatenate_at_tiny_budgets(self, words, lanes,
-                                                monkeypatch):
-        # (15, 1000): m = 3, t = 1 gives balls of 5 words, blocks of 3 rows
-        # and a ragged last block of 2; at (1, 1), (4, 3) and (6, 6) every
-        # ball with t >= 1 is larger than both budgets; t = 0 gives balls
-        # of one word, and empty ys no block
+    @pytest.mark.parametrize("words", [1, 4, 15, 1000, 6])
+    def test_blocks_concatenate_at_tiny_budgets(self, words, monkeypatch):
+        # 15: m = 3, t = 1 gives balls of 5 words, blocks of 3 rows and a
+        # ragged last block of 2; at 1, 4 and 6 every ball with t >= 1 is
+        # larger than the budget; t = 0 gives balls of one word, and empty
+        # ys no block
         monkeypatch.setattr(combinatorics, "BALL_WORDS", words)
-        monkeypatch.setattr(combinatorics, "BALL_LANES", lanes)
         for m, t in ((3, 1), (4, 2), (2, 3), (5, 0), (0, 2), (6, 1)):
             assert ball_table(m, t, range(2 ** m)) == ball_rows(m, t), (m, t)
             assert list(insertion_ball_blocks(m, t, [])) == []
         lens = [len(w) for _, w, _ in insertion_ball_blocks(3, 1, range(8))]
         assert sum(lens) == 8
         assert lens == [max(1, words // 5)] * (len(lens) - 1) + [lens[-1]]
+
+    @pytest.mark.parametrize("m,t", [(10, 5), (6, 8)])
+    def test_row_invariants(self, m, t):
+        # every row: strictly increasing words, insertion_ball_size of
+        # them, and weights summing to C(m + t, t) 2^t
+        size = insertion_ball_size(m, t, 2)
+        rows = 0
+        for _, words, weights in insertion_ball_blocks(m, t, range(2 ** m)):
+            rows += len(words)
+            assert words.shape[1] == size
+            assert (np.diff(words, axis=1) > 0).all()
+            assert (weights.sum(axis=1) == comb(m + t, t) << t).all()
+        assert rows == 2 ** m
+
+    def test_largest_weight_fits_an_int32_lane(self):
+        # y = 0^16 at t = 8: c = 0^24 embeds y C(24, 8) times, the largest
+        # cell that the guard comb(n, t) <= 2^20 admits at this n
+        (lo, words, weights), = insertion_ball_blocks(16, 8, [0])
+        assert words.shape == (1, 1271626) == (1, insertion_ball_size(16, 8, 2))
+        assert words[0, 0] == 0 and weights[0, 0] == comb(24, 8) == 735471
+        assert weights.max() == comb(24, 8)
+        assert weights.sum() == comb(24, 8) << 8
+
+    def test_words_past_31_bits(self):
+        # n = 35: the weights' recurrence reads c's symbols from int64 words
+        ys = [0, 1, 2 ** 33 - 1, 0b101100111000111100001111100000101]
+        assert ball_table(33, 2, ys) == [
+            ball_rows_of(y, 33, 2) for y in ys]
 
     def test_refuses_bad_arguments(self):
         with pytest.raises(ValueError, match="non-negative"):

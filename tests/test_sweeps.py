@@ -169,8 +169,7 @@ class TestExactExpectedDistance:
     @pytest.mark.parametrize("rows", [1, 3])
     def test_small_lane_budgets(self, rows, monkeypatch):
         # blocks of `rows` outputs (32 = 3 * 10 + 2 leaves a ragged last
-        # block), and balls merged one gap pattern at a time
-        monkeypatch.setattr(combinatorics, "BALL_LANES", 1)
+        # block)
         for name, n, k in (("mlstar2", 7, 2), ("en:2", 8, 3), ("lazy", 5, 0),
                            ("en:1", 3, 3)):
             monkeypatch.setattr(combinatorics, "BALL_WORDS",
