@@ -239,7 +239,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_reproduce)
 
     p = sub.add_parser("oracle-check", help="exhaustive exact verification")
-    p.add_argument("which", choices=["1del", "2del", "scs", "emb", "mld2"])
+    p.add_argument("which", choices=list(ORACLE_N))
     p.add_argument("--n", type=int, required=True,
                    help="word length; " + ", ".join(
                        f"{k} {r[0]}..{r[-1]}" for k, r in ORACLE_N.items()))

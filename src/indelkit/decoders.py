@@ -115,16 +115,19 @@ def decode_ml_code(y: Word, code) -> Word:
 
 def _best_leaf(length: int, walk, traces, deletion: bool, cap: int,
                code=None) -> tuple:
-    """(best, best_member, truncated) over the words of a lexicographic
-    DAG walk (supersequences.scs_dag / lcs_dag).
+    """(best, truncated) over the words of a lexicographic DAG walk
+    (supersequences.scs_dag / lcs_dag).
 
     Scores Emb(x; y1) * Emb(x; y2) when deletion is set, else
-    Emb(y1; x) * Emb(y2; x), and keeps the first strict maximum: the
-    lexicographically smallest word of maximal score.  best_member is the
-    same over the codewords of `code` (None without `code`).  Each trace
-    keeps one banded DP row per depth of the current path, so a word or a
-    branching node costs only the rows below the prefix the walk kept; a
-    row is one packed int (see combinatorics.EmbeddingLanes).
+    Emb(y1; x) * Emb(y2; x), and keeps the first strict maximum of one
+    key: the score, or with a `code` the pair (x is a codeword, score), so
+    that any codeword outranks every other word.  best is thus the
+    lexicographically smallest word of maximal score among the codewords
+    when one is scored, else among all words (mld_two_oracle states the
+    same rule as two literal maxima).  Each trace keeps one banded DP row
+    per depth of the current path, so a word or a branching node costs
+    only the rows below the prefix the walk kept; a row is one packed int
+    (see combinatorics.EmbeddingLanes).
 
     Subtrees are pruned exactly.  The score of any word is a nonnegative
     linear function of each trace's row at any depth of its path:
@@ -147,24 +150,20 @@ def _best_leaf(length: int, walk, traces, deletion: bool, cap: int,
     states = [0]  # the code's prefix state per depth; 0 without a code
     fronts: dict = {}  # (node, state) -> non-dominated (row1, row2) pairs
 
-    def track(path, shared):
-        # bring the code's states from depth `shared` to len(path)
-        if code is not None:
-            del states[shared + 1:]
-            state = states[-1]
-            for i in range(shared + 1, len(path) + 1):
-                state = code.prefix_state(state, i, path[i - 1])
-                states.append(state)
-
     def extend(path, shared):
-        # bring the rows (and states) from depth `shared` to len(path)
+        # bring the rows and the code's states from depth `shared` to len(path)
         if not lanes:
             for y, rows in zip(traces, (rows1, rows2)):
                 lanes.append(EmbeddingLanes(y, length, deletion, q))
                 rows.append(lanes[-1].first)
         lanes[0].extend(rows1, path, shared)
         lanes[1].extend(rows2, path, shared)
-        track(path, shared)
+        if code is not None:
+            del states[shared + 1:]
+            state = states[-1]
+            for i in range(shared + 1, len(path) + 1):
+                state = code.prefix_state(state, i, path[i - 1])
+                states.append(state)
 
     def skip(path, shared, node):
         extend(path, shared)
@@ -180,25 +179,20 @@ def _best_leaf(length: int, walk, traces, deletion: bool, cap: int,
         front.append((r1, r2))
         return False
 
-    best = best_member = None
-    top = top_member = -1
+    best = top = None
     scored = 0
     more = False
     for path, shared, more in walk(skip):
         if best is None and not more:
-            word = tuple(path)
-            track(path, shared)
-            member = code is not None and states[-1] == code.accept
-            return word, word if member else None, False
+            return tuple(path), False
         extend(path, shared)
         scored += 1
-        score = lanes[0].count(rows1[-1]) * lanes[1].count(rows2[-1])
-        if score > top:
-            best, top = tuple(path), score
-        if (code is not None and score > top_member
-                and states[-1] == code.accept):
-            best_member, top_member = tuple(path), score
-    return best, best_member, more and scored == cap
+        key = lanes[0].count(rows1[-1]) * lanes[1].count(rows2[-1])
+        if code is not None:
+            key = states[-1] == code.accept, key
+        if best is None or key > top:
+            best, top = tuple(path), key
+    return best, more and scored == cap
 
 
 def _mld_two(y1: Word, y2: Word, deletion: bool, cap: int,
@@ -208,26 +202,23 @@ def _mld_two(y1: Word, y2: Word, deletion: bool, cap: int,
     common supersequences (deletion) or longest common subsequences, found
     along one pruned walk of the DAG (_best_leaf); when one trace contains
     the other, the longer (deletion) or shorter trace is the only candidate.
-    With a `code` (deletions only), the best candidate that is a codeword
-    wins; failing that, a candidate one symbol short of the code length
-    whose symbols the code's alphabet holds is decoded by a code that
-    corrects one deletion anywhere (VT), and anything else falls back to
-    the unrestricted output, which the harness counts as a failure.
+    With a `code` (deletions only) whose length is the candidates' length,
+    codewords outrank the other candidates (_best_leaf's key), so the best
+    codeword wins when there is one.  A candidate one symbol short of the
+    code length whose symbols the code's alphabet holds is decoded by a
+    code that corrects one deletion anywhere (VT), and anything else is the
+    unrestricted output, which the harness counts as a failure.
     """
     y1, y2 = tuple(y1), tuple(y2)
     short, long = (y1, y2) if len(y1) <= len(y2) else (y2, y1)
     if is_subsequence(short, long):
         best, truncated = (long if deletion else short), False
-        length = len(best)
-        member = best if code is not None and code.is_member(best) else None
     else:
         length, walk = (scs_dag if deletion else lcs_dag)(y1, y2, cap)
         coded = code if code is not None and length == code.n else None
-        best, member, truncated = _best_leaf(length, walk, (y1, y2),
-                                             deletion, cap, coded)
-    if member is not None:
-        return member, truncated
-    if (code is not None and length == code.n - 1
+        best, truncated = _best_leaf(length, walk, (y1, y2), deletion, cap,
+                                     coded)
+    if (code is not None and len(best) == code.n - 1
             and code.corrects_single_deletion and code.fold(best) != DEAD):
         return code.decode_1del(best), truncated
     return best, truncated
@@ -239,8 +230,9 @@ def mld_two_del_detailed(y1: Word, y2: Word, band=None,
 
     argmax of Emb(x; y1) * Emb(x; y2) over all shortest common
     supersequences of the traces (exact integer products, ties to the
-    lexicographically smallest word), decoded within `code` if one is given
-    (see _mld_two).  `cap` is a budget on the words scored; truncated tells
+    lexicographically smallest word); with a `code`, the codewords among
+    them come first, and a one-short candidate goes to the VT decoder (see
+    _mld_two).  `cap` is a budget on the words scored; truncated tells
     that it ran out with unpruned subtrees left, and the output is then the
     best of the words scored.  `band` is accepted but not needed (see
     supersequences).
@@ -264,7 +256,9 @@ def mld_two_oracle(y1: Word, y2: Word, deletion: bool = True,
     """Test oracle for _best_leaf: (best, best_member), the first strict
     maximum of the embedding-number product over every word enumerate_scs
     (deletion) or enumerate_lcs lists, scored one by one, and the same over
-    the words `code` accepts (None without a code)."""
+    the words `code` accepts (None without a code).  It is the reference
+    for _best_leaf's one key, whose pick is best_member when that is not
+    None, else best."""
     res = enumerate_scs(y1, y2) if deletion else enumerate_lcs(y1, y2)
     best = best_member = None
     top = top_member = -1

@@ -16,7 +16,8 @@ from indelkit.decoders import (_best_leaf, brute_force_ml_star, decode_en,
                                two_del_condition_poly, two_del_lazy_en_gap)
 from indelkit.supersequences import (DEFAULT_CAP, enumerate_lcs, enumerate_scs,
                                      lcs_dag, lcs_length, scs_dag, scs_length)
-from indelkit.words import indel_distance, is_subsequence, parse_word, runs
+from indelkit.words import (format_word, indel_distance, is_subsequence,
+                            parse_word, runs)
 from reference import stream_rng
 
 
@@ -199,10 +200,10 @@ class TestDagSearchVsLiteralArgmax:
 
 
 def walk_pick(y1, y2, deletion=True, code=None):
-    """(best, best_member) of the pruned walk itself, before any shortcut
-    or code fallback of the decoders."""
+    """The word the pruned walk itself picks, before any shortcut or code
+    fallback of the decoders."""
     length, walk = (scs_dag if deletion else lcs_dag)(y1, y2)
-    return _best_leaf(length, walk, (y1, y2), deletion, DEFAULT_CAP, code)[:2]
+    return _best_leaf(length, walk, (y1, y2), deletion, DEFAULT_CAP, code)[0]
 
 
 def channel_pair(rnd, c, p):
@@ -233,7 +234,7 @@ class TestPrunedWalkVsOracle:
             for y2 in words:
                 for deletion in (True, False):
                     assert walk_pick(y1, y2, deletion) == mld_two_oracle(
-                        y1, y2, deletion), (y1, y2, deletion)
+                        y1, y2, deletion)[0], (y1, y2, deletion)
 
     def test_random_channel_pairs(self):
         rnd = random.Random(14)
@@ -269,8 +270,8 @@ class TestPrunedWalkVsOracle:
                 codes = [SvtCode(n, a, P, b) for a in range(P) for b in (0, 1)]
             for code in codes:
                 best, member = mld_two_oracle(y1, y2, code=code)
-                assert walk_pick(y1, y2, code=code) == (best, member), (
-                    y1, y2, code.a)
+                pick = best if member is None else member
+                assert walk_pick(y1, y2, code=code) == pick, (y1, y2, code.a)
                 if member is not None:
                     assert mld_two_del_detailed(y1, y2, code=code) == (
                         member, False)
@@ -300,8 +301,81 @@ class TestPrunedWalkVsOracle:
             for code in codes:
                 best, member = mld_two_oracle(y1, y2, code=code)
                 assert member is None, (y1, y2, code.a)
-                assert walk_pick(y1, y2, code=code) == (best, None)
+                assert walk_pick(y1, y2, code=code) == best
                 assert mld_two_del_detailed(y1, y2, code=code) == (best, False)
+
+    def test_coded_exhaustive(self):
+        # Every binary pair with |y1|, |y2| <= 4 and every code at its SCS
+        # length n (VT at every residue, SVT at every (a, b) with a
+        # codeword): the walk picks the oracle's best codeword, else its
+        # best word, and so does the decoder.  VT at length n + 1 leaves
+        # every candidate one symbol short: the decoder's VT fallback.
+        words = [w for m in range(5) for w in product((0, 1), repeat=m)]
+        picks = 0
+        for y1 in words:
+            for y2 in words:
+                n = scs_length(y1, y2)
+                codes = [VtCode(n, a) for a in range(n + 1)]
+                if n:  # SVT needs a window modulus, defined from n = 1
+                    P = default_svt_window_modulus(n)
+                    for a, b in product(range(P), (0, 1)):
+                        try:
+                            codes.append(SvtCode(n, a, P, b))
+                        except ValueError:  # no codeword
+                            pass
+                for code in codes:
+                    best, member = mld_two_oracle(y1, y2, code=code)
+                    pick = best if member is None else member
+                    assert walk_pick(y1, y2, code=code) == pick, (y1, y2, code)
+                    assert mld_two_del_detailed(y1, y2, code=code) == (
+                        pick, False), (y1, y2, code)
+                    picks += 1
+                best = mld_two_oracle(y1, y2)[0]
+                for a in range(n + 2):
+                    code = VtCode(n + 1, a)
+                    assert mld_two_del_detailed(y1, y2, code=code) == (
+                        code.decode_1del(best), False), (y1, y2, a)
+        assert picks == 13_585
+
+    def test_coded_caps_pinned(self):
+        # A code and a cap together.  Three VT and three SVT pairs of
+        # Del(0.2) traces with at least three SCS words; each code is the
+        # one that holds a seeded SCS word of its pair.  (word, truncated)
+        # at caps 1, 2, 3 and 5: a capped walk returns its best codeword
+        # scored so far, else its best word scored so far.
+        pinned = [
+            [("000101101011110000", True), ("000101101011110000", True),
+             ("000101101011110000", True), ("000111010111110000", True)],
+            [("11101101110010101", True), ("11101101110011010", True),
+             ("11101110110010101", True), ("11101110110011010", True)],
+            [("1111010000111011110", True), ("1111010000111101110", True),
+             ("1111010000111110110", True), ("1111010000111110110", True)],
+            [("100010110111", True), ("100010111011", True),
+             ("100010111011", False), ("100010111011", False)],
+            [("01100101010010101010", True), ("01100101010011010010", True),
+             ("01100101010011010010", True), ("01100101010011010010", True)],
+            [("10100110100", True), ("10100110100", True),
+             ("10100110100", False), ("10100110100", False)],
+        ]
+        rnd = random.Random(19)
+        got = []
+        for kind in (VtCode, SvtCode):
+            found = 0
+            while found < 3:
+                c = tuple(rnd.randrange(2) for _ in range(rnd.randint(10, 24)))
+                y1, y2 = channel_pair(rnd, c, 0.2)
+                words = enumerate_scs(y1, y2).candidates
+                if len(words) < 3:
+                    continue
+                found += 1
+                n = len(words[0])
+                state = kind(n).fold(rnd.choice(words))
+                code = (VtCode(n, state) if kind is VtCode
+                        else SvtCode(n, state // 2, None, state % 2))
+                got.append([(format_word(w), t) for w, t in
+                            (mld_two_del_detailed(y1, y2, cap=cap, code=code)
+                             for cap in (1, 2, 3, 5))])
+        assert got == pinned
 
     def test_cap_budgets_scored_words(self):
         # a budget smaller than the number of SCS words truncates only
