@@ -25,7 +25,7 @@ from .sweeps import (ENUM_N, WINDOW_N, exact_expected_distance,
 from .words import format_word, parse_word
 
 # the --n each oracle check accepts; a step of n costs emb, scs and mld2
-# 6-8x, and at their bounds they took 135, 29 and 143 s on 2 CPUs; 1del
+# 6-8x, and at their bounds they took 301, 29 and 143 s on 2 CPUs; 1del
 # doubles per step, took 22 s at n = 21 and starts at the laws' n = 2
 ORACLE_N = {"1del": range(2, ENUM_N.stop), "2del": WINDOW_N, "emb": range(1, 11),
             "scs": range(1, 8), "mld2": range(1, 9)}
@@ -97,27 +97,35 @@ def _cmd_oracle_check(args) -> int:
         ok &= not win["length_violations"] and not win["mismatches"]
     elif args.which == "emb":
         from . import combinatorics as cb
-        bad = lanes_bad = 0
+        bad, lanes_bad = 0, [0, 0]  # lanes mismatches by number of traces
         balls = {}  # (y, t) -> {c: Emb(c; y)} over the c that contain y
+        E = cb.embedding_number
         for m in range(0, n + 1):
             for x in product((0, 1), repeat=m):
                 for k in range(0, m + 1):
                     for y in product((0, 1), repeat=k):
                         e = cb.embedding_number_bruteforce(x, y)
-                        emb = cb.embedding_number(x, y)
+                        emb = E(x, y)
                         bad += emb != e
                         if e:
                             balls.setdefault((y, m - k), {})[x] = e
-                        for lanes, path in ((cb.EmbeddingLanes(y, m, True, 2), x),
-                                            (cb.EmbeddingLanes(x, k, False, 2), y)):
+                        # pairs beside a trace one symbol shorter: bands
+                        # d + 1 and d (band 0 beside 1 where d = 0)
+                        cases = [((y,), m, True, x, emb), ((x,), k, False, y, emb),
+                                 ((y[1:], y), m, True, x, E(x, y[1:]) * emb),
+                                 ((x, x[1:]), k, False, y, emb * E(x[1:], y))]
+                        for traces, length, deletion, path, want in cases[:3 + (k < m)]:
+                            lanes = cb.EmbeddingLanes(traces, length, deletion, 2)
                             rows = [lanes.first]
                             lanes.extend(rows, path, 0)
-                            lanes_bad += lanes.count(rows[-1]) != emb
+                            lanes_bad[len(traces) - 1] += lanes.count(rows[-1]) != want
         print(f"embedding-number DP vs subset enumeration, |x| <= {n}: "
               f"{bad} mismatches")
         print(f"packed embedding lanes (both forms) vs DP, |x| <= {n}: "
-              f"{lanes_bad} mismatches")
-        ok &= bad == 0 and lanes_bad == 0
+              f"{lanes_bad[0]} mismatches")
+        print(f"packed embedding lane pairs (both forms) vs DP products, "
+              f"|x| <= {n}: {lanes_bad[1]} mismatches")
+        ok &= bad == 0 and lanes_bad == [0, 0]
         bad = sum(cb.insertion_ball_weights(y, t, 2) != ball
                   for (y, t), ball in balls.items())
         print(f"weighted insertion ball vs subset enumeration, |y| + t <= {n}: "

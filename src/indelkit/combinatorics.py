@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import comb
+from itertools import combinations, combinations_with_replacement
+from math import comb, prod
 
 import numpy as np
 
@@ -27,39 +27,21 @@ def embedding_number(x: Word, y: Word) -> int:
 
     The embedding DP in the band d = |x| - |y| outside which no cell
     reaches the final count: row i holds Emb(x[:i]; y[:j]) for j in
-    [max(0, i-d), min(i, |y|)], and reads only row i-1's cells j-1 and j.
-    O(|x| * (d + 1)) time.  Zero iff y is not a subsequence of x;
-    embedding_number(x, x) = 1.  The plain reference for EmbeddingLanes
+    [max(0, i-d), min(i, |y|)], and reads only row i-1's cells j-1 and j,
+    so one list updated from the right holds it.  O(|x| * (d + 1)) time.
+    Zero iff y is not a subsequence of x; embedding_number(x, x) = 1.  The
+    plain reference for each lane of EmbeddingLanes, one trace or several,
     and for _ball_weights, which runs this recurrence over many words.
     """
-    m = len(y)
-    d = len(x) - m
+    m, d = len(y), len(x) - len(y)
     if d < 0:
         return 0
-    if m == 0:
-        return 1
-    prev, plo = [1], 0  # row i-1 from column plo on
+    row = [1] + [0] * m  # cell j of row i, for j in row i's band
     for i, sym in enumerate(x, 1):
-        lo = i - d
-        if lo < 0:
-            lo = 0
-        hi = i if i < m else m
-        row = []
-        ap = row.append
-        j = lo
-        if j == 0:  # no diagonal term
-            ap(prev[0])
-            j = 1
-        pl = len(prev)
-        while j <= hi:  # only the cell j = i lacks a value above it
-            pj = j - plo
-            v = prev[pj] if pj < pl else 0
+        for j in range(min(i, m), max(i - d, 1) - 1, -1):
             if sym == y[j - 1]:
-                v += prev[pj - 1]
-            ap(v)
-            j += 1
-        prev, plo = row, lo
-    return prev[-1]
+                row[j] += row[j - 1]
+    return row[m]
 
 
 # the former name of the banded loop, still imported by benchmarks/checks.py
@@ -69,91 +51,99 @@ embedding_number_banded = embedding_number
 
 class EmbeddingLanes:
     """Banded embedding rows of length-`length` words x over [0, q) against
-    the trace y, each row one int of d + 1 lanes of `width` bits.
+    the traces y_t, one int per row: lane T*k + t (T traces) of `width`
+    bits holds cell k <= d_t of trace t; lanes above a band stay 0.
 
-    Deletion form (x a supersequence of y, d = length - |y|): lane k of row
-    i holds Emb(x[:i]; y[:j]) at j = i - d + k (0 off [0, |y|]), and the
-    step is row = (row >> width) + (row & mask).  Insertion form (x a
-    subsequence of y, d = |y| - length): lane k of row i holds
-    Emb(y[:i + k]; x[:i]), and the step is the transposed running sum
-    along y, a lane prefix sum: row = ((row & mask) * ones) & band.  The
-    mask of row i and symbol c fills lane k where y matches c at the cell's
-    new index.  Every cell, and every partial lane sum of the product, is
-    at most comb(N, min(d, N // 2)) with N = length (deletion) or |y|
-    (insertion), and `width` is that bound's bit length plus one, so no
-    step carries between lanes and the top bit of each lane, set in
-    `guard`, stays clear; one subtraction then compares two rows lane by
-    lane (dominates).  The masks of every row 0..length are built at
-    construction, each a shift of the row above's.
+    Deletion form (d_t = length - |y_t|): lane k of trace t in row i holds
+    Emb(x[:i]; y_t[:j]) at j = i - d_t + k (0 off [0, |y_t|]); the step
+    row = (row >> T*width) + (row & mask) moves each trace down a lane.
+    Insertion form (d_t = |y_t| - length): lane k holds Emb(y_t[:i + k];
+    x[:i]); the step is a lane prefix sum by doubling (Hillis and Steele
+    1986): row &= mask, row += row << s for s = T*width, 2*T*width, ...
+    <= max(d_t)*T*width, row &= band.  Row i's mask for symbol c fills the
+    lanes whose y_t symbol at the cell's new index is c; one table per
+    symbol, built at construction, serves all traces.  A cell or partial
+    sum of trace t (consecutive lanes of it) is at most comb(N, min(d_t,
+    N // 2)), N = max(length, |y_t|); `width` is the largest such bit
+    length plus one, so no lane carries and each top bit (`guard`) stays
+    clear: one subtraction compares two rows lane by lane (dominates).
     """
 
-    def __init__(self, y: Word, length: int, deletion: bool, q: int):
-        m = len(y)
-        d = length - m if deletion else m - length
-        if d < 0:
-            raise ValueError(f"no {'deletion' if deletion else 'insertion'} "
-                             f"band for |y| = {m} and length {length}")
-        n = length if deletion else m
-        self.d, self.deletion = d, deletion
-        self.width = w = comb(n, min(d, n // 2)).bit_length() + 1
-        self.band = (1 << (d + 1) * w) - 1
-        self.ones = self.band // ((1 << w) - 1)
-        self.guard = self.ones << (w - 1)
+    def __init__(self, traces, length: int, deletion: bool, q: int):
+        T = len(traces)
+        self.ds = ds = tuple((length - len(y)) * (1 if deletion else -1)
+                             for y in traces)
+        if min(ds) < 0:
+            raise ValueError(f"no {'deletion' if deletion else 'insertion'} band for "
+                             f"traces of lengths {[*map(len, traces)]} and {length}")
+        self.deletion = deletion
+        self.width = w = 1 + max(comb(n, min(d, n // 2)).bit_length() for n, d
+                                 in zip((max(length, len(y)) for y in traces), ds))
         self._lane = lane = (1 << w) - 1
-        self._shift = 0 if deletion else d * w  # the lane of the full count
-        self.first = 1 << d * w if deletion else self.ones
-        # the y index (1-based) entering the top lane at row i is i + lag
-        lag = 0 if deletion else d
-        row0 = [0] * q  # row 0's: only insertion lanes 1..d meet y, at y[:d]
-        for k in range(1, lag + 1):
-            row0[y[k - 1]] |= lane << k * w
-        # y's symbol entering the top lane at rows 1..length; -1 past y's end
-        new = tuple(y[lag:]) + (-1,) * (length + lag - m)
-        top = lane << d * w
-        self._masks = []  # per symbol, per row
-        for c, mk in enumerate(row0):
-            masks = [mk]
+        self._step = s = T * w  # one lane of every trace
+        self._steps = tuple(s << j for j in range(max(ds).bit_length()))
+        tops = [lane << (T * d + t) * w for t, d in enumerate(ds)]
+        ones = sum(((1 << (d + 1) * s) - 1) // ((1 << s) - 1) << t * w
+                   for t, d in enumerate(ds))  # bit 0 of every lane in a band
+        self.band = ones * lane
+        self.guard = ones << (w - 1)
+        # the lane of each trace's full count: 0 (deletion) or d_t
+        self._shifts = [(T * d * (not deletion) + t) * w for t, d in enumerate(ds)]
+        self.first = sum(top & ones for top in tops) if deletion else ones
+        # c_t = y_t[i - 1] (deletion) or y_t[i + d_t - 1] (-1 off y_t) enters
+        # trace t's top lane at row i (P rows before row 0 fill its insertion
+        # masks).  Row i's key is sum_t c_t (q + 1)^(T-1-t), from -K up
+        P = 0 if deletion else max(ds)
+        for t, (y, d) in enumerate(zip(traces, ds)):
+            new = tuple(y) + (-1,) * d if deletion else (-1,) * (P - d) + tuple(y)
+            keys = [k * (q + 1) + c for k, c in zip(keys, new)] if t else new
+        K = ((q + 1) ** T - 1) // q  # minus the key of (-1, ..., -1)
+        self._masks = []  # per symbol, per row 0..length
+        for c in range(q):
+            enter = [0]  # the top lanes entering, per key from -K up
+            for top in tops:
+                enter = [e | top * (a == c) for e in enter for a in range(-1, q)]
+            enter = enter[K:] + enter[:K]  # key k at index k (mod (q+1)^T)
+            mk, masks = 0, [0]
             ap = masks.append
-            for s in new:
-                mk >>= w
-                if s == c:
-                    mk |= top
+            for key in keys:
+                mk = (mk >> s) | enter[key]
                 ap(mk)
-            self._masks.append(masks)
+            self._masks.append(masks[P:])
 
     def extend(self, rows: list, path, start: int) -> None:
         """Cut `rows` (row i at index i) back to row `start` and append the
-        rows of path[start:], one big-int step each."""
+        rows of path[start:]."""
         del rows[start + 1:]
-        end = len(path)
-        masks = self._masks
-        row = rows[-1]
-        ap = rows.append
+        masks, row, ap = self._masks, rows[-1], rows.append
         if self.deletion:
-            w = self.width
-            for i in range(start + 1, end + 1):
-                row = (row >> w) + (row & masks[path[i - 1]][i])
+            s = self._step
+            for i in range(start + 1, len(path) + 1):
+                row = (row >> s) + (row & masks[path[i - 1]][i])
                 ap(row)
         else:
-            ones, band = self.ones, self.band
-            for i in range(start + 1, end + 1):
-                row = ((row & masks[path[i - 1]][i]) * ones) & band
+            steps, band = self._steps, self.band
+            for i in range(start + 1, len(path) + 1):
+                row &= masks[path[i - 1]][i]
+                for s in steps:
+                    row += row << s
+                row &= band
                 ap(row)
 
     def count(self, row: int) -> int:
-        """Emb(x; y) (deletion) or Emb(y; x) (insertion) from the full row."""
-        return (row >> self._shift) & self._lane
+        """The product of the traces' Emb(x; y_t) (deletion) or Emb(y_t; x)
+        (insertion), from the full row."""
+        return prod((row >> sh) & self._lane for sh in self._shifts)
 
     def dominates(self, a: int, r: int) -> bool:
-        """Whether every lane of row a is >= the same lane of row r: each
-        lane of (a | guard) - r keeps its guard bit iff it does not borrow."""
+        """Whether every lane of row a is >= the same lane of row r, on every
+        trace: each lane of (a | guard) - r keeps its guard bit iff it does
+        not borrow."""
         return ((a | self.guard) - r) & self.guard == self.guard
 
 
 def embedding_number_bruteforce(x: Word, y: Word) -> int:
     """Oracle: count embeddings by explicit recursion over index choices."""
-    from itertools import combinations
-
     return sum(1 for idx in combinations(range(len(x)), len(y))
                if tuple(x[i] for i in idx) == y)
 

@@ -124,73 +124,73 @@ def _best_leaf(length: int, walk, traces, deletion: bool, cap: int,
     that any codeword outranks every other word.  best is thus the
     lexicographically smallest word of maximal score among the codewords
     when one is scored, else among all words (mld_two_oracle states the
-    same rule as two literal maxima).  Each trace keeps one banded DP row
-    per depth of the current path, so a word or a branching node costs
-    only the rows below the prefix the walk kept; a row is one packed int
-    (see combinatorics.EmbeddingLanes).
+    same rule as two literal maxima).  One packed int per depth of the
+    current path holds both traces' banded DP rows (EmbeddingLanes), so a
+    word or a branching node costs only the rows below the prefix the walk
+    kept.  Once a codeword is scored, a word the code rejects is passed
+    over before any of its rows is built.
 
     Subtrees are pruned exactly.  The score of any word is a nonnegative
     linear function of each trace's row at any depth of its path:
     Emb(u.v; y) = sum_j Emb(u; y[:j]) * Emb(v; y[j:]), and the transposed
     rows of the insertion form split the same way.  Every prefix reaching a
     node of the DAG has the same length, so when an earlier prefix reached a
-    branching node with both rows lane by lane >= the current prefix's rows
-    (one subtraction per row, EmbeddingLanes.dominates), each completion
+    branching node with a packed row lane by lane >= the current prefix's
+    on both traces (one subtraction, EmbeddingLanes.dominates), each completion
     scores at least as much after the earlier, lexicographically smaller
     prefix: the subtree holds no first strict maximum and is skipped.  Each
-    node keeps a Pareto front of the row pairs that reached it, keyed also
+    node keeps a Pareto front of the packed rows that reached it, keyed also
     by the code's prefix state, so that the two prefixes complete to
     codewords alike.  At most `cap` words are scored; truncated tells that
     the budget ran out with edges not yet taken.  A walk with a single word
     returns it unscored, before any row is built.
     """
     q = 1 + max(max(y, default=0) for y in traces)
-    lanes: list = []  # one EmbeddingLanes per trace, made by the first extend
-    rows1, rows2 = [], []  # the packed row per depth of the current path
+    lanes = None  # the traces' EmbeddingLanes, made by the first extend
+    rows = []  # the packed row per depth, kept down to the last node passed
     states = [0]  # the code's prefix state per depth; 0 without a code
-    fronts: dict = {}  # (node, state) -> non-dominated (row1, row2) pairs
+    fronts: dict = {}  # (node, state) -> non-dominated rows
+
+    def advance(path, shared):
+        # bring the code's states from depth `shared` to len(path)
+        del states[shared + 1:]
+        for i in range(shared + 1, len(path) + 1):
+            states.append(code.prefix_state(states[-1], i, path[i - 1]))
 
     def extend(path, shared):
-        # bring the rows and the code's states from depth `shared` to len(path)
-        if not lanes:
-            for y, rows in zip(traces, (rows1, rows2)):
-                lanes.append(EmbeddingLanes(y, length, deletion, q))
-                rows.append(lanes[-1].first)
-        lanes[0].extend(rows1, path, shared)
-        lanes[1].extend(rows2, path, shared)
-        if code is not None:
-            del states[shared + 1:]
-            state = states[-1]
-            for i in range(shared + 1, len(path) + 1):
-                state = code.prefix_state(state, i, path[i - 1])
-                states.append(state)
+        # bring the rows from depth `shared`, which skip built, to len(path)
+        nonlocal lanes
+        if lanes is None:
+            lanes = EmbeddingLanes(traces, length, deletion, q)
+            rows.append(lanes.first)
+        lanes.extend(rows, path, shared)
+        return rows[-1]
 
     def skip(path, shared, node):
-        extend(path, shared)
-        r1, r2 = rows1[-1], rows2[-1]
-        lanes1, lanes2 = lanes
+        if code is not None:
+            advance(path, shared)
+        r = extend(path, shared)
         front = fronts.setdefault((node, states[-1]), [])
-        for a1, a2 in front:
-            if lanes1.dominates(a1, r1) and lanes2.dominates(a2, r2):
-                return True
-        front[:] = [(a1, a2) for a1, a2 in front
-                    if not (lanes1.dominates(r1, a1)
-                            and lanes2.dominates(r2, a2))]
-        front.append((r1, r2))
+        if any(lanes.dominates(a, r) for a in front):
+            return True
+        front[:] = [a for a in front if not lanes.dominates(r, a)]
+        front.append(r)
         return False
 
-    best = top = None
-    scored = 0
-    more = False
+    best, top = None, (-1,)  # below every key
+    scored, more = 0, False
     for path, shared, more in walk(skip):
         if best is None and not more:
             return tuple(path), False
-        extend(path, shared)
         scored += 1
-        key = lanes[0].count(rows1[-1]) * lanes[1].count(rows2[-1])
+        key = ()
         if code is not None:
-            key = states[-1] == code.accept, key
-        if best is None or key > top:
+            advance(path, shared)
+            key = (states[-1] == code.accept,)
+            if top[0] > key[0]:
+                continue  # a codeword was scored: no other word can win
+        key += (lanes.count(extend(path, shared)),)
+        if key > top:
             best, top = tuple(path), key
     return best, more and scored == cap
 

@@ -141,6 +141,8 @@ def test_oracle_check_emb(capsys):
     out = capsys.readouterr().out
     assert "embedding-number DP vs subset enumeration, |x| <= 5: 0 mismatches" in out
     assert "packed embedding lanes (both forms) vs DP, |x| <= 5: 0 mismatches" in out
+    assert ("packed embedding lane pairs (both forms) vs DP products, "
+            "|x| <= 5: 0 mismatches") in out
     assert "weighted insertion ball vs subset enumeration, |y| + t <= 5: 0 mismatches" in out
     assert "insertion ball stream vs subset enumeration, |y| + t <= 5: 0 mismatches" in out
 
@@ -153,6 +155,20 @@ def test_oracle_check_emb_reports_a_lanes_mismatch(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "DP vs subset enumeration, |x| <= 2: 0 mismatches" in out
     assert "lanes (both forms) vs DP, |x| <= 2: 38 mismatches" in out
+    assert "VIOLATIONS FOUND" in out
+
+
+def test_oracle_check_emb_reports_a_pair_mismatch(capsys, monkeypatch):
+    from indelkit.combinatorics import EmbeddingLanes
+    count = EmbeddingLanes.count
+    # a count one off wherever the lanes hold two traces: each of the
+    # 49 pairs checked with |x| <= 2, while the one-trace line stays clean
+    monkeypatch.setattr(EmbeddingLanes, "count", lambda self, row: count(
+        self, row) + (len(self.ds) == 2))
+    assert main(["oracle-check", "emb", "--n", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "lanes (both forms) vs DP, |x| <= 2: 0 mismatches" in out
+    assert "lane pairs (both forms) vs DP products, |x| <= 2: 49 mismatches" in out
     assert "VIOLATIONS FOUND" in out
 
 

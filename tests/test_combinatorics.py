@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, log2
+from math import comb, log2, prod
 from operator import ge
 
 import numpy as np
@@ -80,53 +80,70 @@ class TestEmbeddingNumber:
 emb = lru_cache(maxsize=None)(embedding_number)  # cleared after each test
 
 
-def unpack(lanes, row):
-    mask = (1 << lanes.width) - 1
-    return [(row >> k * lanes.width) & mask for k in range(lanes.d + 1)]
+def unpack(lanes, row, t=0):
+    """Lanes 0..d_t of trace t: lane T*k + t of the packed row."""
+    T, mask = len(lanes.ds), (1 << lanes.width) - 1
+    return [(row >> (T * k + t) * lanes.width) & mask
+            for k in range(lanes.ds[t] + 1)]
 
 
 def pack(lanes, cells):
-    return sum(v << k * lanes.width for k, v in enumerate(cells))
+    """The row whose trace t holds cells[t] in its lanes 0..d_t."""
+    T = len(lanes.ds)
+    return sum(v << (T * k + t) * lanes.width
+               for t, trace in enumerate(cells) for k, v in enumerate(trace))
 
 
-def check_rows(lanes, y, x, rows, start=0):
-    """Every lane of the packed rows[start:] of x against y equals
-    embedding_number on the matching prefixes."""
-    d, m = lanes.d, len(y)
+@lru_cache(maxsize=None)
+def want_lanes(y, xi, d, deletion):
+    """The lanes of row i = |xi| against y by embedding_number."""
+    i, m = len(xi), len(y)
+    if deletion:  # lane k: Emb(x[:i]; y[:j]) at j = i - d + k
+        return [emb(xi, y[:i - d + k]) if 0 <= i - d + k <= m else 0
+                for k in range(d + 1)]
+    return [emb(y[:i + k], xi) for k in range(d + 1)]  # Emb(y[:i + k]; x[:i])
+
+
+def check_rows(lanes, ys, x, rows, start=0):
+    """Every lane of each trace in the packed rows[start:] of x equals
+    embedding_number on the matching prefixes, every lane off the traces'
+    bands is 0, and count is the product of the full counts."""
     for i in range(start, len(rows)):
         row = rows[i]
         assert row & ~lanes.band == 0 and row & lanes.guard == 0
-        if lanes.deletion:  # lane k: Emb(x[:i]; y[:j]) at j = i - d + k
-            want = [emb(x[:i], y[:i - d + k]) if 0 <= i - d + k <= m else 0
-                    for k in range(d + 1)]
-        else:  # lane k: Emb(y[:i + k]; x[:i])
-            want = [emb(y[:i + k], x[:i]) for k in range(d + 1)]
-        assert unpack(lanes, row) == want, (y, x, lanes.deletion, i)
-    full = emb(x, y) if lanes.deletion else emb(y, x)
-    assert lanes.count(rows[-1]) == full
+        for t, (y, d) in enumerate(zip(ys, lanes.ds)):
+            assert unpack(lanes, row, t) == want_lanes(
+                y, x[:i], d, lanes.deletion), (ys, x, lanes.deletion, i, t)
+    full = [emb(x, y) if lanes.deletion else emb(y, x) for y in ys]
+    assert lanes.count(rows[-1]) == prod(full)
 
 
 def check_lanes(y, x, deletion, q=2):
-    """check_rows over every row of x; returns the kernel."""
-    lanes = EmbeddingLanes(y, len(x), deletion, q)
+    """check_rows over every row of x against the one trace y; returns the
+    kernel."""
+    lanes = EmbeddingLanes((y,), len(x), deletion, q)
     rows = [lanes.first]
     lanes.extend(rows, x, 0)
-    check_rows(lanes, y, x, rows)
+    check_rows(lanes, (y,), x, rows)
     return lanes
 
 
-def check_all_words(y, n, deletion):
-    """check_rows for every binary x of length n, taken in lexicographic
-    order with the rows cut back to the prefix x shares with the word
-    before it, as the decoders' walk does."""
-    lanes = EmbeddingLanes(y, n, deletion, 2)
+def check_all_words(ys, n, deletion):
+    """check_rows for every binary x of length n against the traces ys,
+    the x taken in lexicographic order with the rows cut back to the
+    prefix x shares with the word before it, as the decoders' walk does."""
+    lanes = EmbeddingLanes(ys, n, deletion, 2)
     rows, prev = [lanes.first], None
     for x in product((0, 1), repeat=n):
         shared = 0 if prev is None else next(
             i for i in range(n) if x[i] != prev[i])
         lanes.extend(rows, x, shared)
-        check_rows(lanes, y, x, rows, shared)
+        check_rows(lanes, ys, x, rows, shared)
         prev = x
+
+
+def binary_upto(n):
+    return [w for k in range(n + 1) for w in product((0, 1), repeat=k)]
 
 
 class TestEmbeddingLanes:
@@ -134,18 +151,36 @@ class TestEmbeddingLanes:
     def _drop_emb_cache(self):
         yield
         emb.cache_clear()
+        want_lanes.cache_clear()
 
     def test_deletion_rows_exhaustive_binary(self):
         for n in range(9):
             for k in range(n + 1):
                 for y in product((0, 1), repeat=k):
-                    check_all_words(y, n, True)
+                    check_all_words((y,), n, True)
 
     def test_insertion_rows_exhaustive_binary(self):
         for m in range(9):
             for y in product((0, 1), repeat=m):
                 for n in range(m + 1):
-                    check_all_words(y, n, False)
+                    check_all_words((y,), n, False)
+
+    def test_pair_rows_exhaustive_binary(self):
+        # every x of length n against every ordered pair of traces of bands
+        # d1 != d2 (d = 0 included): deletion traces of length <= min(n, 4)
+        # for n <= 7, insertion traces of length n..5 for n <= 4
+        for n in range(8):
+            ys = binary_upto(min(n, 4))
+            for y1 in ys:
+                for y2 in ys:
+                    if len(y1) != len(y2):
+                        check_all_words((y1, y2), n, True)
+        for n in range(5):
+            ys = [y for y in binary_upto(5) if len(y) >= n]
+            for y1 in ys:
+                for y2 in ys:
+                    if len(y1) != len(y2):
+                        check_all_words((y1, y2), n, False)
 
     def test_random_qary(self):
         rnd = random.Random(11)
@@ -163,17 +198,17 @@ class TestEmbeddingLanes:
         for w in product(range(3), repeat=5):
             for deletion in (True, False):
                 lanes = check_lanes(w, w, deletion, 3)
-                assert lanes.d == 0
-                assert check_lanes(w[::-1], w, deletion, 3).d == 0
+                assert lanes.ds == (0,)
+                assert check_lanes(w[::-1], w, deletion, 3).ds == (0,)
 
     def test_band_wider_than_half(self):
         # traces 0 and 1111 have SCS length 5: d = 4 > 5 // 2 for the first
         for x in product((0, 1), repeat=5):
             lanes = check_lanes((0,), x, True)
-            assert lanes.d == 4 and lanes.width == comb(5, 2).bit_length() + 1
+            assert lanes.ds == (4,) and lanes.width == comb(5, 2).bit_length() + 1
             check_lanes((1, 1, 1, 1), x, True)
             lanes = check_lanes(x, (0,), False)
-            assert lanes.d == 4 and lanes.width == comb(5, 2).bit_length() + 1
+            assert lanes.ds == (4,) and lanes.width == comb(5, 2).bit_length() + 1
 
     def test_lane_bound_reached(self):
         # 0^L against 0^(L-d) puts C(L, d) in a lane: the widest value
@@ -181,7 +216,7 @@ class TestEmbeddingLanes:
             for deletion in (True, False):
                 x = (0,) * n if deletion else (0,) * (n - d)
                 y = (0,) * (n - d) if deletion else (0,) * n
-                lanes = EmbeddingLanes(y, len(x), deletion, 2)
+                lanes = EmbeddingLanes((y,), len(x), deletion, 2)
                 rows = [lanes.first]
                 lanes.extend(rows, x, 0)
                 assert lanes.count(rows[-1]) == comb(n, d)
@@ -189,6 +224,28 @@ class TestEmbeddingLanes:
                 assert all(r & lanes.guard == 0 for r in rows)
         check_lanes((0,) * 6, (0,) * 12, True)
         check_lanes((0,) * 12, (0,) * 6, False)
+
+    def test_pair_lane_bound_reached(self):
+        # C(450, 20) in the widest trace's lanes only, beside a trace of
+        # band 1, in either position: the width is the widest trace's
+        n, d = 450, 20
+        for deletion in (True, False):
+            x = (0,) * n if deletion else (0,) * (n - d)
+            wide = (0,) * (n - d) if deletion else (0,) * n
+            narrow = (0,) * (len(x) + (-1 if deletion else 1))
+            for ys in ((wide, narrow), (narrow, wide)):
+                lanes = EmbeddingLanes(ys, len(x), deletion, 2)
+                rows = [lanes.first]
+                lanes.extend(rows, x, 0)
+                # the narrow trace: Emb(0^450; 0^449) or Emb(0^431; 0^430)
+                assert lanes.count(rows[-1]) == comb(n, d) * max(
+                    len(x), len(narrow))
+                assert lanes.width == comb(n, d).bit_length() + 1
+                assert all(r & lanes.guard == 0 and r & ~lanes.band == 0
+                           for r in rows)
+                t = ys.index(wide)
+                assert max(unpack(lanes, rows[-1], t)) == comb(n, d)
+                assert max(unpack(lanes, rows[-1], 1 - t)) < 1 << 9
 
     def test_extend_from_a_kept_prefix(self):
         # the decoders' walk cuts the rows back to a shared prefix and
@@ -200,34 +257,56 @@ class TestEmbeddingLanes:
             b = b[:12]
             y = tuple(s for s in a if rnd.random() < 0.7)
             for deletion, ys in ((True, y), (False, a + (2, 0, 1))):
-                lanes = EmbeddingLanes(ys, 12, deletion, 3)
+                lanes = EmbeddingLanes((ys,), 12, deletion, 3)
                 rows = [lanes.first]
                 lanes.extend(rows, a, 0)
                 shared = next((i for i in range(12) if a[i] != b[i]), 12)
                 lanes.extend(rows, b, shared)
                 fresh = [lanes.first]
-                EmbeddingLanes(ys, 12, deletion, 3).extend(fresh, b, 0)
+                EmbeddingLanes((ys,), 12, deletion, 3).extend(fresh, b, 0)
                 assert rows == fresh
 
     def test_guard_dominance_equals_lanewise_ge(self):
         rnd = random.Random(9)
         for y, length in (((0, 1, 1, 0), 9), ((0,) * 20, 30)):
-            lanes = EmbeddingLanes(y, length, True, 2)
+            lanes = EmbeddingLanes((y,), length, True, 2)
             top = (1 << lanes.width - 1) - 1  # the largest value a lane holds
             values = (0, 1, 2, top - 1, top)
             for _ in range(3000):
                 a = [rnd.choice(values) if rnd.random() < 0.5
-                     else rnd.randint(0, top) for _ in range(lanes.d + 1)]
+                     else rnd.randint(0, top) for _ in range(lanes.ds[0] + 1)]
                 r = [v if rnd.random() < 0.4 else rnd.choice(values) for v in a]
-                pa, pr = pack(lanes, a), pack(lanes, r)
+                pa, pr = pack(lanes, [a]), pack(lanes, [r])
                 assert lanes.dominates(pa, pr) == all(map(ge, a, r)), (a, r)
                 assert lanes.dominates(pr, pa) == all(map(ge, r, a))
 
+    def test_pair_dominance_equals_both_lanewise_ge(self):
+        rnd = random.Random(10)
+        for ys, length in ((((0, 1, 1, 0), (0, 1)), 9),
+                           (((0,) * 20, (0,) * 28), 30),
+                           (((1, 0) * 3, (0, 1, 1)), 6)):
+            lanes = EmbeddingLanes(ys, length, True, 2)
+            top = (1 << lanes.width - 1) - 1  # the largest value a lane holds
+            values = (0, 1, 2, top - 1, top)
+            for _ in range(3000):
+                a = [[rnd.choice(values) if rnd.random() < 0.5
+                      else rnd.randint(0, top) for _ in range(d + 1)]
+                     for d in lanes.ds]
+                r = [[v if rnd.random() < 0.6 else rnd.choice(values)
+                      for v in trace] for trace in a]
+                pa, pr = pack(lanes, a), pack(lanes, r)
+                assert lanes.dominates(pa, pr) == all(
+                    map(ge, sum(a, []), sum(r, []))), (a, r)
+                assert lanes.dominates(pr, pa) == all(
+                    map(ge, sum(r, []), sum(a, [])))
+
     def test_rejects_a_negative_band(self):
         with pytest.raises(ValueError):
-            EmbeddingLanes((0, 1, 1), 2, True, 2)
+            EmbeddingLanes(((0, 1, 1),), 2, True, 2)
         with pytest.raises(ValueError):
-            EmbeddingLanes((0, 1), 3, False, 2)
+            EmbeddingLanes(((0, 1),), 3, False, 2)
+        with pytest.raises(ValueError):
+            EmbeddingLanes(((0,), (0, 1, 1)), 2, True, 2)
 
 
 class TestBalls:

@@ -7,7 +7,8 @@ import pytest
 from indelkit.channels import transmit_del
 from indelkit.codes import (AllWordsCode, SvtCode, VtCode,
                             default_svt_window_modulus)
-from indelkit.combinatorics import embedding_number, insertion_ball
+from indelkit.combinatorics import (EmbeddingLanes, embedding_number,
+                                    insertion_ball)
 from indelkit.decoders import (_best_leaf, brute_force_ml_star, decode_en,
                                decode_lazy, decode_ml_code,
                                mld_two_del_detailed, mld_two_ins_detailed,
@@ -376,6 +377,40 @@ class TestPrunedWalkVsOracle:
                             (mld_two_del_detailed(y1, y2, cap=cap, code=code)
                              for cap in (1, 2, 3, 5))])
         assert got == pinned
+
+    def test_coded_walk_builds_no_rows_for_rejected_words(self, monkeypatch):
+        # once a codeword is scored, a word the code rejects cannot win:
+        # the walk computes no product for it (nor its rows), and computes
+        # one for every other word it reaches
+        products = []
+        count = EmbeddingLanes.count
+        monkeypatch.setattr(EmbeddingLanes, "count", lambda self, row: (
+            products.append(1), count(self, row))[1])
+        rnd = random.Random(21)
+        passed_over = 0
+        for _ in range(150):
+            c = tuple(rnd.randrange(2) for _ in range(rnd.randint(10, 40)))
+            y1, y2 = channel_pair(rnd, c, 0.15)
+            length, walk = scs_dag(y1, y2)
+            words = enumerate_scs(y1, y2).candidates
+            if len(words) < 2:  # a single word is returned unscored
+                continue
+            code = VtCode(length, VtCode(length).fold(rnd.choice(words)))
+            seen = []  # (codeword, product computed) per word reached
+
+            def counted(skip):
+                for item in walk(skip):
+                    before, word = len(products), tuple(item[0])
+                    yield item
+                    seen.append((code.is_member(word), len(products) > before))
+            pick = _best_leaf(length, counted, (y1, y2), True, DEFAULT_CAP,
+                              code)[0]
+            assert pick == mld_two_oracle(y1, y2, code=code)[1]
+            first = next(i for i, (member, _) in enumerate(seen) if member)
+            assert all(built for _, built in seen[:first + 1])
+            assert all(built == member for member, built in seen[first + 1:])
+            passed_over += sum(not built for _, built in seen)
+        assert passed_over > 0
 
     def test_cap_budgets_scored_words(self):
         # a budget smaller than the number of SCS words truncates only
