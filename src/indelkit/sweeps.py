@@ -1,7 +1,8 @@
 """Exact evaluation of the k-deletion channel's one-trace decoders over the
 whole binary space: the expected distance, and exhaustive sweeps of the
-closed-form 2-deletion decoder and its sign condition.  Distances come
-from numpy lanes running the bit-parallel LCS step of words.lcs_bit_rows."""
+closed-form 2-deletion decoder and its sign condition, which mirror each
+word that starts with 0 to its complement.  Distances come from numpy lanes
+running the bit-parallel LCS step of words.lcs_bit_rows."""
 
 from __future__ import annotations
 
@@ -172,22 +173,25 @@ def sweep_two_del_condition(n: int) -> dict:
     two_del_condition_poly; returns the word count and the violators, each
     {"y", "gap", "poly"}, in lexicographic order of y.
 
-    The y go in blocks of at most COND_BLOCK words, numbered as integers
-    as binary_words reads them, and one two_del_gaps pass
-    gives each block's gaps, longest runs and run counts: O(n) numpy steps
-    per block, O(n 2^n) work in all."""
+    The y that start with 0 (at n = 2 the empty word) go in blocks of at
+    most COND_BLOCK words, numbered as binary_words reads them, and one
+    two_del_gaps pass gives their gaps, longest runs and run counts, the
+    complements' too: O(n) numpy steps per block, O(n 2^n) work in all."""
     if n < 2:
         raise ValueError(f"condition sweep needs n >= 2, not {n}")
     m = n - 2
-    violations = []
-    for lo in range(0, 1 << m, COND_BLOCK):
-        words = binary_words(np.arange(lo, min(lo + COND_BLOCK, 1 << m)), m)
+    half = 1 << m >> 1 or 1
+    violations, mirrored = [], []  # ascending y; descending complements
+    for lo in range(0, half, COND_BLOCK):
+        words = binary_words(np.arange(lo, min(lo + COND_BLOCK, half)), m)
         gap, r_max, r = two_del_gaps(words)
         poly = two_del_condition_poly(n, r_max, r)
         for i in np.flatnonzero((gap >= 0) != (poly >= 0)):
-            violations.append({"y": tuple(words[i].tolist()),
-                               "gap": int(gap[i]), "poly": int(poly[i])})
-    return {"n": n, "words": 2 ** (n - 2), "violations": violations}
+            for y, out in ((words[i], violations), (1 - words[i], mirrored)):
+                out.append({"y": tuple(y.tolist()), "gap": int(gap[i]),
+                            "poly": int(poly[i])})
+    return {"n": n, "words": 2 ** m,  # the empty word is its own complement
+            "violations": violations + (mirrored[::-1] if m else [])}
 
 
 WINDOW_BLOCK = 128  # codewords c whose candidate trie is walked at once
@@ -231,12 +235,17 @@ def _window_distance_rows(n: int, cs) -> np.ndarray:
 def _window_table(n: int) -> np.ndarray:
     """D[c, x] = d_L(x, c) for every c in Sigma_2^n (row c is the word
     whose integer is c) and every window candidate x, as
-    _window_distance_rows lays them out; built WINDOW_BLOCK rows at a
-    time so the trie's temporaries stay small."""
+    _window_distance_rows builds them, WINDOW_BLOCK rows at a time (small
+    trie temporaries) for the c that start with 0.  Complements keep d_L,
+    so row 2^n - 1 - c is row c with each length class reversed."""
     table = np.empty((1 << n, 15 << (n - 2)), dtype=np.int8)
-    for lo in range(0, 1 << n, WINDOW_BLOCK):
-        hi = min(lo + WINDOW_BLOCK, 1 << n)
+    half = 1 << (n - 1)
+    for lo in range(0, half, WINDOW_BLOCK):
+        hi = min(lo + WINDOW_BLOCK, half)
         table[lo:hi] = _window_distance_rows(n, np.arange(lo, hi))
+    offsets = [(1 << L) - (1 << (n - 2)) for L in range(n - 2, n + 3)]
+    for a, b in zip(offsets, offsets[1:]):
+        table[half:, a:b] = table[half - 1::-1, b - 1:a - 1 if a else None:-1]
     return table
 
 
@@ -256,11 +265,12 @@ def sweep_brute_force_window(n: int) -> dict:
     closed-form 2-deletion decoder that differ from a unique brute winner.
 
     The distances d_L(x, c) to every c in Sigma_2^n come from one
-    bit-parallel pass over the trie of candidates (_window_distance_rows)
-    into one c-major int8 table, 15 * 2^(2n-2) bytes (60 MiB at n = 12,
-    240 MiB at n = 13).  The insertion balls of the y come in the blocks
-    of one insertion_ball_blocks stream, and each y gathers the table rows of its ball
-    words and weights them by their embedding numbers (_window_scores).
+    c-major int8 table (_window_table), 15 * 2^(2n-2) bytes (60 MiB at
+    n = 12, 240 MiB at n = 13).  The insertion balls of the y that start
+    with 0 come in the blocks of one insertion_ball_blocks stream, and each
+    y weights the table rows of its ball words by their embedding numbers
+    (_window_scores).  Its complement ybar takes y's scores with each length
+    class reversed, and its own first minimum: ties flip under complement.
     The int8 distances and int16 products and sums are exact for n <= 13:
     distances are at most 2n + 1, weights at most C(n, 2), and the weights
     sum to 4 C(n, 2), so no score exceeds 4 C(n, 2) (2n + 1) = 8424.
@@ -273,24 +283,24 @@ def sweep_brute_force_window(n: int) -> dict:
     ys = binary_words(np.arange(1 << (n - 2)), n - 2).tolist()
     offsets = np.cumsum([0] + [1 << L for L in range(n - 2, n + 2)])
     cands = [binary_words(np.arange(1 << L), L) for L in range(n - 2, n + 2)]
-    length_violations = []
-    mismatches = []
-    for lo, balls, weights in insertion_ball_blocks(n - 2, 2, range(len(ys))):
-        for y, words, w in zip(ys[lo:lo + len(balls)], balls,
-                               weights.astype(np.int16)):
-            y = tuple(y)
+    perm = np.concatenate([np.arange(b - 1, a - 1, -1)
+                           for a, b in zip(offsets, offsets[1:])])
+    found = ([], []), ([], [])  # (length violations, mismatches) of y, ybar
+    for lo, balls, ws in insertion_ball_blocks(n - 2, 2, range(1 << (n - 3))):
+        for i, (words, w) in enumerate(zip(balls, ws.astype(np.int16)), lo):
             scores = _window_scores(table, words, w)
-            best = int(np.argmin(scores))  # first minimum: shortest, then lex
-            k = int(np.searchsorted(offsets, best, side="right")) - 1
-            best_len = n - 2 + k
-            if best_len not in (n - 2, n - 1):
-                length_violations.append({"y": y, "winner_len": best_len})
-            if np.count_nonzero(scores == scores[best]) == 1:
-                winner = tuple(cands[k][best - offsets[k]].tolist())
-                closed_form = ml_star_2del(y)
-                if winner != closed_form:
-                    mismatches.append({"y": y, "winner": winner,
-                                       "closed_form": closed_form})
-    return {"n": n, "words": 2 ** (n - 2),
-            "length_violations": length_violations,
-            "mismatches": mismatches}
+            for y, s, (lengths, mismatches) in (
+                    (ys[i], scores, found[0]),
+                    (ys[~i], scores[perm], found[1])):
+                y, best = tuple(y), int(np.argmin(s))  # shortest, then lex
+                k = int(np.searchsorted(offsets, best, side="right")) - 1
+                if k > 1:
+                    lengths.append({"y": y, "winner_len": n - 2 + k})
+                if np.count_nonzero(s == s[best]) == 1:
+                    winner = tuple(cands[k][best - offsets[k]].tolist())
+                    if winner != ml_star_2del(y):
+                        mismatches.append({"y": y, "winner": winner,
+                                           "closed_form": ml_star_2del(y)})
+    return {"n": n, "words": 2 ** (n - 2),  # ybar falls as y rises
+            "length_violations": found[0][0] + found[1][0][::-1],
+            "mismatches": found[0][1] + found[1][1][::-1]}

@@ -13,8 +13,9 @@ import indelkit.sweeps as sweeps
 from indelkit.combinatorics import (embedding_number, insertion_ball,
                                     insertion_ball_blocks, insertion_ball_size,
                                     insertion_ball_weights)
-from indelkit.decoders import (DECODERS, decode_en, get_decoder,
-                               ml_star_2del, objective_f, two_del_lazy_en_gap)
+from indelkit.decoders import (DECODERS, brute_force_ml_star, decode_en,
+                               get_decoder, ml_star_2del, objective_f,
+                               two_del_condition_poly, two_del_lazy_en_gap)
 from indelkit.sweeps import (_exact_enumerate, _window_distance_rows,
                              _window_scores, _window_table,
                              exact_expected_distance, sweep_brute_force_window,
@@ -41,8 +42,10 @@ ONE_TRACE_KDEL = [name for name, dec in DECODERS.items()
 
 def literal_window_sweep(n):
     """sweep_brute_force_window(n) with each y's scores summed over its
-    insertion_ball_weights, one ball word at a time."""
-    table, cands = _window_table(n), window_candidates(n)
+    insertion_ball_weights, one ball word at a time, from the trie pass's
+    rows of every c (no complement mirror), and each y picked on its own."""
+    table = _window_distance_rows(n, np.arange(2 ** n))
+    cands = window_candidates(n)
     res = {"n": n, "words": 2 ** (n - 2), "length_violations": [],
            "mismatches": []}
     for y in product((0, 1), repeat=n - 2):
@@ -57,6 +60,18 @@ def literal_window_sweep(n):
             res["mismatches"].append({"y": y, "winner": winner,
                                       "closed_form": ml_star_2del(y)})
     return res
+
+
+def literal_condition_sweep(n, poly=two_del_condition_poly):
+    """sweep_two_del_condition(n) from the literal gap and the run profile
+    of every y, in lexicographic order."""
+    violations = []
+    for y in product((0, 1), repeat=n - 2):
+        gap, prof = two_del_lazy_en_gap(y), runs(y)
+        p = poly(n, prof.r_max, prof.r)
+        if (gap >= 0) != (p >= 0):
+            violations.append({"y": y, "gap": gap, "poly": p})
+    return {"n": n, "words": 2 ** (n - 2), "violations": violations}
 
 
 def _ball_gap(y):
@@ -225,6 +240,53 @@ class TestSweeps:
         for n, res in whole.items():
             assert sweep_two_del_condition(n) == res, n
 
+    def test_condition_sweep_equals_literal_list(self, monkeypatch):
+        # the literal gap of every y, against the polynomial and against its
+        # negation, under which nearly every y violates: the empty word
+        # (n = 2) once, and every complement in its lexicographic place
+        def negated(n, r_max, r):
+            return -1 - two_del_condition_poly(n, r_max, r)
+        for n in range(2, 13):
+            assert sweep_two_del_condition(n) == literal_condition_sweep(n), n
+        monkeypatch.setattr(sweeps, "two_del_condition_poly", negated)
+        assert sweep_two_del_condition(2)["violations"] == [
+            {"y": (), "gap": -2, "poly": 2}]
+        for n in range(2, 13):
+            assert sweep_two_del_condition(n) == literal_condition_sweep(
+                n, negated), n
+
+    def test_window_table_equals_direct_trie_pass(self):
+        # both halves, cell by cell: the rows of the c that start with 1
+        # are mirrored from the others, those of the trie pass are not
+        # (512-row blocks keep the pass's temporaries small at n = 12)
+        for n in range(3, 13):
+            table = _window_table(n)
+            for lo in range(0, 2 ** n, 512):
+                rows = np.arange(lo, min(lo + 512, 2 ** n))
+                assert np.array_equal(table[rows],
+                                      _window_distance_rows(n, rows)), (n, lo)
+
+    def test_window_scores_of_the_complement_reverse_each_class(self):
+        # the scores from ybar's own ball are y's with each length class
+        # reversed, read from the trie pass's rows of every c
+        for n in range(4, 9):
+            table = _window_distance_rows(n, np.arange(2 ** n))
+            bounds = np.cumsum([0] + [2 ** L for L in range(n - 2, n + 2)])
+            balls = [ball for _, *block in insertion_ball_blocks(
+                n - 2, 2, range(2 ** (n - 2))) for ball in zip(*block)]
+            scores = [_window_scores(table, words, w.astype(np.int16))
+                      for words, w in balls]
+            for own, bar in zip(scores, scores[::-1]):
+                assert np.array_equal(bar, np.concatenate(
+                    [own[a:b][::-1] for a, b in zip(bounds, bounds[1:])])), n
+
+    def test_complement_flips_a_brute_tie(self):
+        # why the window sweep mirrors scores, not picks, and
+        # _exact_enumerate decodes every output: a tie broken
+        # lexicographically breaks the other way under the complement
+        assert brute_force_ml_star((0, 0, 1, 1), 2) == (0, 0, 0, 1, 1)
+        assert brute_force_ml_star((1, 1, 0, 0), 2) == (1, 1, 0, 0, 0)
+
     def test_window_table_equals_oracle(self):
         # every cell for n = 3..8 (from n = 8 on the table takes two
         # WINDOW_BLOCKs), then sampled rows at n = 11 and 12, the all-0
@@ -249,7 +311,6 @@ class TestSweeps:
     def test_window_scores_equal_the_objective(self):
         # the literal objective for every y and candidate, and the first
         # minimum is brute_force_ml_star's pick (shortest, then lex)
-        from indelkit.decoders import brute_force_ml_star, objective_f
         for n in range(4, 8):
             cands = window_candidates(n)
             table = _window_table(n)
@@ -267,7 +328,6 @@ class TestSweeps:
             assert sweep_brute_force_window(n) == literal_window_sweep(n), n
 
     def test_window_sweep_agrees_with_library_bruteforce(self):
-        from indelkit.decoders import brute_force_ml_star
         res = sweep_brute_force_window(6)
         bad = {tuple(v["y"]) for v in res["length_violations"]}
         for y in product((0, 1), repeat=4):
