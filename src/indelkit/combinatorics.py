@@ -230,19 +230,22 @@ def insertion_ball_blocks(m: int, t: int, ys):
 
 def _ball_weights(words, ys, m: int, t: int) -> np.ndarray:
     """Emb(c; y) for the words c of each row of `words` and that row's y in
-    ys: embedding_number's recurrence, one int32 lane per word (no cell
-    exceeds C(m + t, t) <= 2^20).  Diagonal d holds cell j = i - d; at step
-    i, from d = t down, it keeps its value where the mask (c_i - 1) ^ -y_j
-    is all ones (c_i = y_j; a padded 0 at j = 0) and adds diagonal d - 1's."""
+    ys: embedding_number's recurrence, one int32 lane per word (int64 from
+    n = 32; no cell exceeds C(m + t, t) <= 2^20).  Diagonal d holds cell
+    j = i - d; at step i, from d = t down, it keeps its value where bit
+    n - i of eq[d] = ~(c ^ y << t - d) is set (c_i = y_j; a padded 0 at
+    j = 0), that bit moved to the sign and back, and adds diagonal d - 1's."""
     n = m + t
-    neg = -binary_words(ys[:, 0] << 1, m + 1).astype(np.int32)  # -y_j at j - 1
-    words = words.astype(np.int32 if n < 32 else np.int64)
-    diag = np.zeros((t + 1, *words.shape), np.int32)
+    dt = np.int32 if n < 32 else np.int64
+    words, top = words.astype(dt), 8 * np.dtype(dt).itemsize - 1
+    eq = [~(words ^ ys.astype(dt) << t - d) for d in range(t + 1)]
+    diag = np.zeros((t + 1, *words.shape), dt)
     diag[0] = 1  # Emb(c[:0]; y[:0])
+    mask = np.empty_like(words)
     for i in range(1, n + 1):
-        sym = ((words >> n - i) & 1).astype(np.int32) - 1  # c_i - 1
         for d in range(min(t, i), max(i - m, 0) - 1, -1):
-            diag[d] &= sym ^ neg[:, i - d - 1, None]
+            np.left_shift(eq[d], top - n + i, out=mask)
+            diag[d] &= np.right_shift(mask, top, out=mask)
             if d:
                 diag[d] += diag[d - 1]
     return diag[t].astype(np.int64)

@@ -1,8 +1,8 @@
 """Exact evaluation of the k-deletion channel's one-trace decoders over the
 whole binary space: the expected distance, and exhaustive sweeps of the
-closed-form 2-deletion decoder and its sign condition, which mirror each
-word that starts with 0 to its complement.  Distances come from numpy lanes
-running the bit-parallel LCS step of words.lcs_bit_rows."""
+closed-form 2-deletion decoder and its sign condition.  Each mirrors the
+words that start with 0 to their complements.  Distances come from numpy
+lanes running the bit-parallel LCS step of words.lcs_bit_rows."""
 
 from __future__ import annotations
 
@@ -55,42 +55,49 @@ ENUM_N = range(1, 22)  # the n whose 2^n outputs _exact_enumerate decodes
 
 def _exact_enumerate(dec, n: int, k: int) -> Fraction:
     """objective_f(y, dec(y), k) summed over all outputs y, over 2^n n
-    C(n, k), in the blocks of one insertion_ball_blocks stream.
-
-    Each y is decoded on its own, and one LCS pass (_lcs_step, one uint32
-    lane per (y, c)) runs over the symbols of x = dec(y) for each block of
-    balls, a lane holding still once its x has ended.  Bit t of c's
+    C(n, k), in the blocks of one insertion_ball_blocks stream over the y
+    that start with 0 (the empty word once).  Complements keep Emb and d_L,
+    so f(ybar, x) = f(y, xbar): y's ball scores dec(y) and the complement
+    of dec(ybar), each output decoded on its own (picks need not commute
+    with the complement), in two LCS passes (_lcs_step, one uint32 lane
+    per (y, c)), a lane holding still once its x has ended.  Bit t of c's
     integer is symbol n - 1 - t, so the integers are the symbol masks of
-    the reversed words and the pass reads x backwards: LCS(x, c) =
+    the reversed words and a pass reads x backwards: LCS(x, c) =
     LCS(x^R, c^R).  d_L(x, c) = |x| - n + 2 popcount(v).
     """
     if n - k < 0:
         raise ValueError("k cannot exceed n")
-    # ENUM_N bounds the decodings (2^n n <= 2^26); the 2^(n-k) balls hold
+    # ENUM_N bounds the decodings (2^n n <= 2^26); the 2^(n-k-1) balls hold
     # insertion_ball_size(n - k, k, 2) words each, and 2^n C(n, k) <= 2^29
-    # admits (21, 2), (16, 6) and (15, 7), each under 20 s on 2 CPUs
+    # admits (21, 2), (16, 6) and (15, 7): under 9, 1 and 0.3 s on 2 CPUs
     if n not in ENUM_N or 2 ** n * comb(n, k) > 2 ** 29:
         raise ValueError(f"enumeration infeasible for n = {n}, k = {k}")
     assert n < 32  # v + u < 2^(n+1) fits a uint32 lane
     m, full = n - k, np.uint32((1 << n) - 1)
-    ys = np.arange(1 << m)
+    ys = np.arange(1 << m >> 1 or 1)
+    swap = bytes.maketrans(b"\0\1", b"\1\0")
     total = 0
     for lo, words, weights in insertion_ball_blocks(m, k, ys):
         B = len(words)
-        xs = [dec.decode((tuple(y),), k)[0]
-              for y in binary_words(ys[lo:lo + B], m).tolist()]
-        lens = np.array([len(x) for x in xs])
-        syms = np.array([x[::-1] + (-1,) * (lens.max() - len(x)) for x in xs],
-                        dtype=np.int64)  # -1: x has ended
-        # the rows of m0, then of m1, then of zeros: symbol s of row i takes
-        # row s B + i, and s = -1 (x has ended) counts back into the zeros
+        own = binary_words(ys[lo:lo + B], m)
+        xs = [bytes(dec.decode((tuple(y),), k)[0]) for y in own.tolist()]
+        if m:
+            xs += [bytes(dec.decode((tuple(y),), k)[0]).translate(swap)
+                   for y in (1 - own).tolist()]
+        lens, width = np.array([len(x) for x in xs]), max(map(len, xs))
+        syms = np.frombuffer(b"".join(x.rjust(width, b"\xff") for x in xs),
+                             np.int8).reshape(len(xs), width)
+        # rows m0, m1, zeros: symbol s of pick i takes row s B + i % B, and
+        # s = -1 (0xff: the right-aligned x has ended) counts into the zeros
         m1 = words.astype(np.uint32)
         masks = np.concatenate((full ^ m1, m1, np.zeros_like(m1)))
-        v = np.full(words.shape, full)
-        for col in (syms * B + np.arange(B)[:, None]).T:
-            v = _lcs_step(v, masks.take(col, axis=0), full)
-        dist = 2 * np.bitwise_count(v).astype(np.int64) + (lens - n)[:, None]
-        total += int((weights * dist).sum())
+        cols = syms.T[::-1].astype(np.intp) * B + np.arange(len(xs)) % B
+        for half in range(0, len(xs), B):  # dec(y), then dec(ybar)'s mirror
+            v = np.full(words.shape, full)
+            for col in cols[:, half:half + B]:
+                v = _lcs_step(v, masks.take(col, axis=0), full)
+            dist = 2 * np.bitwise_count(v) + lens[half:half + B, None] - n
+            total += int((weights * dist).sum())
     return Fraction(total, (2 ** n) * n * comb(n, k))
 
 

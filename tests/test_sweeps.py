@@ -183,8 +183,8 @@ class TestExactExpectedDistance:
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_small_lane_budgets(self, rows, monkeypatch):
-        # blocks of `rows` outputs (32 = 3 * 10 + 2 leaves a ragged last
-        # block)
+        # blocks of `rows` outputs that start with 0 (16 = 3 * 5 + 1 leaves
+        # a ragged last block)
         for name, n, k in (("mlstar2", 7, 2), ("en:2", 8, 3), ("lazy", 5, 0),
                            ("en:1", 3, 3)):
             monkeypatch.setattr(combinatorics, "BALL_WORDS",
@@ -194,7 +194,8 @@ class TestExactExpectedDistance:
 
     def test_gap_patterns_listed_once_per_call(self, monkeypatch):
         # one stream per call: the C(n, k) gap patterns are listed once,
-        # however many blocks (here 2^6 of one output each) the pass takes
+        # however many blocks (here the 2^5 outputs that start with 0, one
+        # each) the pass takes
         calls, blocks = [], []
         listing = combinatorics.combinations_with_replacement
         stream = combinatorics.insertion_ball_blocks
@@ -214,11 +215,32 @@ class TestExactExpectedDistance:
         dec = get_decoder("mlstar2", 1, "kdel")
         assert _exact_enumerate(dec, 8, 2) == literal_exact(dec, 8, 2)
         assert calls == [(range(7), 2)]
-        assert blocks == list(range(2 ** 6))
+        assert blocks == list(range(2 ** 5))
+
+    def test_mirror_assumes_no_equivariant_pick(self):
+        # a pick whose complement at ybar is not its pick at y: the mirror
+        # must score ybar's own pick, complemented, on y's ball
+        dec = dataclasses.replace(get_decoder("lazy", 1, "kdel"),
+                                  fn=lambda y, k: tuple(y) + (0,) * k)
+        pick = dec.decode(((0, 0),), 1)[0]  # (0, 0, 0); (1, 1) picks (1, 1, 0)
+        assert tuple(1 - s for s in pick) != dec.decode(((1, 1),), 1)[0]
+        for n in range(1, 10):
+            for k in range(min(n, 3) + 1):
+                assert _exact_enumerate(dec, n, k) == literal_exact(
+                    dec, n, k), (n, k)
 
     def test_mlstar2_pinned(self):
         assert exact_expected_distance(
             "mlstar2", 12, k=2, method="enumerate") == Fraction(1355, 8192)
+
+    def test_pinned_beyond_the_literal_oracle(self):
+        # computed without the complement mirror, one LCS pass per output;
+        # lazy's is k/n, since d_L(y, c) = k on all of y's ball
+        for name, n, k, value in (("lazy", 16, 2, Fraction(1, 8)),
+                                  ("mlstar2", 14, 4, Fraction(329489, 1171456)),
+                                  ("lazy", 15, 7, Fraction(7, 15))):
+            assert exact_expected_distance(
+                name, n, k, method="enumerate") == value, (name, n, k)
 
 
 class TestSweeps:
