@@ -2,7 +2,10 @@
 whole binary space: the expected distance, and exhaustive sweeps of the
 closed-form 2-deletion decoder and its sign condition.  Each mirrors the
 words that start with 0 to their complements.  Distances come from numpy
-lanes running the bit-parallel LCS step of words.lcs_bit_rows."""
+lanes running the bit-parallel LCS step of words.lcs_bit_rows.  The window
+sweep and the brute-force optimum's expected distance (k = 1, 2) score
+every candidate by one kernel, _window_scores, over one table of
+distances."""
 
 from __future__ import annotations
 
@@ -12,7 +15,8 @@ from math import comb
 import numpy as np
 
 from .combinatorics import binary_words, insertion_ball_blocks
-from .decoders import get_decoder, ml_star_2del, two_del_condition_poly
+from .decoders import (brute_force_ml_star, get_decoder, ml_star_2del,
+                       two_del_condition_poly)
 
 
 def exact_expected_distance(decoder: str, n: int, k: int = 1,
@@ -25,7 +29,11 @@ def exact_expected_distance(decoder: str, n: int, k: int = 1,
     that has an exact 1-deletion law in analysis (lazy, mlstar1, en:1) it
     returns the law where the law is defined, n >= 2; below that, and with
     `method="enumerate"`, it sums the exact objective of every output's
-    decoding (_exact_enumerate).  Needs n >= 1 and 0 <= k <= n.
+    decoding (_exact_enumerate).  The brute-force optimum at n in WINDOW_N
+    and k in {1, 2}, under either method, sums each output's least score
+    instead (_window_optimum), reading the window table: 15 * 2^(2n-2)
+    bytes, 60 MiB at n = 12 and 240 MiB at n = 13.  Needs n >= 1 and
+    0 <= k <= n.
     """
     if method not in ("auto", "enumerate"):
         raise ValueError(f"method must be 'auto' or 'enumerate', not {method!r}")
@@ -36,6 +44,8 @@ def exact_expected_distance(decoder: str, n: int, k: int = 1,
     dec = get_decoder(decoder, 1, "kdel")
     if k == 1 and n >= 2 and method == "auto" and dec.fast_1del is not None:
         return dec.fast_1del(n)
+    if dec.fn is brute_force_ml_star and n in WINDOW_N and k in (1, 2):
+        return _window_optimum(n, k)
     return _exact_enumerate(dec, n, k)
 
 
@@ -244,7 +254,13 @@ def _window_table(n: int) -> np.ndarray:
     whose integer is c) and every window candidate x, as
     _window_distance_rows builds them, WINDOW_BLOCK rows at a time (small
     trie temporaries) for the c that start with 0.  Complements keep d_L,
-    so row 2^n - 1 - c is row c with each length class reversed."""
+    so row 2^n - 1 - c is row c with each length class reversed.
+
+    The int8 distances, and the int16 products and sums of
+    _window_scores, are exact for n <= 13: distances are at most 2n + 1,
+    and a ball's embedding numbers sum to 4 C(n, 2) at k = 2 (2n at
+    k = 1), so no score exceeds 4 C(n, 2) (2n + 1) = 8424."""
+    assert 4 * comb(n, 2) * (2 * n + 1) < 2 ** 15
     table = np.empty((1 << n, 15 << (n - 2)), dtype=np.int8)
     half = 1 << (n - 1)
     for lo in range(0, half, WINDOW_BLOCK):
@@ -258,11 +274,29 @@ def _window_table(n: int) -> np.ndarray:
 
 def _window_scores(table: np.ndarray, words: np.ndarray,
                    weights: np.ndarray) -> np.ndarray:
-    """objective_f(y, x, 2) of every window candidate x, in the table's
-    column order, for the y whose insertion_ball_blocks row is (words,
-    weights): the table rows of the ball words weighted by their embedding
-    numbers (int16) and summed."""
-    return (weights[:, None] * table[words]).sum(axis=0, dtype=np.int16)
+    """objective_f(y, x, k) of every candidate x of the table's columns,
+    in their order, for the y whose insertion_ball_blocks row at radius k
+    is (words, weights): the table rows of the ball words weighted by
+    their embedding numbers and summed, in one int16 reduction with no
+    ball-by-columns product array.  The weights must be int16 (einsum
+    casts safely only into its int16 sum); _window_table bounds the sums.
+    """
+    return np.einsum("k,kx->x", weights, table[words], dtype=np.int16)
+
+
+def _window_optimum(n: int, k: int) -> Fraction:
+    """exact_expected_distance of the brute-force optimum at k = 1 or 2,
+    n in WINDOW_N: its window, lengths n-k .. n+1, is the table's columns
+    from level n-k on, and its pick scores the least f(y, x) over the
+    window whatever the tie rule.  The least score is the same at y and
+    its complement, so the y that start with 0 count twice."""
+    table = _window_table(n)[:, (1 << (n - k)) - (1 << (n - 2)):]
+    total = 0
+    for _, balls, ws in insertion_ball_blocks(n - k, k,
+                                              range(1 << (n - k - 1))):
+        for words, w in zip(balls, ws.astype(np.int16)):
+            total += int(_window_scores(table, words, w).min())
+    return Fraction(2 * total, 2 ** n * n * comb(n, k))
 
 
 def sweep_brute_force_window(n: int) -> dict:
@@ -278,14 +312,10 @@ def sweep_brute_force_window(n: int) -> dict:
     y weights the table rows of its ball words by their embedding numbers
     (_window_scores).  Its complement ybar takes y's scores with each length
     class reversed, and its own first minimum: ties flip under complement.
-    The int8 distances and int16 products and sums are exact for n <= 13:
-    distances are at most 2n + 1, weights at most C(n, 2), and the weights
-    sum to 4 C(n, 2), so no score exceeds 4 C(n, 2) (2n + 1) = 8424.
     """
     if n not in WINDOW_N:
         raise ValueError(f"sweep supports {WINDOW_N[0]} <= n <= "
                          f"{WINDOW_N[-1]}")
-    assert 4 * comb(n, 2) * (2 * n + 1) < 2 ** 15
     table = _window_table(n)
     ys = binary_words(np.arange(1 << (n - 2)), n - 2).tolist()
     offsets = np.cumsum([0] + [1 << L for L in range(n - 2, n + 2)])

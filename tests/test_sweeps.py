@@ -229,6 +229,38 @@ class TestExactExpectedDistance:
                 assert _exact_enumerate(dec, n, k) == literal_exact(
                     dec, n, k), (n, k)
 
+    def test_brute_reads_the_window_table(self, monkeypatch):
+        # at k = 1 and 2 the brute optimum's value sums the table's least
+        # scores, equal to the decoded enumeration and decoding no output
+        dec = get_decoder("brute", 1, "kdel")
+        values = {(n, k): _exact_enumerate(dec, n, k)
+                  for n in range(3, 7) for k in (1, 2)}
+
+        def decode_all(*args):
+            raise AssertionError("outputs decoded")
+        monkeypatch.setattr(sweeps, "_exact_enumerate", decode_all)
+        for (n, k), value in values.items():
+            for method in ("auto", "enumerate"):
+                assert exact_expected_distance(
+                    "brute", n, k, method=method) == value, (n, k, method)
+
+    def test_brute_optimum_pinned(self):
+        # E*[d] at k = 2; n = 4..7 equal the decoded enumeration
+        for n, value in zip(range(4, 11), (
+                Fraction(13, 32), Fraction(17, 50), Fraction(43, 144),
+                Fraction(89, 336), Fraction(3421, 14336),
+                Fraction(4463, 20736), Fraction(3767, 19200))):
+            assert exact_expected_distance("brute", n, 2) == value, n
+
+    def test_brute_one_deletion_optimum_is_lazy(self):
+        for n in range(3, 13):
+            assert exact_expected_distance("brute", n, 1) == Fraction(1, n)
+
+    def test_mlstar2_never_beats_the_optimum(self):
+        for n in range(4, 13):
+            assert exact_expected_distance("mlstar2", n, 2) >= (
+                exact_expected_distance("brute", n, 2)), n
+
     def test_mlstar2_pinned(self):
         assert exact_expected_distance(
             "mlstar2", 12, k=2, method="enumerate") == Fraction(1355, 8192)
@@ -332,18 +364,38 @@ class TestSweeps:
 
     def test_window_scores_equal_the_objective(self):
         # the literal objective for every y and candidate, and the first
-        # minimum is brute_force_ml_star's pick (shortest, then lex)
+        # minimum is brute_force_ml_star's pick (shortest, then lex): at
+        # k = 2 on the whole table, at k = 1 on its levels n-1 .. n+1
         for n in range(4, 8):
-            cands = window_candidates(n)
             table = _window_table(n)
-            balls = [ball for _, *block in insertion_ball_blocks(
-                n - 2, 2, range(2 ** (n - 2))) for ball in zip(*block)]
-            for y, (words, w) in zip(product((0, 1), repeat=n - 2), balls):
-                scores = _window_scores(table, words, w.astype(np.int16))
-                assert scores.tolist() == [
-                    objective_f(y, x, 2) for x in cands], y
-                assert cands[int(np.argmin(scores))] == brute_force_ml_star(
-                    y, 2), y
+            for k, lo in ((2, 0), (1, 2 ** (n - 2))):
+                cands, cols = window_candidates(n)[lo:], table[:, lo:]
+                balls = [ball for _, *block in insertion_ball_blocks(
+                    n - k, k, range(2 ** (n - k))) for ball in zip(*block)]
+                for y, (words, w) in zip(product((0, 1), repeat=n - k),
+                                         balls):
+                    scores = _window_scores(cols, words, w.astype(np.int16))
+                    assert scores.tolist() == [
+                        objective_f(y, x, k) for x in cands], (y, k)
+                    assert cands[int(np.argmin(scores))] == (
+                        brute_force_ml_star(y, k)), (y, k)
+
+    def test_window_scores_exact_at_the_top_of_the_range(self):
+        # n = 12, the all-0 and all-1 outputs (the largest weights) and
+        # seeded ones: the int16 sums equal an int64 reference
+        n = 12
+        table = _window_table(n)
+        rng = np.random.default_rng(32)
+        for k, lo in ((2, 0), (1, 2 ** (n - 2))):
+            ys = [0, 2 ** (n - k) - 1, *rng.choice(2 ** (n - k), size=4,
+                                                   replace=False)]
+            cols = table[:, lo:]
+            for _, balls, ws in insertion_ball_blocks(n - k, k, ys):
+                for words, w in zip(balls, ws):
+                    ref = (w.astype(np.int64)[:, None]
+                           * cols[words]).sum(0)
+                    assert np.array_equal(_window_scores(
+                        cols, words, w.astype(np.int16)), ref), k
 
     def test_window_sweep_equals_literal_scorer(self):
         for n in range(3, 10):
